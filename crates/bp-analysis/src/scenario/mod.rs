@@ -60,7 +60,6 @@ use bp_core::faults::{FaultInjector, FaultPlan};
 use bp_core::flow::FlowTableConfig;
 use bp_core::offline::{OfflineAnalyzer, SignatureDatabase};
 use bp_core::policy::{Policy, PolicySet};
-use bp_core::runtime::BatchRuntime;
 use bp_core::wire::{CaptureHeader, CaptureReader, CaptureWriter};
 use bp_dex::MethodTable;
 use bp_netsim::addr::Endpoint;
@@ -118,10 +117,6 @@ pub struct ScenarioSpec {
     pub config: EnforcerConfig,
     /// Worker shards of the [`ShardedEnforcer`].
     pub shards: usize,
-    /// Batch runtime of the [`ShardedEnforcer`] (persistent worker pool by
-    /// default; [`BatchRuntime::Scoped`] re-enables the spawn-per-batch
-    /// baseline for runtime-delta measurements).
-    pub runtime: BatchRuntime,
     /// Number of simulated ticks driven.
     pub ticks: u32,
     /// Simulated wall-clock length of one tick, in milliseconds (drives the
@@ -161,7 +156,6 @@ impl ScenarioSpec {
             ]),
             config: EnforcerConfig::strict(),
             shards,
-            runtime: BatchRuntime::default(),
             ticks: 3,
             tick_millis: 500,
             hot_swap: None,
@@ -678,15 +672,7 @@ impl PreparedScenario {
     /// Propagates hot-swap commit failures.  Enforcement drops are
     /// *results*, never errors.
     pub fn run(&self) -> Result<ScenarioReport, Error> {
-        self.run_with_runtime(self.spec.runtime)
-    }
-
-    /// Like [`PreparedScenario::run`] with the batch runtime overridden for
-    /// this run only — the spawn-vs-pool comparison of the `fleet_scale`
-    /// bench drives one prepared scenario under both runtimes.  The report
-    /// does not depend on the runtime (both produce identical verdicts).
-    pub fn run_with_runtime(&self, runtime: BatchRuntime) -> Result<ScenarioReport, Error> {
-        self.run_impl(runtime, None, None)
+        self.run_impl(None, None)
     }
 
     /// Like [`PreparedScenario::run`], invoking `observer` after every
@@ -700,7 +686,7 @@ impl PreparedScenario {
     /// Propagates hot-swap commit failures, exactly as
     /// [`PreparedScenario::run`].
     pub fn run_observed(&self, observer: &mut TickObserver<'_>) -> Result<ScenarioReport, Error> {
-        self.run_impl(self.spec.runtime, None, Some(observer))
+        self.run_impl(None, Some(observer))
     }
 
     /// Run the scenario while recording every synthesized packet — wire
@@ -726,7 +712,6 @@ impl PreparedScenario {
         let mut writer = CaptureWriter::new(sink, header).map_err(capture_io)?;
         let mut frame_buf = Vec::new();
         let report = self.run_impl(
-            spec.runtime,
             Some(&mut |tick, tag, packet: &Ipv4Packet| {
                 packet.write_wire_bytes(&mut frame_buf);
                 writer.record(tick, tag, &frame_buf).map_err(capture_io)
@@ -752,16 +737,7 @@ impl PreparedScenario {
     /// this scenario's seed/clock/ticks or a frame tag names no adversary
     /// profile; propagates hot-swap commit failures.
     pub fn replay(&self, capture: &CaptureReader) -> Result<ScenarioReport, Error> {
-        self.replay_with_runtime(capture, self.spec.runtime)
-    }
-
-    /// Like [`PreparedScenario::replay`] with the batch runtime overridden.
-    pub fn replay_with_runtime(
-        &self,
-        capture: &CaptureReader,
-        runtime: BatchRuntime,
-    ) -> Result<ScenarioReport, Error> {
-        self.replay_impl(capture, runtime, None)
+        self.replay_impl(capture, None)
     }
 
     /// Like [`PreparedScenario::replay`], invoking `observer` after every
@@ -777,15 +753,14 @@ impl PreparedScenario {
         capture: &CaptureReader,
         observer: &mut TickObserver<'_>,
     ) -> Result<ScenarioReport, Error> {
-        self.replay_impl(capture, self.spec.runtime, Some(observer))
+        self.replay_impl(capture, Some(observer))
     }
 
-    /// Shared body of [`PreparedScenario::replay_with_runtime`] and
+    /// Shared body of [`PreparedScenario::replay`] and
     /// [`PreparedScenario::replay_observed`].
     fn replay_impl(
         &self,
         capture: &CaptureReader,
-        runtime: BatchRuntime,
         mut observer: Option<&mut TickObserver<'_>>,
     ) -> Result<ScenarioReport, Error> {
         let spec = &self.spec;
@@ -810,7 +785,7 @@ impl PreparedScenario {
             ));
         }
 
-        let (mut control, enforcer) = self.build_plane(runtime);
+        let (mut control, enforcer) = self.build_plane();
         let mut tally = Tally::default();
         let mut frames: Vec<&[u8]> = Vec::new();
         let mut origins: Vec<Option<AdversaryModel>> = Vec::new();
@@ -879,18 +854,17 @@ impl PreparedScenario {
     /// and drives the hot swap.  Flow capacity covers every long-lived flow
     /// plus the adversaries' injection flows so eviction noise never
     /// perturbs attribution.
-    fn build_plane(&self, runtime: BatchRuntime) -> (ControlPlane, Arc<ShardedEnforcer>) {
+    fn build_plane(&self) -> (ControlPlane, Arc<ShardedEnforcer>) {
         let spec = &self.spec;
         let mut control = ControlPlane::new(self.db.clone(), spec.policies.clone(), spec.config);
         let flow_config = FlowTableConfig {
             capacity: (self.total_flows as usize * 2).max(4_096),
             ..FlowTableConfig::default()
         };
-        let enforcer = Arc::new(ShardedEnforcer::with_runtime(
+        let enforcer = Arc::new(ShardedEnforcer::with_flow_config(
             control.tables(),
             spec.shards,
             flow_config,
-            runtime,
         ));
         control.register(Arc::clone(&enforcer) as Arc<dyn EnforcementEndpoint>);
         if let Some(plan) = &spec.faults {
@@ -903,12 +877,11 @@ impl PreparedScenario {
         (control, enforcer)
     }
 
-    /// Shared tick loop of [`PreparedScenario::run_with_runtime`] and
+    /// Shared tick loop of [`PreparedScenario::run`] and
     /// [`PreparedScenario::run_recorded`]: synthesize, optionally record,
     /// inspect, account.
     fn run_impl(
         &self,
-        runtime: BatchRuntime,
         mut recorder: Option<&mut FrameRecorder<'_>>,
         mut observer: Option<&mut TickObserver<'_>>,
     ) -> Result<ScenarioReport, Error> {
@@ -918,7 +891,7 @@ impl PreparedScenario {
         let sockets = spec.fleet.sockets_per_device;
         let mut rng = self.traffic_rng.clone();
 
-        let (mut control, enforcer) = self.build_plane(runtime);
+        let (mut control, enforcer) = self.build_plane();
         let mut tally = Tally::default();
 
         let mut packets: Vec<Ipv4Packet> = Vec::new();

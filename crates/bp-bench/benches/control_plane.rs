@@ -18,9 +18,7 @@ use bp_bench::quick::{json_mode, QuickBench};
 use bp_bench::{analyzed_solcalendar, blacklist_policies, case_study_policies};
 use bp_core::control::{ControlPlane, EnforcementEndpoint};
 use bp_core::enforcer::{EnforcerConfig, ShardedEnforcer};
-use bp_core::flow::FlowTableConfig;
 use bp_core::policy::PolicySet;
-use bp_core::runtime::BatchRuntime;
 use bp_netsim::addr::Endpoint;
 use bp_netsim::options::{IpOption, IpOptionKind};
 use bp_netsim::packet::Ipv4Packet;
@@ -177,9 +175,9 @@ fn benches_all(c: &mut Criterion) {
     bench_throughput_under_storm(c);
 }
 
-/// `--json` quick sweep, merged into `BENCH_10.json`: commit/rollback
+/// `--json` quick sweep, merged into `BENCH.json`: commit/rollback
 /// latencies (batch = policy count, elements = commits) plus the quiet
-/// data-plane batch throughput under both batch runtimes.
+/// data-plane batch throughput.
 fn json_sweep() {
     let app = analyzed_solcalendar();
     let mut quick = QuickBench::new("control_plane");
@@ -203,10 +201,9 @@ fn json_sweep() {
         control.register(Arc::clone(&enforcer) as Arc<dyn EnforcementEndpoint>);
         let mut flip = 0usize;
         let rules = policy_sets[0].len();
-        // Commit rows measure the control plane, not a batch runtime:
-        // runtime is "n/a" (so pool-vs-scoped aggregation skips them) and
-        // "pkts_per_sec" carries commits/sec (elements = 1 commit).
-        quick.measure(case, SHARDS, rules, "n/a", 1, || {
+        // Commit rows measure the control plane: "pkts_per_sec" carries
+        // commits/sec (elements = 1 commit).
+        quick.measure(case, SHARDS, rules, 1, || {
             flip ^= 1;
             criterion::black_box(
                 control
@@ -219,32 +216,18 @@ fn json_sweep() {
     }
 
     let packets = repeated_flow_stream(&app.context_payload("fb-login"));
-    for runtime in [BatchRuntime::Scoped, BatchRuntime::Pool] {
-        let mut control = ControlPlane::new(
-            app.database.clone(),
-            case_study_policies(),
-            EnforcerConfig::default(),
-        );
-        let enforcer = Arc::new(ShardedEnforcer::with_runtime(
-            control.tables(),
-            SHARDS,
-            FlowTableConfig::default(),
-            runtime,
-        ));
-        control.register(Arc::clone(&enforcer) as Arc<dyn EnforcementEndpoint>);
-        let mut verdicts = Vec::with_capacity(BATCH);
-        quick.measure(
-            "inspect_batch_quiet",
-            SHARDS,
-            BATCH,
-            runtime.label(),
-            BATCH as u64,
-            || {
-                enforcer.inspect_batch_into(&packets, &mut verdicts);
-                criterion::black_box(verdicts.len());
-            },
-        );
-    }
+    let mut control = ControlPlane::new(
+        app.database.clone(),
+        case_study_policies(),
+        EnforcerConfig::default(),
+    );
+    let enforcer = Arc::new(ShardedEnforcer::new(control.tables(), SHARDS));
+    control.register(Arc::clone(&enforcer) as Arc<dyn EnforcementEndpoint>);
+    let mut verdicts = Vec::with_capacity(BATCH);
+    quick.measure("inspect_batch_quiet", SHARDS, BATCH, BATCH as u64, || {
+        enforcer.inspect_batch_into(&packets, &mut verdicts);
+        criterion::black_box(verdicts.len());
+    });
     quick.finish();
 }
 

@@ -10,7 +10,8 @@
 //! consulted, its ordinals tick, but nothing ever fires — pricing the worst
 //! case of leaving chaos instrumentation armed in production.
 //!
-//! `--json` merges `inert` / `armed_quiet` rows into `BENCH_10.json`;
+//! `--json` merges `<regime>/inert` / `<regime>/armed_quiet` rows into
+//! `BENCH.json`;
 //! diffing the inert rows against the committed PR 9 `fleet_scale` /
 //! `telemetry_overhead` rows shows what the hooks cost the hot path.
 
@@ -93,7 +94,7 @@ fn bench_fault_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// `--json` quick sweep, merged into `BENCH_10.json`: inert vs armed-quiet
+/// `--json` quick sweep, merged into `BENCH.json`: inert vs armed-quiet
 /// rows at the small-batch and fleet regimes.  The budget is <2% on both.
 fn json_sweep() {
     let app = analyzed_solcalendar();
@@ -109,7 +110,8 @@ fn json_sweep() {
             for (arming, armed) in [("inert", false), ("armed_quiet", true)] {
                 let e = enforcer(&tables, shards, armed);
                 let mut verdicts = Vec::with_capacity(batch);
-                quick.measure(label, shards, batch, arming, batch as u64, || {
+                let case = format!("{label}/{arming}");
+                quick.measure(&case, shards, batch, batch as u64, || {
                     e.inspect_batch_into(&packets, &mut verdicts);
                     black_box(verdicts.len());
                 });

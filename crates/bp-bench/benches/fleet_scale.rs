@@ -7,17 +7,14 @@
 //! assembly) and each iteration re-runs only the enforcement tick loop, so
 //! the rows compare data-plane wall-clock as the shard count grows.
 //!
-//! `--json` switches to the quick sweep that feeds `BENCH_10.json`: three
+//! `--json` switches to the quick sweep that feeds `BENCH.json`: three
 //! fleet sizes chosen so the per-tick batches land in the ≤16 / ≤64 / ~1k
-//! packet regimes, each on 1/4/8 shards under both the persistent worker
-//! pool and the scoped spawn-per-batch baseline.  Small batches are where
-//! per-batch thread spawns dominate — the regime the pool exists to fix.
+//! packet regimes, each on 1/4/8 shards.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion, Throughput};
 
 use bp_analysis::scenario::{PreparedScenario, ScenarioSpec};
 use bp_bench::quick::{json_mode, QuickBench};
-use bp_core::runtime::BatchRuntime;
 
 const DEVICES: u32 = 10_000;
 const SEED: u64 = 0xb0bde5;
@@ -39,20 +36,16 @@ fn bench_fleet_scale(c: &mut Criterion) {
     for shards in [1usize, 2, 4, 8] {
         let spec = ScenarioSpec::adversarial_fleet("fleet-bench", DEVICES, SEED, shards);
         let prepared = PreparedScenario::prepare(&spec).expect("scenario prepares");
-        for runtime in [BatchRuntime::Pool, BatchRuntime::Scoped] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("shards/{}", runtime.label()), shards),
-                &prepared,
-                |b, prepared| {
-                    b.iter(|| black_box(prepared.run_with_runtime(runtime).expect("scenario runs")))
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("shards", shards),
+            &prepared,
+            |b, prepared| b.iter(|| black_box(prepared.run().expect("scenario runs"))),
+        );
     }
     group.finish();
 }
 
-/// `--json` quick sweep, merged into `BENCH_10.json`.
+/// `--json` quick sweep, merged into `BENCH.json`.
 ///
 /// Fleet sizes map to per-tick batch regimes (2 sockets/device, 1–2 packets
 /// per flow per tick, plus adversarial injections): 3 devices ≈ 10-packet
@@ -71,18 +64,9 @@ fn json_sweep() {
             let prepared = PreparedScenario::prepare(&spec).expect("scenario prepares");
             let report = prepared.run().expect("scenario runs");
             let batch = (report.packets / u64::from(ticks)) as usize;
-            for runtime in [BatchRuntime::Scoped, BatchRuntime::Pool] {
-                quick.measure(
-                    label,
-                    shards,
-                    batch,
-                    runtime.label(),
-                    report.packets,
-                    || {
-                        black_box(prepared.run_with_runtime(runtime).expect("scenario runs"));
-                    },
-                );
-            }
+            quick.measure(label, shards, batch, report.packets, || {
+                black_box(prepared.run().expect("scenario runs"));
+            });
         }
     }
     quick.finish();

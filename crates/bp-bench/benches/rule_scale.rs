@@ -63,7 +63,7 @@ fn bench_eval_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// `--json` quick sweep, merged into `BENCH_10.json`.
+/// `--json` quick sweep, merged into `BENCH.json`.
 ///
 /// Row conventions: `batch` carries the rule count; commit rows use
 /// runtime `"n/a"` and elements = 1 (so `ns_per_iter` is the commit
@@ -76,7 +76,7 @@ fn json_sweep() {
     for shape in SHAPES {
         for n in SCALES {
             let compiled = synthetic_rule_set(n, shape).compile();
-            quick.measure(&format!("eval_{}", shape.label()), 1, n, "n/a", 1, || {
+            quick.measure(&format!("eval_{}", shape.label()), 1, n, 1, || {
                 criterion::black_box(compiled.evaluate(black_box(tag), black_box(&stack)));
             });
         }
@@ -99,7 +99,7 @@ fn json_sweep() {
             EnforcerConfig::default(),
         );
         let mut flip = 0usize;
-        quick.measure("commit_full_mixed", 1, n, "n/a", 1, || {
+        quick.measure("commit_full_mixed", 1, n, 1, || {
             flip ^= 1;
             criterion::black_box(
                 control
@@ -134,7 +134,7 @@ fn json_sweep() {
                 .commit()
                 .unwrap();
         }
-        quick.measure("commit_delta1_mixed", 1, n, "n/a", 1, || {
+        quick.measure("commit_delta1_mixed", 1, n, 1, || {
             next += 1;
             criterion::black_box(
                 control

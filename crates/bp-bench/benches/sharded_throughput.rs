@@ -2,21 +2,17 @@
 //! shared across N worker shards, inspecting a mixed multi-flow packet
 //! stream, vs the single-shard facade inspecting the same stream inline.
 //!
-//! Each `inspect_batch` row runs under both batch runtimes — the persistent
-//! worker pool (default) and the scoped spawn-per-batch baseline — so the
-//! spawn-vs-pool delta is visible per shard count.  `--json` switches to the
-//! quick sweep (batch sizes 8/64/1024 × shards × runtimes) that feeds
-//! `BENCH_10.json`; in the small-batch regime the spawn/join cost dominates
-//! the scoped rows, which is exactly what the pool eliminates.
+//! `--json` switches to the quick sweep (batch sizes 8/64/1024 × 1/2/4/8
+//! shards) that feeds `BENCH.json`; the 1-shard rows run entirely on the
+//! submitting thread, so each multi-shard row over its 1-shard row is the
+//! fan-out cost (or gain) at that batch size.
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion, Throughput};
 
 use bp_bench::quick::{json_mode, QuickBench};
 use bp_bench::{analyzed_solcalendar, blacklist_policies, case_study_policies};
 use bp_core::enforcer::{EnforcementTables, EnforcerConfig, PolicyEnforcer, ShardedEnforcer};
-use bp_core::flow::FlowTableConfig;
 use bp_core::policy::PolicySet;
-use bp_core::runtime::BatchRuntime;
 use bp_netsim::addr::Endpoint;
 use bp_netsim::options::{IpOption, IpOptionKind};
 use bp_netsim::packet::Ipv4Packet;
@@ -48,7 +44,7 @@ fn packet_stream(login: &[u8], analytics: &[u8], batch: usize) -> Vec<Ipv4Packet
 }
 
 /// One policy-set scenario: the single-shard facade inline vs `inspect_batch`
-/// fanned over 1/2/4/8 shards under each batch runtime.
+/// fanned over 1/2/4/8 shards.
 fn bench_scenario(c: &mut Criterion, scenario: &str, policies: PolicySet) {
     let app = analyzed_solcalendar();
     let packets = packet_stream(
@@ -74,26 +70,19 @@ fn bench_scenario(c: &mut Criterion, scenario: &str, policies: PolicySet) {
     });
 
     let tables = EnforcementTables::shared(&app.database, &policies, EnforcerConfig::default());
-    for runtime in [BatchRuntime::Pool, BatchRuntime::Scoped] {
-        for shards in [1usize, 2, 4, 8] {
-            let enforcer = ShardedEnforcer::with_runtime(
-                tables.clone(),
-                shards,
-                FlowTableConfig::default(),
-                runtime,
-            );
-            let mut verdicts = Vec::with_capacity(BATCH);
-            group.bench_with_input(
-                BenchmarkId::new(format!("inspect_batch/{}", runtime.label()), shards),
-                &enforcer,
-                |b, enforcer| {
-                    b.iter(|| {
-                        enforcer.inspect_batch_into(&packets, &mut verdicts);
-                        black_box(verdicts.len())
-                    })
-                },
-            );
-        }
+    for shards in [1usize, 2, 4, 8] {
+        let enforcer = ShardedEnforcer::new(tables.clone(), shards);
+        let mut verdicts = Vec::with_capacity(BATCH);
+        group.bench_with_input(
+            BenchmarkId::new("inspect_batch", shards),
+            &enforcer,
+            |b, enforcer| {
+                b.iter(|| {
+                    enforcer.inspect_batch_into(&packets, &mut verdicts);
+                    black_box(verdicts.len())
+                })
+            },
+        );
     }
     group.finish();
 }
@@ -106,8 +95,8 @@ fn bench_sharded(c: &mut Criterion) {
     bench_scenario(c, "blacklist_1050", blacklist_policies());
 }
 
-/// `--json` quick sweep: pkts/sec per (batch size, shards, runtime) on the
-/// case-study policy set, merged into `BENCH_10.json`.
+/// `--json` quick sweep: pkts/sec per (batch size, shards) on the case-study
+/// policy set, merged into `BENCH.json`.
 fn json_sweep() {
     let app = analyzed_solcalendar();
     let policies = case_study_policies();
@@ -119,26 +108,12 @@ fn json_sweep() {
     for batch in [8usize, 64, 1024] {
         let packets = packet_stream(&login, &analytics, batch);
         for shards in [1usize, 2, 4, 8] {
-            for runtime in [BatchRuntime::Scoped, BatchRuntime::Pool] {
-                let enforcer = ShardedEnforcer::with_runtime(
-                    tables.clone(),
-                    shards,
-                    FlowTableConfig::default(),
-                    runtime,
-                );
-                let mut verdicts = Vec::with_capacity(batch);
-                quick.measure(
-                    "case_study_policies",
-                    shards,
-                    batch,
-                    runtime.label(),
-                    batch as u64,
-                    || {
-                        enforcer.inspect_batch_into(&packets, &mut verdicts);
-                        black_box(verdicts.len());
-                    },
-                );
-            }
+            let enforcer = ShardedEnforcer::new(tables.clone(), shards);
+            let mut verdicts = Vec::with_capacity(batch);
+            quick.measure("case_study_policies", shards, batch, batch as u64, || {
+                enforcer.inspect_batch_into(&packets, &mut verdicts);
+                black_box(verdicts.len());
+            });
         }
     }
     quick.finish();

@@ -11,8 +11,8 @@
 //! the budget is <2% on the small-batch regime (the `fleet_scale`
 //! small-batch shape, where per-batch fixed costs weigh the most).
 //!
-//! `--json` merges `detached` / `attached` rows into `BENCH_10.json`
-//! alongside the `fleet_scale` rows they mirror.
+//! `--json` merges `<regime>/detached` / `<regime>/attached` rows into
+//! `BENCH.json` alongside the `fleet_scale` rows they mirror.
 
 use std::sync::Arc;
 
@@ -106,7 +106,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// `--json` quick sweep, merged into `BENCH_10.json`: detached vs attached
+/// `--json` quick sweep, merged into `BENCH.json`: detached vs attached
 /// rows at the small and mid batch regimes.  Diffing the paired rows shows
 /// what a live sampler costs the data plane; the budget is <2% on
 /// small_batch.
@@ -123,7 +123,8 @@ fn json_sweep() {
         for shards in [1usize, 4] {
             let detached = enforcer(&tables, shards);
             let mut verdicts = Vec::with_capacity(batch);
-            quick.measure(label, shards, batch, "detached", batch as u64, || {
+            let case = format!("{label}/detached");
+            quick.measure(&case, shards, batch, batch as u64, || {
                 detached.inspect_batch_into(&packets, &mut verdicts);
                 black_box(verdicts.len());
             });
@@ -131,7 +132,8 @@ fn json_sweep() {
             let attached = enforcer(&tables, shards);
             let sampler = attach(&attached);
             let mut verdicts = Vec::with_capacity(batch);
-            quick.measure(label, shards, batch, "attached", batch as u64, || {
+            let case = format!("{label}/attached");
+            quick.measure(&case, shards, batch, batch as u64, || {
                 attached.inspect_batch_into(&packets, &mut verdicts);
                 black_box(verdicts.len());
             });

@@ -4,7 +4,7 @@
 //! Frames are the realistic tagged shape — base header, one BorderPatrol
 //! context option, abbreviated transport ports, payload — plus the
 //! trailing-data variant the sanitizer exists to catch.  `--json` emits the
-//! quick rows merged into `BENCH_10.json`; for this bench `elements` is the
+//! quick rows merged into `BENCH.json`; for this bench `elements` is the
 //! total *byte* count an iteration decodes, so the throughput column reads
 //! as bytes/second (the wire codec's natural unit), not packets/second.
 
@@ -83,7 +83,7 @@ fn bench_wire_decode(c: &mut Criterion) {
     group.finish();
 }
 
-/// `--json` quick sweep, merged into `BENCH_10.json`.  `elements` is bytes
+/// `--json` quick sweep, merged into `BENCH.json`.  `elements` is bytes
 /// decoded per iteration, so `pkts_per_sec` reads as **bytes/sec** here.
 fn json_sweep() {
     let mut quick = QuickBench::new("wire_decode");
@@ -96,7 +96,7 @@ fn json_sweep() {
         let refs: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
         let bytes = total_bytes(&encoded);
         let mut decoder = WireDecoder::default();
-        quick.measure(label, 1, BATCH, "single", bytes, || {
+        quick.measure(label, 1, BATCH, bytes, || {
             let (packets, failures) = decoder.decode_batch(black_box(&refs));
             assert_eq!(packets.len(), BATCH);
             assert!(failures.is_empty());

@@ -4,15 +4,11 @@
 //! trajectory need numbers a script can diff.  Running a bench binary with
 //! `--json` (e.g. `cargo bench -p bp-bench --bench fleet_scale -- --json`)
 //! switches it into this mode: a short, self-timed sweep whose rows —
-//! packets/second per (case, shard count, batch size, batch runtime) — are
-//! merged into the workspace-root `BENCH_10.json`.  Each bench owns its rows
-//! in the file (re-running a bench replaces only that bench's section), so
-//! running the three data-plane benches in any order converges to one
-//! complete artifact.
-//!
-//! For every `(case, shards, batch)` pair measured under both batch
-//! runtimes, the pool row also records `speedup_vs_scoped` — the
-//! spawn-vs-pool delta the persistent worker runtime exists to deliver.
+//! packets/second per (case, shard count, batch size) — are merged into the
+//! workspace-root `BENCH.json` ([`BENCH_JSON_PATH`], the one place the
+//! artifact is named).  Each bench owns its rows in the file (re-running a
+//! bench replaces only that bench's section), so running the benches in any
+//! order converges to one complete artifact.
 //!
 //! The measurement budget per row is `BP_BENCH_JSON_MS` (default 200 ms),
 //! so the full sweep stays CI-smoke sized.
@@ -22,7 +18,8 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 /// Where the merged artifact lives: the workspace root, next to README.md.
-pub const BENCH_JSON_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_10.json");
+/// Un-numbered on purpose — the `issue` field inside carries the PR number.
+pub const BENCH_JSON_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH.json");
 
 /// One measured configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -36,25 +33,18 @@ pub struct Row {
     /// Packets per batch handed to `inspect_batch` (for scenario-driven
     /// rows: the average packets per tick batch).
     pub batch: u64,
-    /// Batch runtime label (`pool`, `scoped`, or `single` for the
-    /// single-shard facade).
-    pub runtime: String,
     /// Mean wall-clock nanoseconds per iteration.
     pub ns_per_iter: f64,
     /// Packets per second derived from the iteration's packet count.
     pub pkts_per_sec: f64,
-    /// `pool` pkts/sec divided by the matching `scoped` row's, when both
-    /// were measured in the same sweep (0 when not applicable).
-    #[serde(default)]
-    pub speedup_vs_scoped: f64,
 }
 
-/// The merged `BENCH_10.json` document.
+/// The merged document at [`BENCH_JSON_PATH`].
 #[derive(Debug, Default, Serialize, Deserialize)]
 struct BenchReport {
     /// Stacked-PR issue the artifact belongs to.
     issue: u64,
-    /// Every bench's rows, sorted by (bench, case, shards, batch, runtime).
+    /// Every bench's rows, sorted by (bench, case, shards, batch).
     rows: Vec<Row>,
 }
 
@@ -96,7 +86,6 @@ impl QuickBench {
         case: &str,
         shards: usize,
         batch: usize,
-        runtime: &str,
         elements: u64,
         mut routine: impl FnMut(),
     ) {
@@ -115,61 +104,32 @@ impl QuickBench {
             case: case.to_string(),
             shards: shards as u64,
             batch: batch as u64,
-            runtime: runtime.to_string(),
             ns_per_iter,
             pkts_per_sec,
-            speedup_vs_scoped: 0.0,
         };
         println!(
-            "{}/{case} shards={shards} batch={batch} runtime={runtime}: {:.0} pkts/s",
+            "{}/{case} shards={shards} batch={batch}: {:.0} pkts/s",
             self.bench, pkts_per_sec
         );
         self.rows.push(row);
     }
 
-    /// Compute the pool-vs-scoped speedups, merge this bench's rows into
-    /// [`BENCH_JSON_PATH`] (replacing its previous rows) and write the file.
+    /// Merge this bench's rows into [`BENCH_JSON_PATH`] (replacing its
+    /// previous rows) and write the file.
     pub fn finish(mut self) {
-        compute_speedups(&mut self.rows);
-
         let mut report = std::fs::read_to_string(BENCH_JSON_PATH)
             .ok()
             .and_then(|text| serde_json::from_str::<BenchReport>(&text).ok())
             .unwrap_or_default();
-        report.issue = 10;
+        report.issue = 13;
         report.rows.retain(|row| row.bench != self.bench);
         report.rows.append(&mut self.rows);
         report.rows.sort_by(|a, b| {
-            (&a.bench, &a.case, a.shards, a.batch, &a.runtime)
-                .cmp(&(&b.bench, &b.case, b.shards, b.batch, &b.runtime))
+            (&a.bench, &a.case, a.shards, a.batch).cmp(&(&b.bench, &b.case, b.shards, b.batch))
         });
         let text = serde_json::to_string_pretty(&report).expect("bench report serializes");
-        std::fs::write(BENCH_JSON_PATH, text + "\n").expect("write BENCH_10.json");
+        std::fs::write(BENCH_JSON_PATH, text + "\n").expect("write the bench artifact");
         println!("wrote {BENCH_JSON_PATH}");
-    }
-}
-
-/// Stamp `speedup_vs_scoped` onto every `pool` row that has a `scoped` row
-/// measured for the same (case, shards, batch) configuration.
-fn compute_speedups(rows: &mut [Row]) {
-    for index in 0..rows.len() {
-        if rows[index].runtime != "pool" {
-            continue;
-        }
-        let (case, shards, batch) = (
-            rows[index].case.clone(),
-            rows[index].shards,
-            rows[index].batch,
-        );
-        let scoped = rows.iter().find(|row| {
-            row.runtime == "scoped"
-                && row.case == case
-                && row.shards == shards
-                && row.batch == batch
-        });
-        if let Some(scoped) = scoped {
-            rows[index].speedup_vs_scoped = rows[index].pkts_per_sec / scoped.pkts_per_sec;
-        }
     }
 }
 
@@ -186,10 +146,8 @@ mod tests {
                 case: "c".into(),
                 shards: 4,
                 batch: 64,
-                runtime: "pool".into(),
                 ns_per_iter: 123.5,
                 pkts_per_sec: 1e6,
-                speedup_vs_scoped: 2.5,
             }],
         };
         let text = serde_json::to_string_pretty(&report).unwrap();
@@ -198,37 +156,6 @@ mod tests {
         assert_eq!(parsed.rows.len(), 1);
         assert_eq!(parsed.rows[0].bench, "b");
         assert_eq!(parsed.rows[0].shards, 4);
-        assert!((parsed.rows[0].speedup_vs_scoped - 2.5).abs() < 1e-9);
-    }
-
-    fn row(runtime: &str, shards: u64, batch: u64, pkts_per_sec: f64) -> Row {
-        Row {
-            bench: "unit-test-bench".into(),
-            case: "c".into(),
-            shards,
-            batch,
-            runtime: runtime.into(),
-            ns_per_iter: 100.0,
-            pkts_per_sec,
-            speedup_vs_scoped: 0.0,
-        }
-    }
-
-    #[test]
-    fn speedup_is_paired_by_exact_configuration() {
-        let mut rows = vec![
-            row("scoped", 4, 8, 1_000.0),
-            row("pool", 4, 8, 3_000.0),
-            // Same case but different batch: must NOT pair with the rows
-            // above.
-            row("pool", 4, 64, 5_000.0),
-            // Not a pool row: never stamped.
-            row("n/a", 4, 8, 9_000.0),
-        ];
-        compute_speedups(&mut rows);
-        assert!((rows[1].speedup_vs_scoped - 3.0).abs() < 1e-9);
-        assert_eq!(rows[2].speedup_vs_scoped, 0.0, "unpaired pool row");
-        assert_eq!(rows[0].speedup_vs_scoped, 0.0);
-        assert_eq!(rows[3].speedup_vs_scoped, 0.0);
+        assert!((parsed.rows[0].pkts_per_sec - 1e6).abs() < 1e-9);
     }
 }

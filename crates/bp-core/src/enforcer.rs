@@ -61,7 +61,7 @@ use crate::faults::{FaultInjector, HealthState, ShardHealth, ShardHealthSnapshot
 use crate::flow::{CachedOutcome, FlowProbe, FlowTable, FlowTableConfig};
 use crate::offline::{CompiledSignatureDb, SignatureDatabase};
 use crate::policy::{CompiledPolicySet, CompiledVerdict, Decision, PolicySet};
-use crate::runtime::{BatchRuntime, PacketSource, WorkerPool};
+use crate::runtime::{PacketSource, WorkerPool};
 use crate::telemetry::{TelemetryCell, TelemetrySnapshot};
 use crate::wire::{self, WireError};
 
@@ -1402,22 +1402,8 @@ impl EnforcerCore {
     /// publishing the shard's telemetry snapshot before the locks drop —
     /// one inline inspect is its own batch.
     pub(crate) fn inspect(&self, packet: &Ipv4Packet) -> Verdict {
-        self.inspect_on_shard(packet, self.shard_for(packet), true)
-    }
-
-    /// The inline inspect body.  `publish` controls whether the shard's
-    /// telemetry snapshot is published before the locks drop: the
-    /// single-packet API publishes per call, while the sequential batch
-    /// loop defers to one publication per touched shard at batch end (see
-    /// `inspect_sequential` in [`crate::runtime`]).
-    pub(crate) fn inspect_on_shard(
-        &self,
-        packet: &Ipv4Packet,
-        shard_index: usize,
-        publish: bool,
-    ) -> Verdict {
         let tables = self.tables();
-        let shard = &self.shards[shard_index];
+        let shard = &self.shards[self.shard_for(packet)];
         // Shard lock order: scratch → drop_log → flow, matching
         // `run_partition` — an inline inspect and a batch worker contending
         // for the same shard must never interleave acquisition.
@@ -1432,30 +1418,16 @@ impl EnforcerCore {
             &shard.stats,
             &mut drop_log,
         );
-        if publish {
-            // Sole writer: this thread holds the shard's drop_log mutex.
-            shard
-                .telemetry
-                .publish(&shard.stats, tables.epoch(), &shard.health);
-        }
+        // Sole writer: this thread holds the shard's drop_log mutex.
+        shard
+            .telemetry
+            .publish(&shard.stats, tables.epoch(), &shard.health);
         verdict
     }
 
-    /// Publish one shard's telemetry snapshot outside a partition loop
-    /// (batch-end catch-up for the sequential path).  Takes the shard's
-    /// `drop_log` mutex — the telemetry single-writer lock — and nothing
-    /// else, so the declared lock order is trivially respected.
-    pub(crate) fn publish_shard_telemetry(&self, shard_index: usize) {
-        let shard = &self.shards[shard_index];
-        let _writer = shard.drop_log.lock();
-        shard
-            .telemetry
-            .publish(&shard.stats, self.tables().epoch(), &shard.health);
-    }
-
-    // The batch entry points that dereference borrowed-batch raw pointers —
-    // `run_partition`, `inspect_scoped` and `inspect_sequential` — live in
-    // `crate::runtime`, the one module allowed to contain `unsafe`.
+    // The batch partition loop, which dereferences borrowed-batch raw
+    // pointers (`run_partition`), lives in `crate::runtime`, the one module
+    // allowed to contain `unsafe`.
 }
 
 /// A sharded Policy Enforcer: one set of compiled [`EnforcementTables`]
@@ -1463,12 +1435,12 @@ impl EnforcerCore {
 ///
 /// [`ShardedEnforcer::inspect_batch`] partitions a batch by flow (source
 /// endpoint), inspects each partition on a worker owned by that shard and
-/// returns per-packet verdicts in input order.  By default the workers are
-/// the **persistent threads** of a [`BatchRuntime::Pool`] (spawned lazily on
-/// the first multi-shard batch, parked when idle, joined on drop); the
-/// original spawn-per-batch model remains available as
-/// [`BatchRuntime::Scoped`].  Statistics merge across shards without
-/// stopping the workers.
+/// returns per-packet verdicts in input order.  The workers are persistent
+/// per-shard threads (see [`crate::runtime`]): each is spawned the first
+/// time a batch fans out to its shard, parked when idle and joined on drop;
+/// the last busy partition of every batch runs on the submitting thread, so
+/// a one-shard enforcer never spawns one.  Statistics merge across shards
+/// without stopping the workers.
 ///
 /// # Examples
 ///
@@ -1489,12 +1461,10 @@ impl EnforcerCore {
 #[derive(Debug)]
 pub struct ShardedEnforcer {
     core: Arc<EnforcerCore>,
-    runtime: BatchRuntime,
-    /// The persistent worker pool, spawned on the first pooled multi-shard
-    /// batch so enforcers that never batch (or run [`BatchRuntime::Scoped`])
-    /// cost no threads.  Dropped — shutdown messages, workers joined — with
-    /// the enforcer.
-    pool: OnceLock<WorkerPool>,
+    /// The per-shard worker lanes every batch runs through.  Holds no thread
+    /// until a batch fans out, so enforcers that never batch cost none.
+    /// Dropped — shutdown messages, workers joined — with the enforcer.
+    pool: WorkerPool,
     /// Overload-guard admission watermark in packets per batch; `0` means
     /// the guard is off.  Batches longer than the watermark have their tail
     /// shed fail-closed under [`EnforcerStats::dropped_overload`] before
@@ -1515,30 +1485,18 @@ impl ShardedEnforcer {
         shards: usize,
         flow: FlowTableConfig,
     ) -> Self {
-        Self::with_runtime(tables, shards, flow, BatchRuntime::default())
-    }
-
-    /// Like [`ShardedEnforcer::with_flow_config`] with an explicit batch
-    /// runtime (see [`BatchRuntime`]).
-    pub fn with_runtime(
-        tables: Arc<EnforcementTables>,
-        shards: usize,
-        flow: FlowTableConfig,
-        runtime: BatchRuntime,
-    ) -> Self {
-        let shards = shards.max(1);
+        let core = Arc::new(EnforcerCore {
+            tables: RwLock::new(tables),
+            tables_generation: AtomicU64::new(0),
+            shards: (0..shards.max(1))
+                .map(|_| EnforcerShard::with_flow_config(flow))
+                .collect(),
+            now_micros: AtomicU64::new(0),
+            faults: OnceLock::new(),
+        });
         ShardedEnforcer {
-            core: Arc::new(EnforcerCore {
-                tables: RwLock::new(tables),
-                tables_generation: AtomicU64::new(0),
-                shards: (0..shards)
-                    .map(|_| EnforcerShard::with_flow_config(flow))
-                    .collect(),
-                now_micros: AtomicU64::new(0),
-                faults: OnceLock::new(),
-            }),
-            runtime,
-            pool: OnceLock::new(),
+            pool: WorkerPool::new(&core),
+            core,
             overload_watermark: AtomicUsize::new(0),
         }
     }
@@ -1561,11 +1519,6 @@ impl ShardedEnforcer {
         self.core.shard_count()
     }
 
-    /// The batch runtime this enforcer fans out with.
-    pub fn runtime(&self) -> BatchRuntime {
-        self.runtime
-    }
-
     /// The currently active compiled tables.
     pub fn tables(&self) -> Arc<EnforcementTables> {
         self.core.tables()
@@ -1576,9 +1529,9 @@ impl ShardedEnforcer {
     /// Safe under concurrent [`ShardedEnforcer::inspect_batch`]: once this
     /// returns, every subsequently inspected packet is evaluated against
     /// `tables`, and flow-table entries cached under the previous epoch can
-    /// no longer be served (their probes miss and re-evaluate).  Pool
-    /// workers and scoped workers alike observe the swap through the
-    /// generation counter they revalidate per packet.
+    /// no longer be served (their probes miss and re-evaluate).  Every
+    /// partition observes the swap through the generation counter it
+    /// revalidates per packet.
     pub(crate) fn install_tables(&self, tables: Arc<EnforcementTables>) {
         *self.core.tables.write() = tables;
         // Release-publish the swap *after* installation: a worker that
@@ -1639,11 +1592,10 @@ impl ShardedEnforcer {
     /// Inspect a batch of packets, writing verdicts (input order, one per
     /// packet) into `verdicts`, which is cleared first.
     ///
-    /// With a reused `verdicts` buffer and the [`BatchRuntime::Pool`]
-    /// runtime this performs **zero allocations** per batch on the
-    /// all-accept path: partitions land in the pool's reused index buffers,
-    /// jobs travel through fixed ring slots, and each verdict is written in
-    /// place into its slot.
+    /// With a reused `verdicts` buffer this performs **zero allocations**
+    /// per batch on the all-accept path: partitions land in the runtime's
+    /// reused index buffers, jobs travel through fixed ring slots, and each
+    /// verdict is written in place into its slot.
     pub fn inspect_batch_into(&self, packets: &[Ipv4Packet], verdicts: &mut Vec<Verdict>) {
         self.inspect_source_into(PacketSource::slice(packets), verdicts);
     }
@@ -1738,30 +1690,19 @@ impl ShardedEnforcer {
         } else {
             len.min(watermark)
         };
-        let source = source.truncated(admitted);
-        if self.core.shard_count() == 1 || admitted <= 1 {
-            self.core.inspect_sequential(source, verdicts);
-        } else {
-            // Pre-size the slot array with **fail-closed** placeholders:
-            // every slot is overwritten by exactly one worker on the normal
-            // path, and a partition whose worker panics has its uninspected
-            // slots converted into attributed `dropped_runtime_fault` drops
-            // by the recovery path — never silent accepts.  An empty
-            // `String` owns no heap, so the resize allocates nothing.
-            verdicts.resize(
-                admitted,
-                Verdict::Drop {
-                    reason: String::new(),
-                },
-            );
-            match self.runtime {
-                BatchRuntime::Scoped => self.core.inspect_scoped(source, verdicts),
-                BatchRuntime::Pool => self
-                    .pool
-                    .get_or_init(|| WorkerPool::spawn(&self.core))
-                    .inspect(source, verdicts),
-            }
-        }
+        // Pre-size the slot array with **fail-closed** placeholders: every
+        // slot is overwritten by exactly one partition on the normal path,
+        // and a partition that panics has its uninspected slots converted
+        // into attributed `dropped_runtime_fault` drops by the recovery
+        // path — never silent accepts.  An empty `String` owns no heap, so
+        // the resize allocates nothing.
+        verdicts.resize(
+            admitted,
+            Verdict::Drop {
+                reason: String::new(),
+            },
+        );
+        self.pool.inspect(source.truncated(admitted), verdicts);
         if admitted < len {
             self.shed_overload(len - admitted, verdicts);
         }
@@ -2603,31 +2544,21 @@ mod tests {
         let packets = mixed_stream(&analytics, &login, 256);
 
         for shards in [2usize, 4, 8] {
-            let pool = ShardedEnforcer::with_runtime(
-                Arc::clone(&tables),
-                shards,
-                FlowTableConfig::default(),
-                BatchRuntime::Pool,
-            );
-            let scoped = ShardedEnforcer::with_runtime(
-                Arc::clone(&tables),
-                shards,
-                FlowTableConfig::default(),
-                BatchRuntime::Scoped,
-            );
-            assert_eq!(pool.runtime(), BatchRuntime::Pool);
-            assert_eq!(scoped.runtime(), BatchRuntime::Scoped);
+            let batched = ShardedEnforcer::new(Arc::clone(&tables), shards);
+            // The reference shares no batch code with the runtime: a second
+            // enforcer on the same tables, driven packet by packet.
+            let reference = ShardedEnforcer::new(Arc::clone(&tables), shards);
             // Several batches so the second round replays from the flow
-            // caches on both runtimes.
+            // caches on both sides.
             for _ in 0..3 {
-                assert_eq!(pool.inspect_batch(&packets), scoped.inspect_batch(&packets));
+                let expected: Vec<Verdict> = packets.iter().map(|p| reference.inspect(p)).collect();
+                assert_eq!(batched.inspect_batch(&packets), expected);
             }
-            assert_eq!(pool.stats(), scoped.stats());
-            let mut pool_log = pool.drop_log();
-            let mut scoped_log = scoped.drop_log();
-            pool_log.sort();
-            scoped_log.sort();
-            assert_eq!(pool_log, scoped_log);
+            // A partition and the per-packet loop both visit a shard's
+            // packets in input order, so per-shard counters and the
+            // shard-grouped drop log match exactly, not just as multisets.
+            assert_eq!(batched.shard_stats(), reference.shard_stats());
+            assert_eq!(batched.drop_log(), reference.drop_log());
         }
     }
 
@@ -2653,13 +2584,16 @@ mod tests {
         let sharded =
             ShardedEnforcer::from_parts(&db, &PolicySet::new(), EnforcerConfig::strict(), 4);
         let packets = mixed_stream(&analytics, &login, 64);
-        // Force the pool to spawn, then watch its workers and the shared
-        // core across the enforcer's drop.
+        // Every busy shard but the last has its partition dispatched, which
+        // spawns that lane's worker; the last runs here.  Watch the workers
+        // and the shared core across the enforcer's drop.
         let verdicts = sharded.inspect_batch(&packets);
         assert_eq!(verdicts.len(), packets.len());
-        let pool = sharded.pool.get().expect("pool spawned by the batch");
-        let live = pool.live_workers();
-        assert_eq!(live.load(Ordering::Relaxed), 4);
+        let busy: std::collections::BTreeSet<usize> =
+            packets.iter().map(|p| sharded.shard_for(p)).collect();
+        assert!(busy.len() > 1, "stream never fans out");
+        let live = sharded.pool.live_workers();
+        assert_eq!(live.load(Ordering::Relaxed), busy.len() - 1);
         let core = Arc::downgrade(&sharded.core);
 
         drop(sharded);
@@ -2680,15 +2614,40 @@ mod tests {
         let sharded =
             ShardedEnforcer::from_parts(&db, &PolicySet::new(), EnforcerConfig::default(), 4);
         // Inline single-packet inspection and single-packet "batches" never
-        // touch the pool.
+        // fan out.
         assert!(sharded
             .inspect(&tagged_packet(analytics.clone()))
             .is_accept());
         let _ = sharded.inspect_batch(&[tagged_packet(analytics)]);
-        assert!(
-            sharded.pool.get().is_none(),
+        assert_eq!(
+            sharded.pool.live_workers().load(Ordering::Acquire),
+            0,
             "quiet enforcer spawned threads"
         );
+    }
+
+    #[test]
+    fn single_flow_batches_and_one_shard_enforcers_spawn_no_threads() {
+        let (db, analytics, login) = solcalendar_fixture();
+        // Four shards, but every batch is one flow: one busy partition, run
+        // on the submitter.
+        let sharded =
+            ShardedEnforcer::from_parts(&db, &PolicySet::new(), EnforcerConfig::default(), 4);
+        let flow = vec![tagged_packet(analytics.clone()); 32];
+        for _ in 0..8 {
+            assert_eq!(sharded.inspect_batch(&flow).len(), flow.len());
+        }
+        assert_eq!(sharded.pool.live_workers().load(Ordering::Acquire), 0);
+
+        // One shard, many flows, many batches: the only partition is always
+        // the last busy one.
+        let single =
+            ShardedEnforcer::from_parts(&db, &PolicySet::new(), EnforcerConfig::default(), 1);
+        let packets = mixed_stream(&analytics, &login, 256);
+        for _ in 0..8 {
+            assert_eq!(single.inspect_batch(&packets).len(), packets.len());
+        }
+        assert_eq!(single.pool.live_workers().load(Ordering::Acquire), 0);
     }
 
     /// Drop-log regression: the rendered text must be byte-identical to what

@@ -25,12 +25,13 @@
 //! * [`flow`] — connection tracking for the enforcer: a bounded per-shard
 //!   flow table caching verdicts per (flow, context payload, tables epoch),
 //!   so the packets of a long-lived flow skip decode/resolve/evaluate.
-//! * [`runtime`] — the data-plane worker runtime: a persistent per-shard
-//!   worker pool fed through bounded SPSC rings, replacing the
-//!   spawn-per-batch model so small batches cost a wake/park handshake
-//!   instead of OS thread creation.  A panicked partition fails closed and
-//!   the worker is respawned under a bounded backoff budget; shards that
-//!   exhaust the budget are quarantined to the inline path.
+//! * [`runtime`] — the data-plane batch runtime, the one path every batch
+//!   takes: persistent per-shard workers fed through bounded SPSC rings
+//!   (spawned on first fan-out, so small batches cost a wake/park handshake,
+//!   not OS thread creation), the last busy partition run on the submitter.
+//!   A panicked partition fails closed and the worker is respawned under a
+//!   bounded backoff budget; shards that exhaust the budget are quarantined
+//!   to the submitting thread.
 //! * [`faults`] — deterministic fault injection ([`faults::FaultPlan`],
 //!   [`faults::FaultInjector`]) and the per-shard health state machine
 //!   (Healthy → Degraded → Quarantined) chaos runs exercise.
@@ -100,7 +101,6 @@ pub use offline::{
 };
 pub use policy::{CompiledPolicySet, CompiledVerdict, Decision, Policy, PolicyAction, PolicySet};
 pub use policy_extractor::{PolicyExtractor, ProfileRun};
-pub use runtime::BatchRuntime;
 pub use sanitizer::PacketSanitizer;
 pub use telemetry::{GenerationCounters, TelemetryCell, TelemetrySnapshot, GENERATION_SLOTS};
 pub use wire::{CaptureHeader, CaptureReader, CaptureWriter, WireDecoder, WireError};

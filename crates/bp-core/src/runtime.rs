@@ -1,13 +1,8 @@
-//! The persistent data-plane worker runtime.
+//! The data-plane batch runtime: the one path a batch takes from
+//! [`ShardedEnforcer::inspect_batch`] to its verdict slots.
 //!
-//! [`ShardedEnforcer::inspect_batch`] historically paid a
-//! `std::thread::scope` spawn/join of one OS thread per shard on **every
-//! batch** — tolerable for the 95k-packet scenario sweeps, ruinous in the
-//! small-batch regime an ingress NFQUEUE actually delivers (a handful of
-//! packets per kernel wakeup), where thread creation dwarfs inspection.
-//! This module replaces that model with a worker pool of **long-lived
-//! threads, one per shard**, fed through bounded in-repo SPSC ring buffers
-//! ([`spsc_ring`]) carrying packet-index slices:
+//! Every batch — one shard or many, empty or 100k packets, healthy lane or
+//! quarantined — runs through `WorkerPool::inspect`:
 //!
 //! ```text
 //!           inspect_batch(&[pkt; N])
@@ -22,34 +17,46 @@
 //!                 ▼  completion countdown → unpark the submitter
 //! ```
 //!
+//! Each busy partition but the last is handed to its shard's lane — a
+//! long-lived worker thread fed through a bounded in-repo SPSC ring
+//! ([`spsc_ring`]) carrying packet-index slices; the last busy partition, and
+//! any partition whose lane cannot take it, runs on the submitting thread.
+//!
+//! * **Threads only where there is fan-out**: a lane's worker is spawned the
+//!   first time a partition is dispatched to it.  A batch with one busy
+//!   shard runs entirely on the submitter, so a one-shard enforcer — or a
+//!   many-shard one that only ever sees single-flow batches — never spawns
+//!   a thread.
 //! * **Idle is free**: a worker that drains its ring parks
 //!   ([`std::thread::park`]); a quiet enforcer burns zero CPU.  The producer
 //!   side unparks after every push, and the park token makes the
 //!   check-then-park race benign.
-//! * **Verdicts in place**: workers write each packet's verdict directly
-//!   into the caller's pre-sized slot array — no per-shard result vectors,
-//!   no reassembly pass.
-//! * **Hot-swap safe**: workers revalidate the enforcer's table generation
-//!   per packet exactly as the scoped path did, so a control-plane
+//! * **Verdicts in place**: each partition writes its packets' verdicts
+//!   directly into the caller's pre-sized slot array — no per-shard result
+//!   vectors, no reassembly pass.
+//! * **Hot-swap safe**: a partition revalidates the enforcer's table
+//!   generation per packet, so a control-plane
 //!   [`commit`](crate::control::Transaction::commit) mid-batch takes effect
 //!   on every later packet of that batch.
-//! * **Self-healing**: a worker panic (injected by a
+//! * **Self-healing**: every partition, wherever it runs, runs under the one
+//!   unwind guard, so a panic (injected by a
 //!   [`FaultPlan`](crate::faults::FaultPlan) or real) never crosses the
 //!   submitter.  The panicked partition's uninspected packets **fail
-//!   closed** under `dropped_runtime_fault`, the worker thread is retired
-//!   and respawned under a bounded backoff budget
+//!   closed** under `dropped_runtime_fault`; a worker that unwound is
+//!   retired and respawned under a bounded backoff budget
 //!   (`RESPAWN_BUDGET`), and a shard that exhausts the budget is
-//!   **quarantined**: its partitions run inline on the submitting thread
-//!   forever after.  A watchdog flags partitions stuck past
-//!   `STALL_DEADLINE` into the shard's health state.  The enforcer keeps
-//!   serving batches through all of it.
+//!   **quarantined**: its partitions run on the submitting thread forever
+//!   after.  A worker that cannot be spawned at all degrades the same way —
+//!   the partition runs on the submitter.  A watchdog flags partitions
+//!   stuck past `STALL_DEADLINE` into the shard's health state.  The
+//!   enforcer keeps serving batches through all of it.
 //! * **Shutdown joins**: dropping the pool (i.e. the owning
 //!   [`ShardedEnforcer`]) sends every worker a shutdown message and joins it —
 //!   no detached threads outlive the enforcer.
 //!
-//! The scoped-spawn path is retained behind [`BatchRuntime::Scoped`] as the
-//! equivalence baseline; the pool is the default
-//! ([`BatchRuntime::Pool`]).
+//! Submission is serialized: concurrent `inspect_batch` callers take turns
+//! for the full batch (the partition buffers and rings are
+//! single-producer).
 //!
 //! # Safety
 //!
@@ -83,41 +90,6 @@ use bp_netsim::packet::Ipv4Packet;
 
 use crate::enforcer::{record_drop, DropReason, EnforcerCore, RUNTIME_FAULT_DROP_REASON};
 use crate::faults::HealthState;
-
-/// How [`ShardedEnforcer::inspect_batch`] fans a batch across its shards.
-///
-/// [`ShardedEnforcer::inspect_batch`]: crate::enforcer::ShardedEnforcer::inspect_batch
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchRuntime {
-    /// The persistent per-shard worker pool (the default): long-lived
-    /// threads fed through SPSC rings, parked when idle.  Batch submission
-    /// costs a wake/park handshake instead of a thread spawn/join.
-    ///
-    /// Submission is serialized: concurrent `inspect_batch` callers take
-    /// turns for the full batch (the pool's partition buffers and rings are
-    /// single-producer).  Per-shard state serializes cross-batch work under
-    /// [`Scoped`](BatchRuntime::Scoped) too, so in-batch parallelism is
-    /// identical; what `Scoped` additionally allows is pipeline *overlap*
-    /// between two in-flight batches touching disjoint shards — deployments
-    /// with many ingest threads on large batches can prefer it for that.
-    #[default]
-    Pool,
-    /// The original scoped-spawn model: one fresh OS thread per busy shard
-    /// per batch.  Kept as the equivalence and performance baseline, and
-    /// for multi-ingest-thread deployments that want concurrent batches to
-    /// overlap across disjoint shards.
-    Scoped,
-}
-
-impl BatchRuntime {
-    /// Stable lowercase label (used by bench reports).
-    pub fn label(self) -> &'static str {
-        match self {
-            BatchRuntime::Pool => "pool",
-            BatchRuntime::Scoped => "scoped",
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // SPSC ring
@@ -422,15 +394,15 @@ impl VerdictSlots {
 // EnforcerCore batch entry points
 // ---------------------------------------------------------------------------
 //
-// The batch loops that dereference borrowed-batch raw pointers live here —
-// with the rest of the handoff protocol — rather than in `enforcer.rs`,
-// keeping every `unsafe` in the crate inside this one audited module.
+// The partition loop dereferences borrowed-batch raw pointers, so it lives
+// here — with the rest of the handoff protocol — rather than in
+// `enforcer.rs`, keeping every `unsafe` in the crate inside this one audited
+// module.
 
 impl EnforcerCore {
     /// Inspect one shard's partition of a batch, writing each packet's
-    /// verdict into its slot.  This is the shared inner loop of the pool
-    /// workers, the scoped-spawn baseline and the submitter's inline
-    /// partition.
+    /// verdict into its slot.  This is the inner loop of every batch,
+    /// whether the partition runs on a lane's worker or on the submitter.
     ///
     /// The shard's state is locked once per partition; the active tables are
     /// snapshotted once and revalidated per packet against the generation
@@ -531,9 +503,10 @@ impl EnforcerCore {
             .publish(&shard.stats, self.tables().epoch(), &shard.health);
     }
 
-    /// Run one partition under `catch_unwind`; a panic (injected or real)
-    /// fails the uninspected remainder closed instead of crossing the
-    /// caller.  Returns whether the partition completed cleanly.
+    /// Run one partition under the unwind guard; a panic (injected or
+    /// real) fails the uninspected remainder closed instead of crossing the
+    /// caller.  Returns whether the partition completed cleanly.  The
+    /// submitter and the worker loop are the only callers.
     ///
     /// # Safety
     ///
@@ -553,121 +526,6 @@ impl EnforcerCore {
             self.fail_close_partition(shard, indexes, slots);
         }
         outcome.is_ok()
-    }
-
-    /// The scoped-spawn batch baseline: partition by flow, spawn one scoped
-    /// OS thread per busy shard, join.  Pays a thread spawn/join and fresh
-    /// partition allocations on every batch — exactly the costs the
-    /// [`BatchRuntime::Pool`] runtime eliminates — and is retained for
-    /// equivalence testing and as the bench baseline.
-    pub(crate) fn inspect_scoped(&self, source: PacketSource, out: &mut [Verdict]) {
-        let shard_count = self.shards.len();
-        let mut partitions: Vec<Vec<u32>> = vec![Vec::new(); shard_count];
-        for index in 0..source.len() {
-            // SAFETY: `index < len` and the batch outlives this call.
-            let packet = unsafe { source.get(index) };
-            partitions[self.shard_for(packet)].push(index as u32);
-        }
-        let slots = VerdictSlots(out.as_mut_ptr());
-        thread::scope(|scope| {
-            for (shard, indexes) in partitions.iter().enumerate() {
-                if indexes.is_empty() {
-                    continue;
-                }
-                let slots = &slots;
-                scope.spawn(move || {
-                    // SAFETY: indexes are in bounds by construction, the
-                    // batch outlives the scope, and partitions are disjoint
-                    // so no slot is written twice.
-                    unsafe { self.run_partition_caught(shard, source, indexes, *slots) };
-                });
-            }
-        });
-    }
-
-    /// The single-shard / tiny-batch path: inspect every packet of the
-    /// batch inline, appending verdicts in input order.
-    ///
-    /// Fault injection fires on the first packet that touches a shard in
-    /// the batch (the sequential analogue of a partition start); a panic
-    /// fails the uninspected tail closed per packet on each packet's own
-    /// shard — same invariant as the pooled recovery: nothing uninspected
-    /// ever passes, and the batch call returns normally.
-    pub(crate) fn inspect_sequential(&self, source: PacketSource, verdicts: &mut Vec<Verdict>) {
-        let len = source.len();
-        verdicts.reserve(len);
-        // Defer telemetry publication to batch end (one seqlock write per
-        // touched shard, not per packet); shards are tracked in a bitmask
-        // while the count fits one word, else every shard is published.
-        // This path only runs multi-packet batches when `shard_count == 1`,
-        // so the bitmask doubles as the first-touch injection trigger.
-        let track_touched = self.shards.len() <= u64::BITS as usize;
-        let mut touched: u64 = 0;
-        let injector = self.faults.get();
-        let outcome = {
-            let touched = &mut touched;
-            let verdicts = &mut *verdicts;
-            panic::catch_unwind(AssertUnwindSafe(move || {
-                for index in verdicts.len()..len {
-                    // SAFETY: `index < len` and the caller's batch outlives
-                    // this call.
-                    let packet = unsafe { source.get(index) };
-                    let shard = self.shard_for(packet);
-                    let first_touch = if track_touched {
-                        let bit = 1u64 << shard;
-                        let first = *touched & bit == 0;
-                        *touched |= bit;
-                        first
-                    } else {
-                        // > 64 shards only reaches here with a <= 1 packet
-                        // batch, where every touch is a first touch.
-                        true
-                    };
-                    if first_touch {
-                        if let Some(injector) = injector {
-                            if self.shards[shard].health.state() != HealthState::Quarantined {
-                                injector.on_partition_start(shard);
-                            }
-                        }
-                    }
-                    verdicts.push(self.inspect_on_shard(packet, shard, false));
-                }
-            }))
-        };
-        if outcome.is_err() {
-            // `verdicts.len()` is the first uninspected index: push wasn't
-            // reached for the packet that unwound, nor for any after it.
-            // Fail the whole tail closed on each packet's own shard.
-            let from = verdicts.len();
-            if from < len {
-                // SAFETY: `from < len` and the batch is alive.
-                let faulted = self.shard_for(unsafe { source.get(from) });
-                self.shards[faulted].health.record_fault();
-                for index in from..len {
-                    // SAFETY: `index < len` and the batch is alive.
-                    let packet = unsafe { source.get(index) };
-                    let shard = self.shard_for(packet);
-                    if track_touched {
-                        touched |= 1 << shard;
-                    }
-                    let shard = &self.shards[shard];
-                    let mut drop_log = shard.drop_log.lock();
-                    shard.stats.record_runtime_fault();
-                    verdicts.push(record_drop(
-                        &mut drop_log,
-                        DropReason::Static(RUNTIME_FAULT_DROP_REASON),
-                    ));
-                }
-            }
-        }
-        for shard in 0..self.shards.len() {
-            if !track_touched || touched & (1 << shard) != 0 {
-                if outcome.is_ok() {
-                    self.shards[shard].health.note_clean_batch();
-                }
-                self.publish_shard_telemetry(shard);
-            }
-        }
     }
 }
 
@@ -727,6 +585,11 @@ struct WaitForBatch<'a> {
 
 impl Drop for WaitForBatch<'_> {
     fn drop(&mut self) {
+        if self.sync.pending.load(Ordering::Acquire) == 0 {
+            // Nothing outstanding — always so when one shard was busy and
+            // nothing was dispatched: skip the clock read.
+            return;
+        }
         let deadline = Instant::now() + STALL_DEADLINE;
         let mut flagged = false;
         while self.sync.pending.load(Ordering::Acquire) != 0 {
@@ -759,40 +622,54 @@ const LANE_CAPACITY: usize = 2;
 /// crash-looping shard cannot monopolize the submitter with respawn work.
 const RESPAWN_BUDGET: u32 = 3;
 
-/// One worker's submission lane: its ring producer, its thread handle for
-/// unparking, and the respawn bookkeeping the self-healing path maintains.
+/// One shard's submission lane: its worker, once a partition has been
+/// dispatched to it, and the respawn bookkeeping the self-healing path
+/// maintains.
+#[derive(Default)]
 struct Lane {
-    jobs: SpscSender<Message>,
-    worker: Thread,
-    /// Cleared by the worker itself when a partition panics: the thread
-    /// retires after counting the batch down, and the next submission
-    /// respawns or reroutes.  Only written while the worker owns a job and
-    /// only read under the submission lock with no job in flight, so plain
-    /// relaxed ordering suffices.
-    alive: Arc<AtomicBool>,
-    /// Joined before the lane is respawned or the pool drops.
-    handle: Option<JoinHandle<()>>,
+    /// `None` until the first partition is dispatched to this shard, so
+    /// shards whose partitions only ever run on the submitter cost no
+    /// thread.  A retired worker stays here (joined) until its replacement
+    /// spawns.
+    worker: Option<Worker>,
     /// Respawns consumed from [`RESPAWN_BUDGET`].
     respawns: u32,
-    /// Batches left to sit out (inline-served) before the next respawn.
+    /// Batches left to sit out (served on the submitter) before the next
+    /// respawn.
     cooldown: u32,
 }
 
-/// Producer-side state, serialized by the submission lock: the per-worker
+/// A lane's worker thread: its ring producer and its handle for unparking
+/// and joining.
+struct Worker {
+    jobs: SpscSender<Message>,
+    thread: Thread,
+    /// Cleared by the worker itself when a partition panics: the thread
+    /// retires after counting the batch down, and the next submission
+    /// respawns or reroutes.  Only written while the worker owns a job and
+    /// only read under the submission lock with no job in flight on this
+    /// lane, so plain relaxed ordering suffices.
+    alive: Arc<AtomicBool>,
+    /// Joined before the worker is replaced or the pool drops.
+    handle: Option<JoinHandle<()>>,
+}
+
+/// Producer-side state, serialized by the submission lock: the per-shard
 /// lanes and the reused per-shard partition buffers.
 struct SubmitState {
     lanes: Vec<Lane>,
     partitions: Vec<Vec<u32>>,
 }
 
-/// The persistent per-shard worker pool (see the module docs).
+/// The per-shard worker lanes and the batch routine that feeds them (see
+/// the module docs).
 ///
-/// Spawned lazily on the first pooled batch, dropped (shutdown + join) with
-/// the owning [`ShardedEnforcer`](crate::enforcer::ShardedEnforcer).
+/// Built with the owning [`ShardedEnforcer`](crate::enforcer::ShardedEnforcer)
+/// — no thread is spawned until a batch fans out — and dropped (shutdown +
+/// join) with it.
 pub(crate) struct WorkerPool {
     submit: Mutex<SubmitState>,
-    /// The enforcer the workers serve; owned so the respawn path can build
-    /// replacement workers without the caller re-threading it through.
+    /// The enforcer the workers serve.
     core: Arc<EnforcerCore>,
     /// Workers that have not yet exited their loop; drained to zero by the
     /// shutdown join.  Kept behind an `Arc` so tests can watch it across the
@@ -817,7 +694,7 @@ fn spawn_worker(
     core: &Arc<EnforcerCore>,
     shard: usize,
     live: &Arc<AtomicUsize>,
-) -> std::io::Result<Lane> {
+) -> std::io::Result<Worker> {
     let (jobs, ring) = spsc_ring::<Message>(LANE_CAPACITY);
     let alive = Arc::new(AtomicBool::new(true));
     let worker_core = Arc::clone(core);
@@ -834,108 +711,76 @@ fn spawn_worker(
             return Err(error);
         }
     };
-    Ok(Lane {
+    Ok(Worker {
         jobs,
-        worker: handle.thread().clone(),
+        thread: handle.thread().clone(),
         alive,
         handle: Some(handle),
-        respawns: 0,
-        cooldown: 0,
     })
 }
 
 impl WorkerPool {
-    /// Spawn one worker per shard of `core`.
-    pub(crate) fn spawn(core: &Arc<EnforcerCore>) -> WorkerPool {
+    /// The lanes of `core`, one per shard, none with a worker yet.
+    pub(crate) fn new(core: &Arc<EnforcerCore>) -> WorkerPool {
         let shard_count = core.shard_count();
-        let live_workers = Arc::new(AtomicUsize::new(0));
-        let mut lanes: Vec<Lane> = Vec::with_capacity(shard_count);
-        for shard in 0..shard_count {
-            match spawn_worker(core, shard, &live_workers) {
-                Ok(lane) => lanes.push(lane),
-                Err(error) => {
-                    // Partial spawn (thread/resource exhaustion): shut down
-                    // and join the workers already running before failing,
-                    // so no detached thread outlives this call holding the
-                    // core — the shutdown guarantee must hold on the error
-                    // path too.
-                    for lane in &mut lanes {
-                        let _ = lane.jobs.push(Message::Shutdown);
-                        lane.worker.unpark();
-                    }
-                    for lane in &mut lanes {
-                        if let Some(handle) = lane.handle.take() {
-                            let _ = handle.join();
-                        }
-                    }
-                    panic!("spawn enforcer shard worker: {error}");
-                }
-            }
-        }
         WorkerPool {
             submit: Mutex::new(SubmitState {
-                lanes,
+                lanes: (0..shard_count).map(|_| Lane::default()).collect(),
                 partitions: vec![Vec::new(); shard_count],
             }),
             core: Arc::clone(core),
-            live_workers,
+            live_workers: Arc::new(AtomicUsize::new(0)),
         }
     }
 
-    /// Bring `lane` to a dispatchable state, consuming respawn budget as
-    /// needed.  Returns whether the lane can take this batch's partition;
-    /// `false` means the partition runs inline on the submitter.
+    /// Bring `lane` to a dispatchable state — spawning its worker on first
+    /// use, respawning a retired one under the backoff budget — and return
+    /// the worker that takes this batch's partition.  `None` means the
+    /// partition runs on the submitter: the shard is quarantined or sitting
+    /// out a cooldown, or the spawn failed (a failed first spawn is retried
+    /// on the next batch; a failed respawn has consumed budget and is
+    /// retried after the cooldown).
     ///
-    /// Called under the submission lock with no batch in flight, so the
-    /// `alive` flag it reads cannot change concurrently (workers only retire
-    /// while they own a job).
-    fn ensure_lane(
-        core: &Arc<EnforcerCore>,
-        shard: usize,
-        lane: &mut Lane,
-        live: &Arc<AtomicUsize>,
-    ) -> bool {
-        let health = &core.shards[shard].health;
+    /// Called under the submission lock with no job in flight on this lane,
+    /// so the `alive` flag it reads cannot change concurrently (workers only
+    /// retire while they own a job).
+    fn ensure_lane<'l>(&self, shard: usize, lane: &'l mut Lane) -> Option<&'l mut Worker> {
+        let health = &self.core.shards[shard].health;
         if health.state() == HealthState::Quarantined {
-            return false;
+            return None;
         }
-        if lane.alive.load(Ordering::Relaxed) {
-            return true;
-        }
-        if lane.respawns >= RESPAWN_BUDGET {
-            // Budget exhausted: the shard is quarantined for the lifetime of
-            // the pool and served inline from here on.
-            health.quarantine();
-            return false;
-        }
-        if lane.cooldown > 0 {
-            // Sitting out the backoff window; the partition runs inline.
-            lane.cooldown -= 1;
-            return false;
-        }
-        // Join the retired worker before replacing its lane: it has already
-        // counted its last batch down, so the join is prompt, and it must
-        // not outlive its ring's producer side.
-        if let Some(handle) = lane.handle.take() {
-            let _ = handle.join();
-        }
-        lane.respawns += 1;
-        let respawns = lane.respawns;
-        let cooldown = 1 << respawns;
-        match spawn_worker(core, shard, live) {
-            Ok(fresh) => {
-                *lane = fresh;
-                lane.respawns = respawns;
-                lane.cooldown = cooldown;
-                health.record_respawn();
+        let retired = match &mut lane.worker {
+            None => false,
+            Some(worker) if worker.alive.load(Ordering::Relaxed) => return lane.worker.as_mut(),
+            Some(worker) => {
+                if lane.respawns >= RESPAWN_BUDGET {
+                    // Budget exhausted: the shard is quarantined for the
+                    // lifetime of the pool and served on the submitter from
+                    // here on.
+                    health.quarantine();
+                    return None;
+                }
+                if lane.cooldown > 0 {
+                    // Sitting out the backoff window.
+                    lane.cooldown -= 1;
+                    return None;
+                }
+                // Join the retired worker before replacing it: it has
+                // already counted its last batch down, so the join is
+                // prompt, and it must not outlive its ring's producer side.
+                if let Some(handle) = worker.handle.take() {
+                    let _ = handle.join();
+                }
+                lane.respawns += 1;
+                lane.cooldown = 1 << lane.respawns;
                 true
             }
-            Err(_) => {
-                // The attempt consumed budget; retry after the cooldown.
-                lane.cooldown = cooldown;
-                false
-            }
+        };
+        lane.worker = Some(spawn_worker(&self.core, shard, &self.live_workers).ok()?);
+        if retired {
+            health.record_respawn();
         }
+        lane.worker.as_mut()
     }
 
     /// Count of workers that have not yet exited (drops to zero once the
@@ -946,16 +791,16 @@ impl WorkerPool {
         Arc::clone(&self.live_workers)
     }
 
-    /// Inspect a batch on the pool: partition by flow, dispatch every busy
-    /// shard but the last to its worker, run the last partition on the
-    /// submitting thread, wait for the countdown.
+    /// Inspect a batch: partition by flow, hand every busy partition but the
+    /// last to its shard's lane, run the rest on the submitting thread, wait
+    /// for the countdown.
     ///
-    /// Self-healing: shards whose worker retired after a panic are respawned
-    /// here under the backoff budget (see [`Lane`]); shards past the budget
-    /// are quarantined and their partitions — like those of lanes mid
-    /// cooldown — run inline on the submitting thread.  Either way the call
-    /// returns normally with every slot holding a real verdict; a panicked
-    /// partition's uninspected packets fail closed.
+    /// Self-healing: a lane whose worker retired after a panic is respawned
+    /// here under the backoff budget (see [`Lane`]); partitions of
+    /// quarantined shards, of lanes mid cooldown and of lanes whose worker
+    /// could not be spawned run on the submitting thread.  Either way the
+    /// call returns normally with every slot holding a real verdict; a
+    /// panicked partition's uninspected packets fail closed.
     ///
     /// `out` must hold exactly `source.len()` initialized verdict slots;
     /// each is overwritten in place.  On the all-accept path this performs
@@ -980,78 +825,49 @@ impl WorkerPool {
             return;
         };
 
-        // Pass 1 — route: respawn/quarantine side effects happen before any
-        // dispatch so the pending count is exact when the first job lands.
-        // Routing is stable between the passes: workers only retire while
-        // they own a job, and none is in flight under the submission lock.
-        let mut dispatched = 0usize;
-        for (shard, partition) in partitions.iter().enumerate() {
-            if partition.is_empty() || shard == last_busy {
-                continue;
-            }
-            if Self::ensure_lane(core, shard, &mut lanes[shard], &self.live_workers) {
-                dispatched += 1;
-            }
-        }
-
         let sync = BatchSync {
-            pending: AtomicUsize::new(dispatched),
+            pending: AtomicUsize::new(0),
             waiter: thread::current(),
         };
         let slots = VerdictSlots(out.as_mut_ptr());
-        {
-            // The guard waits for every already-dispatched worker no matter
-            // what panics below — workers hold pointers into this frame, so
-            // unwinding past them would be a use-after-free, not a panic.
-            let _wait = WaitForBatch { sync: &sync, core };
-            // Pass 2 — dispatch to live lanes, run the rest inline.
-            for (shard, partition) in partitions.iter().enumerate() {
-                if partition.is_empty() || shard == last_busy {
-                    continue;
-                }
-                let lane = &mut lanes[shard];
-                let dispatchable = lane.alive.load(Ordering::Relaxed)
-                    && core.shards[shard].health.state() != HealthState::Quarantined;
-                if !dispatchable {
-                    // SAFETY: indexes in bounds, batch alive, partitions
-                    // disjoint; a panic fails the partition closed.
-                    unsafe { core.run_partition_caught(shard, source, partition, slots) };
-                    continue;
-                }
-                core.shards[shard].health.set_batch_done(false);
-                let job = BatchJob {
-                    source,
-                    indexes: partition.as_ptr(),
-                    index_count: partition.len(),
-                    slots,
-                    sync: &sync,
-                };
-                match lane.jobs.push(Message::Batch(job)) {
-                    Ok(()) => lane.worker.unpark(),
-                    // Unreachable while submission is serialized (the ring
-                    // holds one job plus a shutdown message), but degrade to
-                    // running the partition on the submitter rather than
-                    // panicking mid-dispatch.  Count it down *first*: the
-                    // countdown tracks work other threads owe this frame.
-                    Err(Message::Batch(job)) => {
-                        core.shards[shard].health.set_batch_done(true);
-                        sync.pending.fetch_sub(1, Ordering::Release);
-                        // SAFETY: same contract as the worker side — indexes
-                        // in bounds, batch alive, partition disjoint.
-                        unsafe {
-                            let indexes = std::slice::from_raw_parts(job.indexes, job.index_count);
-                            core.run_partition_caught(shard, job.source, indexes, job.slots);
-                        }
+        // The guard waits for every already-dispatched worker no matter what
+        // panics below — workers hold pointers into this frame, so unwinding
+        // past them would be a use-after-free, not a panic.
+        let _wait = WaitForBatch { sync: &sync, core };
+        for (shard, partition) in partitions.iter().enumerate() {
+            if partition.is_empty() {
+                continue;
+            }
+            if shard != last_busy {
+                if let Some(worker) = self.ensure_lane(shard, &mut lanes[shard]) {
+                    let health = &core.shards[shard].health;
+                    health.set_batch_done(false);
+                    // Count the job *before* it lands: the countdown is the
+                    // work other threads owe this frame, and the worker may
+                    // finish before `push` even returns.
+                    sync.pending.fetch_add(1, Ordering::Release);
+                    let job = BatchJob {
+                        source,
+                        indexes: partition.as_ptr(),
+                        index_count: partition.len(),
+                        slots,
+                        sync: &sync,
+                    };
+                    if worker.jobs.push(Message::Batch(job)).is_ok() {
+                        worker.thread.unpark();
+                        continue;
                     }
-                    Err(Message::Shutdown) => {
-                        unreachable!("submitter never enqueues shutdown")
-                    }
+                    // A live lane's ring is empty between batches, so the
+                    // push cannot fail while submission is serialized; if it
+                    // ever does, take the job back and run it here.
+                    sync.pending.fetch_sub(1, Ordering::Release);
+                    health.set_batch_done(true);
                 }
             }
             // SAFETY: indexes are in bounds by construction, the batch is
-            // alive for the whole call, and `last_busy`'s indexes are
-            // disjoint from every dispatched partition.
-            unsafe { core.run_partition_caught(last_busy, source, &partitions[last_busy], slots) };
+            // alive for the whole call, and partitions are disjoint so no
+            // slot is written twice.
+            unsafe { core.run_partition_caught(shard, source, partition, slots) };
         }
     }
 }
@@ -1059,17 +875,17 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         let state = self.submit.get_mut();
-        for lane in &mut state.lanes {
-            // A retired lane's receiver is gone; the shutdown message then
+        for worker in state.lanes.iter_mut().filter_map(|l| l.worker.as_mut()) {
+            // A retired worker's receiver is gone; the shutdown message then
             // sits in a ring nobody drains, which the ring's own drop
             // reclaims.  Push failure (full ring) is likewise only possible
-            // on a retired lane — a live lane's ring is empty between
+            // on a retired worker — a live lane's ring is empty between
             // batches.
-            let _ = lane.jobs.push(Message::Shutdown);
-            lane.worker.unpark();
+            let _ = worker.jobs.push(Message::Shutdown);
+            worker.thread.unpark();
         }
-        for lane in &mut state.lanes {
-            if let Some(handle) = lane.handle.take() {
+        for worker in state.lanes.iter_mut().filter_map(|l| l.worker.as_mut()) {
+            if let Some(handle) = worker.handle.take() {
                 let _ = handle.join();
             }
         }
@@ -1110,8 +926,8 @@ fn worker_loop(
                     // The thread's state is suspect after an unwound
                     // partition: retire it.  Ordering relative to the
                     // countdown below doesn't matter — the submitter only
-                    // reads `alive` under the submission lock with no batch
-                    // in flight.
+                    // reads `alive` under the submission lock with no job in
+                    // flight on this lane.
                     alive.store(false, Ordering::Relaxed);
                 }
                 // SAFETY: `sync` lives until `pending` reaches zero and the
@@ -1222,12 +1038,5 @@ mod tests {
         drop(tx);
         drop(rx);
         assert_eq!(counter.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn batch_runtime_labels_are_stable() {
-        assert_eq!(BatchRuntime::default(), BatchRuntime::Pool);
-        assert_eq!(BatchRuntime::Pool.label(), "pool");
-        assert_eq!(BatchRuntime::Scoped.label(), "scoped");
     }
 }

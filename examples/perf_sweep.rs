@@ -1,14 +1,14 @@
 //! Performance sweep: regenerate Fig. 4 and the connection-scaling series,
-//! then compare the data plane's batch runtimes.
+//! then sweep the data plane's batch sizes.
 //!
 //! Replays the paper's stress test (repeated HTTP GETs for a 297-byte page)
 //! across the six stack configurations of Fig. 4 and prints the mean latency
 //! per configuration, the two deltas the paper highlights (NFQUEUE consumer
 //! and `getStackTrace`), and the per-connection overhead as the number of
 //! connections grows into the thousands.  The final section times
-//! `inspect_batch` under the persistent worker pool vs the scoped
-//! spawn-per-batch baseline across batch sizes — the small-batch regime is
-//! where per-batch thread spawns dominate and the pool pays off.
+//! `inspect_batch` across batch sizes on 1 and 4 shards — one shard runs on
+//! the submitting thread, so the ratio is what fanning a batch of that size
+//! out to worker lanes costs (or gains) on this host.
 //!
 //! Run with: `cargo run --release --example perf_sweep`
 
@@ -20,14 +20,13 @@ use borderpatrol::netsim::addr::Endpoint;
 use borderpatrol::netsim::options::{IpOption, IpOptionKind};
 use borderpatrol::netsim::packet::Ipv4Packet;
 use borderpatrol::types::EnforcementLevel;
-use borderpatrol::{BatchRuntime, Engine};
+use borderpatrol::Engine;
 
-/// Time `inspect_batch` on a fresh 4-shard engine under `runtime`,
-/// returning packets/second over ~100 ms of batches.
-fn batch_throughput(runtime: BatchRuntime, packets: &[Ipv4Packet]) -> f64 {
+/// Time `inspect_batch` on a fresh `shards`-shard engine, returning
+/// packets/second over ~100 ms of batches.
+fn batch_throughput(shards: usize, packets: &[Ipv4Packet]) -> f64 {
     let engine = Engine::builder()
-        .shards(4)
-        .batch_runtime(runtime)
+        .shards(shards)
         .policy(Policy::deny(EnforcementLevel::Library, "com/flurry"))
         .build();
     let data_plane = engine.data_plane();
@@ -42,8 +41,8 @@ fn batch_throughput(runtime: BatchRuntime, packets: &[Ipv4Packet]) -> f64 {
     batches as f64 * packets.len() as f64 / start.elapsed().as_secs_f64()
 }
 
-fn batch_runtime_sweep() {
-    println!("Batch runtime: persistent worker pool vs scoped spawn-per-batch (4 shards)");
+fn batch_size_sweep() {
+    println!("Batch runtime: inspect_batch across batch sizes, 1 shard vs 4 shards");
     for batch in [8usize, 64, 1024] {
         let packets: Vec<Ipv4Packet> = (0..batch as u16)
             .map(|i| {
@@ -59,13 +58,13 @@ fn batch_runtime_sweep() {
                 packet
             })
             .collect();
-        let pool = batch_throughput(BatchRuntime::Pool, &packets);
-        let scoped = batch_throughput(BatchRuntime::Scoped, &packets);
+        let one = batch_throughput(1, &packets);
+        let four = batch_throughput(4, &packets);
         println!(
-            "  batch {batch:>5}: pool {:>12.0} pkts/s   scoped {:>12.0} pkts/s   ({:.1}x)",
-            pool,
-            scoped,
-            pool / scoped
+            "  batch {batch:>5}: 1 shard {:>12.0} pkts/s   4 shards {:>12.0} pkts/s   ({:.2}x)",
+            one,
+            four,
+            four / one
         );
     }
     println!();
@@ -93,6 +92,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(scaling_result.per_connection_cost_is_flat(100));
     println!("Per-connection overhead stays flat out to thousands of connections.\n");
 
-    batch_runtime_sweep();
+    batch_size_sweep();
     Ok(())
 }

@@ -44,7 +44,6 @@ use bp_core::faults::{FaultInjector, FaultPlan, ShardHealthSnapshot};
 use bp_core::flow::FlowTableConfig;
 use bp_core::offline::SignatureDatabase;
 use bp_core::policy::{Policy, PolicySet};
-use bp_core::runtime::BatchRuntime;
 use bp_core::telemetry::TelemetrySnapshot;
 use bp_netsim::netfilter::Verdict;
 use parking_lot::Mutex;
@@ -184,7 +183,6 @@ pub struct EngineBuilder {
     policies: PolicySet,
     database: SignatureDatabase,
     flow: FlowTableConfig,
-    runtime: BatchRuntime,
     retain: usize,
     faults: Option<FaultPlan>,
     overload_watermark: usize,
@@ -198,7 +196,6 @@ impl Default for EngineBuilder {
             policies: PolicySet::new(),
             database: SignatureDatabase::new(),
             flow: FlowTableConfig::default(),
-            runtime: BatchRuntime::default(),
             retain: DEFAULT_RETAIN,
             faults: None,
             overload_watermark: 0,
@@ -257,13 +254,6 @@ impl EngineBuilder {
         self
     }
 
-    /// The data plane's batch runtime: the persistent per-shard worker pool
-    /// (default) or the scoped spawn-per-batch baseline.
-    pub fn batch_runtime(mut self, runtime: BatchRuntime) -> Self {
-        self.runtime = runtime;
-        self
-    }
-
     /// How many previous generations the control plane retains for
     /// rollback.
     pub fn retain(mut self, retain: usize) -> Self {
@@ -294,11 +284,10 @@ impl EngineBuilder {
     pub fn build(self) -> Engine {
         let mut control =
             ControlPlane::with_retain(self.database, self.policies, self.config, self.retain);
-        let data_plane = Arc::new(ShardedEnforcer::with_runtime(
+        let data_plane = Arc::new(ShardedEnforcer::with_flow_config(
             control.tables(),
             self.shards,
             self.flow,
-            self.runtime,
         ));
         control.register(Arc::clone(&data_plane) as Arc<dyn EnforcementEndpoint>);
         if let Some(plan) = self.faults {
@@ -328,7 +317,6 @@ mod tests {
         let mut engine = Engine::builder()
             .shards(3)
             .strict()
-            .batch_runtime(BatchRuntime::Pool)
             .policy(Policy::deny(EnforcementLevel::Library, "com/flurry"))
             .build();
         assert_eq!(engine.data_plane().shard_count(), 3);

@@ -45,7 +45,6 @@
 pub mod engine;
 
 pub use bp_core::faults::{FaultPlan, HealthState, ShardHealthSnapshot};
-pub use bp_core::runtime::BatchRuntime;
 pub use engine::{Engine, EngineBuilder, Observation};
 
 /// Shared vocabulary types ([`bp_types`]).

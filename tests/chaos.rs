@@ -17,9 +17,7 @@ use borderpatrol::core::enforcer::{
     RUNTIME_FAULT_DROP_REASON,
 };
 use borderpatrol::core::faults::{FaultInjector, FaultPlan, WorkerPanic};
-use borderpatrol::core::flow::FlowTableConfig;
 use borderpatrol::core::policy::{Policy, PolicySet};
-use borderpatrol::core::runtime::BatchRuntime;
 use borderpatrol::netsim::addr::Endpoint;
 use borderpatrol::netsim::netfilter::Verdict;
 use borderpatrol::netsim::packet::Ipv4Packet;
@@ -27,7 +25,7 @@ use borderpatrol::types::EnforcementLevel;
 use borderpatrol::{Engine, HealthState};
 
 mod common;
-use common::{solcalendar_fixture, tagged_packet};
+use common::{inspect_each, solcalendar_fixture, tagged_packet};
 
 /// The deny policies every chaos run enforces.
 fn deny_policies() -> PolicySet {
@@ -37,22 +35,15 @@ fn deny_policies() -> PolicySet {
     ])
 }
 
-/// A pool enforcer with `plan` armed, plus a fault-free scoped twin sharing
-/// the same compiled tables.
+/// An enforcer with `plan` armed, plus a fault-free twin sharing the same
+/// compiled tables.  The twin is driven packet by packet ([`inspect_each`]),
+/// so it shares no batch code with the runtime under test.
 fn chaos_pair(shards: usize, plan: FaultPlan) -> (ShardedEnforcer, ShardedEnforcer) {
     let (db, _, _) = solcalendar_fixture();
     let tables = EnforcementTables::shared(db, &deny_policies(), EnforcerConfig::default());
-    let build = |runtime| {
-        ShardedEnforcer::with_runtime(
-            Arc::clone(&tables),
-            shards,
-            FlowTableConfig::default(),
-            runtime,
-        )
-    };
-    let chaos = build(BatchRuntime::Pool);
+    let chaos = ShardedEnforcer::new(Arc::clone(&tables), shards);
     chaos.install_faults(Arc::new(FaultInjector::new(plan, shards)));
-    (chaos, build(BatchRuntime::Scoped))
+    (chaos, ShardedEnforcer::new(tables, shards))
 }
 
 /// The packet shapes chaos streams draw from, keyed by flow so every packet
@@ -103,7 +94,7 @@ fn injected_panic_recovers_on_next_batch() {
 
         // Recovery: the same enforcer serves the next batch correctly.
         let recovered = chaos.inspect_batch(&packets);
-        let expected = twin.inspect_batch(&packets);
+        let expected = inspect_each(&twin, &packets);
         assert_eq!(recovered, expected, "{shards} shards: recovery batch");
 
         let stats = chaos.stats();
@@ -132,7 +123,7 @@ fn overload_watermark_sheds_the_tail_fail_closed() {
     let packets: Vec<Ipv4Packet> = (0..96u16).map(flow_keyed_packet).collect();
 
     let verdicts = chaos.inspect_batch(&packets);
-    let expected = twin.inspect_batch(&packets);
+    let expected = inspect_each(&twin, &packets);
     assert_eq!(
         verdicts[..64],
         expected[..64],
@@ -168,7 +159,7 @@ fn respawn_budget_exhaustion_quarantines_onto_the_inline_path() {
     };
     let (chaos, twin) = chaos_pair(shards, plan);
     let packets: Vec<Ipv4Packet> = (0..96u16).map(flow_keyed_packet).collect();
-    let expected = twin.inspect_batch(&packets);
+    let expected = inspect_each(&twin, &packets);
 
     let mut clean_batches = 0u32;
     for _ in 0..40 {
@@ -366,7 +357,7 @@ proptest! {
         let mut expected_drops: Vec<String> = Vec::new();
         for _ in 0..3 {
             let chaos_verdicts = chaos.inspect_batch(&packets);
-            let twin_verdicts = twin.inspect_batch(&packets);
+            let twin_verdicts = inspect_each(&twin, &packets);
             for (chaos_verdict, twin_verdict) in chaos_verdicts.iter().zip(&twin_verdicts) {
                 if is_runtime_fault(chaos_verdict) {
                     faulted += 1;

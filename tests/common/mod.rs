@@ -7,9 +7,11 @@ use std::sync::OnceLock;
 
 use borderpatrol::appsim::generator::CorpusGenerator;
 use borderpatrol::core::encoding::ContextEncoding;
+use borderpatrol::core::enforcer::ShardedEnforcer;
 use borderpatrol::core::offline::{OfflineAnalyzer, SignatureDatabase};
 use borderpatrol::dex::MethodTable;
 use borderpatrol::netsim::addr::Endpoint;
+use borderpatrol::netsim::netfilter::Verdict;
 use borderpatrol::netsim::options::{IpOption, IpOptionKind};
 use borderpatrol::netsim::packet::Ipv4Packet;
 
@@ -64,4 +66,14 @@ pub fn stream(flows: u16, repeats: usize, payload: &[u8]) -> Vec<Ipv4Packet> {
         }
     }
     packets
+}
+
+/// The batch-equivalence reference: drive `packets` through `enforcer` one
+/// at a time with [`ShardedEnforcer::inspect`], which shares no code with
+/// the batch runtime (no partitioning, no lanes, no slot array).
+pub fn inspect_each(enforcer: &ShardedEnforcer, packets: &[Ipv4Packet]) -> Vec<Verdict> {
+    packets
+        .iter()
+        .map(|packet| enforcer.inspect(packet))
+        .collect()
 }

@@ -1,8 +1,9 @@
-//! The persistent per-shard worker runtime: integration tests proving the
-//! pool fans batches out exactly like the scoped-spawn baseline — same
-//! verdicts, same statistics, same drop-log multiset — on 1, 4 and 8
-//! shards, including under a mid-batch control-plane hot swap, and that an
-//! engine owning a pool shuts down cleanly.
+//! The batch runtime: integration tests proving `inspect_batch` decides
+//! exactly like a per-packet reference that shares no batch code with it —
+//! same verdicts, same per-shard statistics, same per-shard drop-log order —
+//! on 1, 4 and 8 shards, including under a mid-batch control-plane hot swap,
+//! and that an engine whose data plane has spawned workers shuts down
+//! cleanly.
 
 use std::sync::Arc;
 
@@ -10,9 +11,7 @@ use proptest::prelude::*;
 
 use borderpatrol::core::control::{ControlPlane, EnforcementEndpoint};
 use borderpatrol::core::enforcer::{EnforcementTables, EnforcerConfig, ShardedEnforcer};
-use borderpatrol::core::flow::FlowTableConfig;
 use borderpatrol::core::policy::{Policy, PolicySet};
-use borderpatrol::core::runtime::BatchRuntime;
 use borderpatrol::netsim::addr::Endpoint;
 use borderpatrol::netsim::netfilter::Verdict;
 use borderpatrol::netsim::packet::Ipv4Packet;
@@ -20,7 +19,7 @@ use borderpatrol::types::EnforcementLevel;
 use borderpatrol::Engine;
 
 mod common;
-use common::{solcalendar_fixture, stream, tagged_packet};
+use common::{inspect_each, solcalendar_fixture, stream, tagged_packet};
 
 /// The deny policies every equivalence run enforces.
 fn deny_policies() -> PolicySet {
@@ -30,32 +29,25 @@ fn deny_policies() -> PolicySet {
     ])
 }
 
-/// A pool enforcer and a scoped enforcer sharing one compiled table set.
+/// A batch-driven enforcer and its reference, sharing one compiled table
+/// set.  The reference is only ever driven packet by packet
+/// ([`inspect_each`]), so nothing of the batch runtime is on both sides.
 fn runtime_pair(shards: usize) -> (ShardedEnforcer, ShardedEnforcer) {
     let (db, _, _) = solcalendar_fixture();
     let tables = EnforcementTables::shared(db, &deny_policies(), EnforcerConfig::default());
-    let build = |runtime| {
-        ShardedEnforcer::with_runtime(
-            Arc::clone(&tables),
-            shards,
-            FlowTableConfig::default(),
-            runtime,
-        )
-    };
-    (build(BatchRuntime::Pool), build(BatchRuntime::Scoped))
+    (
+        ShardedEnforcer::new(Arc::clone(&tables), shards),
+        ShardedEnforcer::new(tables, shards),
+    )
 }
 
-/// Assert both enforcers produced identical verdicts, statistics and
-/// drop-log multisets (logs are compared as sorted multisets because shard
-/// interleaving — not packet order within a flow — is nondeterministic
-/// across runtimes).
-fn assert_equivalent(pool: &ShardedEnforcer, scoped: &ShardedEnforcer) {
-    assert_eq!(pool.stats(), scoped.stats());
-    let mut pool_log = pool.drop_log();
-    let mut scoped_log = scoped.drop_log();
-    pool_log.sort();
-    scoped_log.sort();
-    assert_eq!(pool_log, scoped_log);
+/// Assert both enforcers ended in the same per-shard state: identical
+/// per-shard statistics and an identical shard-grouped drop log.  A
+/// partition and the per-packet loop both visit a shard's packets in input
+/// order, so the logs match in order, not just as multisets.
+fn assert_equivalent(pool: &ShardedEnforcer, reference: &ShardedEnforcer) {
+    assert_eq!(pool.shard_stats(), reference.shard_stats());
+    assert_eq!(pool.drop_log(), reference.drop_log());
 }
 
 /// The packet shapes the randomized stream draws from: an accepted context,
@@ -77,46 +69,49 @@ fn shaped_packet(flow: u16, shape: usize) -> Ipv4Packet {
 #[test]
 fn pool_matches_scoped_verdicts_stats_and_drops_across_shard_counts() {
     for shards in [1usize, 4, 8] {
-        let (pool, scoped) = runtime_pair(shards);
+        let (pool, reference) = runtime_pair(shards);
         // Three rounds over a 96-flow mixed stream: round one populates the
-        // flow caches, later rounds replay from them on both runtimes.
+        // flow caches, later rounds replay from them on both sides.
         let packets: Vec<Ipv4Packet> = (0..96u16)
             .map(|i| shaped_packet(i, usize::from(i) % 4))
             .collect();
         for _ in 0..3 {
             let pool_verdicts = pool.inspect_batch(&packets);
-            let scoped_verdicts = scoped.inspect_batch(&packets);
-            assert_eq!(pool_verdicts, scoped_verdicts, "{shards} shards");
+            let expected = inspect_each(&reference, &packets);
+            assert_eq!(pool_verdicts, expected, "{shards} shards");
         }
-        assert_equivalent(&pool, &scoped);
+        assert_equivalent(&pool, &reference);
         assert!(pool.stats().flow_hits > 0, "caches never warmed");
     }
 }
 
 #[test]
 fn pool_handles_empty_and_tiny_batches() {
-    let (pool, scoped) = runtime_pair(4);
+    let (pool, reference) = runtime_pair(4);
     assert_eq!(pool.inspect_batch(&[]), Vec::<Verdict>::new());
     let (_, _, login) = solcalendar_fixture();
     let single = vec![tagged_packet(7, login)];
-    assert_eq!(pool.inspect_batch(&single), scoped.inspect_batch(&single));
+    assert_eq!(
+        pool.inspect_batch(&single),
+        inspect_each(&reference, &single)
+    );
     let pair = vec![tagged_packet(7, login), tagged_packet(8, login)];
-    assert_eq!(pool.inspect_batch(&pair), scoped.inspect_batch(&pair));
-    assert_equivalent(&pool, &scoped);
+    assert_eq!(pool.inspect_batch(&pair), inspect_each(&reference, &pair));
+    assert_equivalent(&pool, &reference);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random mixed streams, random batch sizes: the pool and the scoped
-    /// baseline agree packet-for-packet on 1, 4 and 8 shards.
+    /// Random mixed streams, random batch sizes: the runtime and the
+    /// per-packet reference agree packet-for-packet on 1, 4 and 8 shards.
     #[test]
     fn pool_and_scoped_agree_on_random_streams(
         shapes in prop::collection::vec((0usize..4, 0u16..48), 1..160),
         shards in prop::sample::select(vec![1usize, 4, 8]),
         split in 1usize..160,
     ) {
-        let (pool, scoped) = runtime_pair(shards);
+        let (pool, reference) = runtime_pair(shards);
         let packets: Vec<Ipv4Packet> = shapes
             .iter()
             .map(|&(shape, flow)| shaped_packet(flow, shape))
@@ -125,14 +120,10 @@ proptest! {
         // first influences the second, at a random split point.
         let split = split.min(packets.len());
         let (first, second) = packets.split_at(split);
-        prop_assert_eq!(pool.inspect_batch(first), scoped.inspect_batch(first));
-        prop_assert_eq!(pool.inspect_batch(second), scoped.inspect_batch(second));
-        prop_assert_eq!(pool.stats(), scoped.stats());
-        let mut pool_log = pool.drop_log();
-        let mut scoped_log = scoped.drop_log();
-        pool_log.sort();
-        scoped_log.sort();
-        prop_assert_eq!(pool_log, scoped_log);
+        prop_assert_eq!(pool.inspect_batch(first), inspect_each(&reference, first));
+        prop_assert_eq!(pool.inspect_batch(second), inspect_each(&reference, second));
+        prop_assert_eq!(pool.shard_stats(), reference.shard_stats());
+        prop_assert_eq!(pool.drop_log(), reference.drop_log());
     }
 }
 
@@ -167,22 +158,17 @@ fn inline_inspect_and_pool_batches_interleave_without_deadlock() {
     );
 }
 
-/// Commit atomicity through the pool: while a worker thread hammers
-/// `inspect_batch` on the persistent runtime, the control plane commits a
-/// generation that flips every verdict.  Nothing torn mid-batch, and once
-/// `commit` returns only generation-2 verdicts appear.
+/// Commit atomicity through the runtime: while a worker thread hammers
+/// `inspect_batch`, the control plane commits a generation that flips every
+/// verdict.  Nothing torn mid-batch, and once `commit` returns only
+/// generation-2 verdicts appear.
 #[test]
 fn mid_batch_commit_hot_swaps_the_pool_runtime() {
     let (db, analytics, _) = solcalendar_fixture();
     for shards in [1usize, 4, 8] {
         let mut control =
             ControlPlane::new(db.clone(), PolicySet::new(), EnforcerConfig::default());
-        let enforcer = Arc::new(ShardedEnforcer::with_runtime(
-            control.tables(),
-            shards,
-            FlowTableConfig::default(),
-            BatchRuntime::Pool,
-        ));
+        let enforcer = Arc::new(ShardedEnforcer::new(control.tables(), shards));
         control.register(Arc::clone(&enforcer) as Arc<dyn EnforcementEndpoint>);
         let packets = stream(64, 4, analytics);
 
@@ -241,18 +227,14 @@ fn mid_batch_commit_hot_swaps_the_pool_runtime() {
     }
 }
 
-/// An engine owning a pooled data plane — registered as a control-plane
-/// endpoint, batches in flight beforehand — drops cleanly: the pool's
-/// shutdown joins its workers, so this test finishing (rather than hanging
-/// on a leaked thread) is the assertion.
+/// An engine whose data plane has fanned batches out — registered as a
+/// control-plane endpoint, batches in flight beforehand — drops cleanly: the
+/// runtime's shutdown joins its workers, so this test finishing (rather than
+/// hanging on a leaked thread) is the assertion.
 #[test]
 fn engine_drop_shuts_down_the_pool() {
     let (db, analytics, _) = solcalendar_fixture();
-    let mut engine = Engine::builder()
-        .shards(4)
-        .batch_runtime(BatchRuntime::Pool)
-        .database(db.clone())
-        .build();
+    let mut engine = Engine::builder().shards(4).database(db.clone()).build();
     let packets = stream(32, 2, analytics);
     assert!(engine
         .data_plane()
