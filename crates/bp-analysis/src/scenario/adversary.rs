@@ -2,9 +2,9 @@
 //!
 //! Each model forges one class of non-conforming or deceptive traffic drawn
 //! from the paper's security discussion (§VI validation, §VII limitations)
-//! and must land in a **named** [`EnforcerStats`] counter — adversarial
-//! packets that the enforcer silently accepts are enforcement gaps, and the
-//! scenario tests treat them as such.
+//! and must land in a **named** [`EnforcerStats`](bp_core::EnforcerStats)
+//! counter — adversarial packets that the enforcer silently accepts are
+//! enforcement gaps, and the scenario tests treat them as such.
 //!
 //! | Model | Forgery | Paper | Expected counter |
 //! |---|---|---|---|
@@ -17,7 +17,7 @@
 
 use serde::Serialize;
 
-use bp_core::enforcer::EnforcerStats;
+use bp_core::stats::Counter;
 
 /// One class of adversarial traffic a compromised device emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
@@ -82,29 +82,16 @@ impl AdversaryModel {
         }
     }
 
-    /// Name of the [`EnforcerStats`] counter every packet of this model must
-    /// be charged to (under the scenario's strict enforcement config).
-    pub fn expected_counter(self) -> &'static str {
+    /// The [`EnforcerStats`](bp_core::EnforcerStats) counter every packet of
+    /// this model must be charged to (under the scenario's strict
+    /// enforcement config).
+    pub fn counter(self) -> Counter {
         match self {
-            AdversaryModel::ContextSpoofing => "dropped_malformed",
-            AdversaryModel::RepackagedApp => "dropped_unknown_app",
-            AdversaryModel::ContextReplay => "dropped_context_switch",
-            AdversaryModel::DuplicateOption => "dropped_duplicate_context",
-            AdversaryModel::TrailingData => "dropped_malformed",
-            AdversaryModel::UntaggedEgress => "dropped_untagged",
-        }
-    }
-
-    /// The value of this model's expected counter in a statistics snapshot.
-    pub fn counter_value(self, stats: &EnforcerStats) -> u64 {
-        match self {
-            AdversaryModel::ContextSpoofing | AdversaryModel::TrailingData => {
-                stats.dropped_malformed
-            }
-            AdversaryModel::RepackagedApp => stats.dropped_unknown_app,
-            AdversaryModel::ContextReplay => stats.dropped_context_switch,
-            AdversaryModel::DuplicateOption => stats.dropped_duplicate_context,
-            AdversaryModel::UntaggedEgress => stats.dropped_untagged,
+            AdversaryModel::ContextSpoofing | AdversaryModel::TrailingData => Counter::Malformed,
+            AdversaryModel::RepackagedApp => Counter::UnknownApp,
+            AdversaryModel::ContextReplay => Counter::ContextSwitch,
+            AdversaryModel::DuplicateOption => Counter::DuplicateContext,
+            AdversaryModel::UntaggedEgress => Counter::Untagged,
         }
     }
 }
@@ -180,28 +167,10 @@ mod tests {
     fn model_names_counters_and_sections_are_total() {
         for model in AdversaryModel::ALL {
             assert!(!model.name().is_empty());
-            assert!(!model.expected_counter().is_empty());
+            assert!(model.counter().kind().is_drop(), "{model}");
             assert!(model.paper_section().starts_with('§'));
             assert_eq!(model.to_string(), model.name());
         }
-    }
-
-    #[test]
-    fn counter_values_read_the_matching_field() {
-        let stats = EnforcerStats {
-            dropped_unknown_app: 2,
-            dropped_malformed: 3,
-            dropped_duplicate_context: 4,
-            dropped_untagged: 5,
-            dropped_context_switch: 6,
-            ..EnforcerStats::default()
-        };
-        assert_eq!(AdversaryModel::RepackagedApp.counter_value(&stats), 2);
-        assert_eq!(AdversaryModel::ContextSpoofing.counter_value(&stats), 3);
-        assert_eq!(AdversaryModel::TrailingData.counter_value(&stats), 3);
-        assert_eq!(AdversaryModel::DuplicateOption.counter_value(&stats), 4);
-        assert_eq!(AdversaryModel::UntaggedEgress.counter_value(&stats), 5);
-        assert_eq!(AdversaryModel::ContextReplay.counter_value(&stats), 6);
     }
 
     #[test]

@@ -60,6 +60,7 @@ use bp_core::faults::{FaultInjector, FaultPlan};
 use bp_core::flow::FlowTableConfig;
 use bp_core::offline::{OfflineAnalyzer, SignatureDatabase};
 use bp_core::policy::{Policy, PolicySet};
+use bp_core::stats::Counter;
 use bp_core::wire::{CaptureHeader, CaptureReader, CaptureWriter};
 use bp_dex::MethodTable;
 use bp_netsim::addr::Endpoint;
@@ -339,26 +340,12 @@ impl ScenarioReport {
             ]);
         }
 
-        let s = &self.stats;
         let mut stats = crate::report::TextTable::new("Enforcer statistics", &["counter", "value"]);
-        for (name, value) in [
-            ("packets_inspected", s.packets_inspected),
-            ("packets_accepted", s.packets_accepted),
-            ("dropped_by_policy", s.dropped_by_policy),
-            ("dropped_untagged", s.dropped_untagged),
-            ("dropped_unknown_app", s.dropped_unknown_app),
-            ("dropped_malformed", s.dropped_malformed),
-            ("dropped_duplicate_context", s.dropped_duplicate_context),
-            ("dropped_context_switch", s.dropped_context_switch),
-            ("dropped_wire", s.dropped_wire),
-            ("dropped_runtime_fault", s.dropped_runtime_fault),
-            ("dropped_overload", s.dropped_overload),
-            ("flow_hits", s.flow_hits),
-            ("flow_misses", s.flow_misses),
-            ("flow_evictions", s.flow_evictions),
-            ("flow_context_switches", s.flow_context_switches),
-        ] {
-            stats.add_row(vec![name.to_string(), value.to_string()]);
+        for counter in Counter::ALL {
+            stats.add_row(vec![
+                counter.name().to_string(),
+                self.stats.get(counter).to_string(),
+            ]);
         }
 
         format!("{summary}\n{adversaries}\n{stats}")
@@ -1018,8 +1005,8 @@ impl PreparedScenario {
                     emitted,
                     dropped,
                     accepted: emitted - dropped,
-                    expected_counter: profile.model.expected_counter().to_string(),
-                    counter_value: profile.model.counter_value(&stats),
+                    expected_counter: profile.model.counter().name().to_string(),
+                    counter_value: stats.get(profile.model.counter()),
                 }
             })
             .collect();

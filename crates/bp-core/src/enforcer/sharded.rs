@@ -1,0 +1,579 @@
+//! The sharded enforcer: per-shard mutable state ([`EnforcerShard`]), the
+//! `Arc`-shared core the worker pool holds ([`EnforcerCore`]) and the
+//! [`ShardedEnforcer`] front end.
+
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+
+use parking_lot::{Mutex, RwLock};
+
+use bp_netsim::clock::SimDuration;
+use bp_netsim::netfilter::{QueueHandler, Verdict};
+use bp_netsim::packet::Ipv4Packet;
+
+use super::{EnforcementTables, EnforcerConfig};
+use crate::faults::{FaultInjector, HealthState, ShardHealth, ShardHealthSnapshot};
+use crate::flow::{FlowTable, FlowTableConfig};
+use crate::offline::SignatureDatabase;
+use crate::policy::PolicySet;
+use crate::runtime::{PacketSource, WorkerPool};
+use crate::stats::{
+    charge_fixed_drop, charge_wire_drop, AtomicEnforcerStats, Counter, DropLog, EnforcerStats,
+};
+use crate::telemetry::{TelemetryCell, TelemetrySnapshot};
+use crate::wire::{self, WireError};
+
+/// One worker shard: private counters, drop log, decode scratch and flow
+/// table.  Batch partitioning is by flow, so a flow's packets always land on
+/// the same shard and the flow table needs no cross-shard synchronization.
+///
+/// **Lock order**: every path that takes more than one of these mutexes
+/// must acquire them as `scratch` → `drop_log` → `flow` (see
+/// [`EnforcerCore::run_partition`] and [`EnforcerCore::inspect`]).  An
+/// inline `inspect` and a batch worker routinely contend for the same
+/// shard; inconsistent ordering deadlocks them.
+#[derive(Debug, Default)]
+pub(crate) struct EnforcerShard {
+    pub(crate) stats: AtomicEnforcerStats,
+    pub(crate) drop_log: Mutex<DropLog>,
+    pub(crate) scratch: Mutex<Vec<u32>>,
+    pub(crate) flow: Mutex<FlowTable>,
+    /// The shard's seqlock-published telemetry snapshot.  Written at
+    /// partition/batch end by whichever thread holds the shard's `drop_log`
+    /// mutex — that lock is the single-writer guarantee; readers (the
+    /// observability collector) spin on the sequence stamp instead of
+    /// locking anything.
+    pub(crate) telemetry: TelemetryCell,
+    /// The shard's health state machine (Healthy → Degraded → Quarantined),
+    /// fed by the runtime's panic recovery, respawn and watchdog paths and
+    /// published through the telemetry snapshot.
+    pub(crate) health: ShardHealth,
+}
+
+impl EnforcerShard {
+    fn with_flow_config(config: FlowTableConfig) -> Self {
+        EnforcerShard {
+            flow: Mutex::new(FlowTable::new(config)),
+            ..EnforcerShard::default()
+        }
+    }
+}
+
+/// The shared half of a [`ShardedEnforcer`]: the hot-swappable tables, the
+/// per-shard mutable state and the simulated clock.
+///
+/// Split out behind an `Arc` so the persistent worker threads of the
+/// [`WorkerPool`](crate::runtime) can hold it across batches — the pool's
+/// shutdown join (on enforcer drop) releases the last worker references.
+#[derive(Debug)]
+pub(crate) struct EnforcerCore {
+    /// The active compiled tables.  Behind an `RwLock` so administrators can
+    /// hot-swap policies (a control-plane commit installing a new
+    /// generation) while workers are mid-batch.  Workers do **not** take
+    /// this lock per packet: they cache the `Arc` and revalidate it against
+    /// `tables_generation` (one relaxed load of a rarely-written line per
+    /// packet), re-reading the lock only when a swap actually happened — so
+    /// every packet inspected after the installation returns uses the new
+    /// tables and the new epoch, without cross-shard lock or refcount
+    /// traffic in the hot loop.
+    tables: RwLock<Arc<EnforcementTables>>,
+    /// Bumped (release) after each table installation; workers watch it
+    /// (acquire) to notice swaps without touching the lock.
+    pub(crate) tables_generation: AtomicU64,
+    pub(crate) shards: Vec<EnforcerShard>,
+    /// Simulated time in microseconds, advanced by the driving clock owner;
+    /// used for flow-table TTL expiry.
+    now_micros: AtomicU64,
+    /// The armed fault injector, if any (first install wins).  Inert cost on
+    /// the hot path is one `OnceLock` load per partition.
+    pub(crate) faults: OnceLock<Arc<FaultInjector>>,
+}
+
+impl EnforcerCore {
+    /// Number of worker shards.
+    pub(crate) fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The currently active compiled tables.
+    pub(crate) fn tables(&self) -> Arc<EnforcementTables> {
+        Arc::clone(&self.tables.read())
+    }
+
+    /// The enforcer's current view of simulated time.
+    pub(crate) fn now(&self) -> SimDuration {
+        SimDuration::from_micros(self.now_micros.load(Ordering::Relaxed))
+    }
+
+    /// The shard a packet is routed to: flows stick to shards so per-flow
+    /// packet order is preserved within a shard.
+    pub(crate) fn shard_for(&self, packet: &Ipv4Packet) -> usize {
+        let source = packet.source();
+        let octets = source.ip.octets();
+        let mut key = u64::from(u32::from_be_bytes(octets));
+        key = (key << 16) | u64::from(source.port);
+        // Fibonacci hashing spreads sequential addresses across shards.
+        let hashed = key.wrapping_mul(0x9E3779B97F4A7C15);
+        (hashed >> 32) as usize % self.shards.len()
+    }
+
+    /// Inspect one packet inline on its flow's shard (flow-cached),
+    /// publishing the shard's telemetry snapshot before the locks drop —
+    /// one inline inspect is its own batch.
+    pub(crate) fn inspect(&self, packet: &Ipv4Packet) -> Verdict {
+        let tables = self.tables();
+        let shard = &self.shards[self.shard_for(packet)];
+        // Shard lock order: scratch → drop_log → flow, matching
+        // `run_partition` — an inline inspect and a batch worker contending
+        // for the same shard must never interleave acquisition.
+        let mut scratch = shard.scratch.lock();
+        let mut drop_log = shard.drop_log.lock();
+        let mut flow = shard.flow.lock();
+        let verdict = tables.inspect_flow_cached(
+            packet,
+            &mut flow,
+            self.now(),
+            &mut scratch,
+            &shard.stats,
+            &mut drop_log,
+        );
+        // Sole writer: this thread holds the shard's drop_log mutex.
+        shard
+            .telemetry
+            .publish(&shard.stats, tables.epoch(), &shard.health);
+        verdict
+    }
+
+    /// Charge drops that no inspection path produced (wire-decode failures,
+    /// overload sheds, a panicked partition's remainder) to `shard`: lock
+    /// its drop log, let `charge` attribute them, then publish the shard's
+    /// telemetry before the lock drops.
+    pub(crate) fn charge_on<R>(
+        &self,
+        shard: usize,
+        charge: impl FnOnce(&AtomicEnforcerStats, &mut DropLog) -> R,
+    ) -> R {
+        let shard = &self.shards[shard];
+        let mut drop_log = shard.drop_log.lock();
+        let charged = charge(&shard.stats, &mut drop_log);
+        // Sole writer: this thread holds the shard's drop_log mutex.
+        shard
+            .telemetry
+            .publish(&shard.stats, self.tables().epoch(), &shard.health);
+        charged
+    }
+
+    // The batch partition loop, which dereferences borrowed-batch raw
+    // pointers (`run_partition`), lives in `crate::runtime`, the one module
+    // allowed to contain `unsafe`.
+}
+
+/// The fail-closed placeholder every verdict slot holds until a partition
+/// writes it: a drop no counter has been charged for yet, told apart from
+/// every attributed drop by its empty reason (which owns no heap, so
+/// filling a slot array with it allocates nothing).
+pub(crate) fn unattributed_drop() -> Verdict {
+    Verdict::Drop {
+        reason: String::new(),
+    }
+}
+
+/// A sharded Policy Enforcer: one set of compiled [`EnforcementTables`]
+/// shared by `N` worker shards, each with private mutable state.
+///
+/// [`ShardedEnforcer::inspect_batch`] partitions a batch by flow (source
+/// endpoint), inspects each partition on a worker owned by that shard and
+/// returns per-packet verdicts in input order.  The workers are persistent
+/// per-shard threads (see [`crate::runtime`]): each is spawned the first
+/// time a batch fans out to its shard, parked when idle and joined on drop;
+/// the last busy partition of every batch runs on the submitting thread, so
+/// a one-shard enforcer never spawns one.  Statistics merge across shards
+/// without stopping the workers.
+///
+/// # Examples
+///
+/// ```
+/// use bp_core::enforcer::{EnforcerConfig, EnforcementTables, ShardedEnforcer};
+/// use bp_core::offline::SignatureDatabase;
+/// use bp_core::policy::PolicySet;
+///
+/// let tables = EnforcementTables::shared(
+///     &SignatureDatabase::new(),
+///     &PolicySet::new(),
+///     EnforcerConfig::default(),
+/// );
+/// let enforcer = ShardedEnforcer::new(tables, 4);
+/// assert_eq!(enforcer.shard_count(), 4);
+/// assert_eq!(enforcer.stats().packets_inspected, 0);
+/// ```
+#[derive(Debug)]
+pub struct ShardedEnforcer {
+    pub(super) core: Arc<EnforcerCore>,
+    /// The per-shard worker lanes every batch runs through.  Holds no thread
+    /// until a batch fans out, so enforcers that never batch cost none.
+    /// Dropped — shutdown messages, workers joined — with the enforcer.
+    pub(super) pool: WorkerPool,
+    /// Overload-guard admission watermark in packets per batch; `0` means
+    /// the guard is off.  Batches longer than the watermark have their tail
+    /// shed fail-closed under [`EnforcerStats::dropped_overload`] before
+    /// inspection.
+    overload_watermark: AtomicUsize,
+}
+
+impl ShardedEnforcer {
+    /// Create an enforcer fanning out over `shards` workers (at least one).
+    pub fn new(tables: Arc<EnforcementTables>, shards: usize) -> Self {
+        Self::with_flow_config(tables, shards, FlowTableConfig::default())
+    }
+
+    /// Like [`ShardedEnforcer::new`] with explicit per-shard flow-table
+    /// bounds.
+    pub fn with_flow_config(
+        tables: Arc<EnforcementTables>,
+        shards: usize,
+        flow: FlowTableConfig,
+    ) -> Self {
+        let core = Arc::new(EnforcerCore {
+            tables: RwLock::new(tables),
+            tables_generation: AtomicU64::new(0),
+            shards: (0..shards.max(1))
+                .map(|_| EnforcerShard::with_flow_config(flow))
+                .collect(),
+            now_micros: AtomicU64::new(0),
+            faults: OnceLock::new(),
+        });
+        ShardedEnforcer {
+            pool: WorkerPool::new(&core),
+            core,
+            overload_watermark: AtomicUsize::new(0),
+        }
+    }
+
+    /// Convenience constructor compiling the tables from interchange forms.
+    pub fn from_parts(
+        database: &SignatureDatabase,
+        policies: &PolicySet,
+        config: EnforcerConfig,
+        shards: usize,
+    ) -> Self {
+        Self::new(
+            EnforcementTables::shared(database, policies, config),
+            shards,
+        )
+    }
+
+    /// Number of worker shards.
+    pub fn shard_count(&self) -> usize {
+        self.core.shard_count()
+    }
+
+    /// The currently active compiled tables.
+    pub fn tables(&self) -> Arc<EnforcementTables> {
+        self.core.tables()
+    }
+
+    /// The swap primitive behind the control plane's endpoint installation.
+    ///
+    /// Safe under concurrent [`ShardedEnforcer::inspect_batch`]: once this
+    /// returns, every subsequently inspected packet is evaluated against
+    /// `tables`, and flow-table entries cached under the previous epoch can
+    /// no longer be served (their probes miss and re-evaluate).  Every
+    /// partition observes the swap through the generation counter it
+    /// revalidates per packet.
+    pub(crate) fn install_tables(&self, tables: Arc<EnforcementTables>) {
+        *self.core.tables.write() = tables;
+        // Release-publish the swap *after* installation: a worker that
+        // observes the new generation (acquire) and re-reads the lock is
+        // guaranteed to see the new tables.
+        self.core.tables_generation.fetch_add(1, Ordering::Release);
+    }
+
+    /// Advance the enforcer's view of simulated time (used for flow-table
+    /// TTL expiry).  Callable from the clock owner while workers run.
+    pub fn set_now(&self, now: SimDuration) {
+        self.core
+            .now_micros
+            .store(now.as_micros(), Ordering::Relaxed);
+    }
+
+    /// The enforcer's current view of simulated time.
+    pub fn now(&self) -> SimDuration {
+        self.core.now()
+    }
+
+    /// Number of flows currently tracked across all shards' verdict caches.
+    pub fn flow_cache_len(&self) -> usize {
+        self.core.shards.iter().map(|s| s.flow.lock().len()).sum()
+    }
+
+    /// Drop every cached flow verdict on every shard (statistics are kept).
+    pub fn clear_flow_cache(&self) {
+        for shard in &self.core.shards {
+            shard.flow.lock().clear();
+        }
+    }
+
+    /// The shard a packet is routed to: flows stick to shards so per-flow
+    /// packet order is preserved within a shard.
+    pub fn shard_for(&self, packet: &Ipv4Packet) -> usize {
+        self.core.shard_for(packet)
+    }
+
+    /// Inspect one packet inline on its flow's shard (flow-cached).
+    pub fn inspect(&self, packet: &Ipv4Packet) -> Verdict {
+        self.core.inspect(packet)
+    }
+
+    /// Inspect a batch of packets, fanning partitions across the shards'
+    /// workers, and return verdicts in input order.
+    ///
+    /// Allocates the returned vector; hot loops that inspect batch after
+    /// batch should reuse a buffer through
+    /// [`ShardedEnforcer::inspect_batch_into`], which allocates nothing on
+    /// the all-accept path.
+    pub fn inspect_batch(&self, packets: &[Ipv4Packet]) -> Vec<Verdict> {
+        let mut verdicts = Vec::with_capacity(packets.len());
+        self.inspect_batch_into(packets, &mut verdicts);
+        verdicts
+    }
+
+    /// Inspect a batch of packets, writing verdicts (input order, one per
+    /// packet) into `verdicts`, which is cleared first.
+    ///
+    /// With a reused `verdicts` buffer this performs **zero allocations**
+    /// per batch on the all-accept path: partitions land in the runtime's
+    /// reused index buffers, jobs travel through fixed ring slots, and each
+    /// verdict is written in place into its slot.
+    pub fn inspect_batch_into(&self, packets: &[Ipv4Packet], verdicts: &mut Vec<Verdict>) {
+        self.inspect_source_into(PacketSource::slice(packets), verdicts);
+    }
+
+    /// Inspect a batch of raw wire frames and return verdicts in frame
+    /// order.  Allocating variant of
+    /// [`ShardedEnforcer::inspect_wire_batch_into`].
+    pub fn inspect_wire_batch(&self, frames: &[&[u8]]) -> Vec<Verdict> {
+        let mut verdicts = Vec::with_capacity(frames.len());
+        self.inspect_wire_batch_into(frames, &mut verdicts);
+        verdicts
+    }
+
+    /// Inspect a batch of raw wire frames: decode each through the byte
+    /// ingress boundary ([`crate::wire`]), run the packets that parsed
+    /// through [`ShardedEnforcer::inspect_batch_into`], and write one
+    /// verdict per frame (frame order) into `verdicts`.
+    ///
+    /// A frame that fails decode never reaches enforcement: it yields a
+    /// fail-closed [`Verdict::Drop`] whose reason is the typed
+    /// [`WireError::drop_reason`], counted in
+    /// [`EnforcerStats::dropped_wire`] and recorded in the drop log.
+    /// Malformed frames are charged to shard 0 — an unparsable frame has no
+    /// flow key to hash a shard from.  Never panics on malformed input.
+    pub fn inspect_wire_batch_into(&self, frames: &[&[u8]], verdicts: &mut Vec<Verdict>) {
+        let mut packets = Vec::with_capacity(frames.len());
+        let mut failures: Vec<(usize, WireError)> = Vec::new();
+        let injector = self.core.faults.get();
+        for (index, frame) in frames.iter().enumerate() {
+            let corrupt = injector.is_some_and(|i| i.corrupt_next_frame());
+            let result = match (corrupt, frame.first()) {
+                (true, Some(_)) => {
+                    // Injected wire corruption: flip the version/IHL byte so
+                    // the frame fails closed through the ordinary typed
+                    // wire-error path, deterministically.
+                    let mut bytes = frame.to_vec();
+                    bytes[0] ^= 0xFF;
+                    wire::decode_frame(&bytes)
+                }
+                _ => wire::decode_frame(frame),
+            };
+            match result {
+                Ok(packet) => packets.push(packet),
+                Err(error) => failures.push((index, error)),
+            }
+        }
+        if failures.is_empty() {
+            self.inspect_batch_into(&packets, verdicts);
+            return;
+        }
+        let failure_verdicts: Vec<(usize, Verdict)> = self.core.charge_on(0, |stats, drop_log| {
+            failures
+                .iter()
+                .map(|&(index, error)| (index, charge_wire_drop(stats, drop_log, error)))
+                .collect()
+        });
+        let mut decoded_verdicts = Vec::with_capacity(packets.len());
+        self.inspect_batch_into(&packets, &mut decoded_verdicts);
+        verdicts.clear();
+        verdicts.reserve(frames.len());
+        let mut failure_iter = failure_verdicts.into_iter().peekable();
+        let mut decoded = decoded_verdicts.into_iter();
+        for index in 0..frames.len() {
+            match failure_iter.peek() {
+                Some(&(at, _)) if at == index => {
+                    let (_, verdict) = failure_iter.next().expect("peeked entry exists");
+                    verdicts.push(verdict);
+                }
+                _ => verdicts.push(decoded.next().expect("one verdict per decoded packet")),
+            }
+        }
+    }
+
+    /// Shared batch implementation over either batch shape (owned slice or
+    /// NFQUEUE reference batch).
+    fn inspect_source_into(&self, source: PacketSource, verdicts: &mut Vec<Verdict>) {
+        verdicts.clear();
+        let len = source.len();
+        // Overload guard: admit at most the watermark, shed the tail
+        // fail-closed after inspection so verdicts stay in input order.
+        let watermark = self.overload_watermark.load(Ordering::Relaxed);
+        let admitted = if watermark == 0 {
+            len
+        } else {
+            len.min(watermark)
+        };
+        // Pre-size the slot array with **fail-closed** placeholders: every
+        // slot is overwritten by exactly one partition on the normal path,
+        // and a partition that panics has its uninspected slots converted
+        // into attributed `dropped_runtime_fault` drops by the recovery
+        // path — never silent accepts.
+        verdicts.resize(admitted, unattributed_drop());
+        self.pool.inspect(source.truncated(admitted), verdicts);
+        if admitted < len {
+            self.shed_overload(len - admitted, verdicts);
+        }
+    }
+
+    /// Shed `count` packets fail-closed under the overload guard, appending
+    /// their drop verdicts (they are the batch tail).  Charged to shard 0,
+    /// like wire-decode failures: a shed packet was never routed.
+    fn shed_overload(&self, count: usize, verdicts: &mut Vec<Verdict>) {
+        self.core.charge_on(0, |stats, drop_log| {
+            verdicts
+                .extend((0..count).map(|_| charge_fixed_drop(stats, drop_log, Counter::Overload)));
+        });
+    }
+
+    /// Merged statistics across all shards.
+    pub fn stats(&self) -> EnforcerStats {
+        self.core
+            .shards
+            .iter()
+            .map(|shard| shard.stats.snapshot())
+            .fold(EnforcerStats::default(), |acc, shard| acc.merged(&shard))
+    }
+
+    /// Per-shard statistics snapshots.
+    pub fn shard_stats(&self) -> Vec<EnforcerStats> {
+        self.core
+            .shards
+            .iter()
+            .map(|shard| shard.stats.snapshot())
+            .collect()
+    }
+
+    /// One shard's latest seqlock-published telemetry snapshot (consistent:
+    /// the reader retries until an attempt lands between publications).
+    /// Unlike [`ShardedEnforcer::shard_stats`] — whose relaxed counter
+    /// reads can tear across counters — a snapshot is exactly one
+    /// publication, so cross-counter invariants hold and deltas between
+    /// successive snapshots are exact.
+    pub fn shard_telemetry(&self, shard: usize) -> TelemetrySnapshot {
+        self.core.shards[shard].telemetry.read()
+    }
+
+    /// Every shard's latest telemetry snapshot, in shard order.
+    pub fn telemetry(&self) -> Vec<TelemetrySnapshot> {
+        self.core
+            .shards
+            .iter()
+            .map(|shard| shard.telemetry.read())
+            .collect()
+    }
+
+    /// Drop reasons across all shards (grouped by shard, oldest first within
+    /// each shard).
+    pub fn drop_log(&self) -> Vec<String> {
+        self.core
+            .shards
+            .iter()
+            .flat_map(|shard| shard.drop_log.lock().to_vec())
+            .collect()
+    }
+
+    /// Arm a deterministic fault injector on this enforcer's data plane
+    /// (worker panics, stalls, wire corruption — see
+    /// [`crate::faults::FaultPlan`]).  First install wins; later calls are
+    /// ignored.  Without an installed injector the hooks cost one
+    /// `OnceLock` load per partition.
+    pub fn install_faults(&self, injector: Arc<FaultInjector>) {
+        let _ = self.core.faults.set(injector);
+    }
+
+    /// The armed fault injector, if any.
+    pub fn faults(&self) -> Option<&Arc<FaultInjector>> {
+        self.core.faults.get()
+    }
+
+    /// Set the overload-guard admission watermark in packets per batch
+    /// (`0` disables the guard).  Batches longer than the watermark have
+    /// their tail shed fail-closed under
+    /// [`EnforcerStats::dropped_overload`] before inspection.
+    pub fn set_overload_watermark(&self, watermark: usize) {
+        self.overload_watermark.store(watermark, Ordering::Relaxed);
+    }
+
+    /// The overload-guard admission watermark (`0` = guard off).
+    pub fn overload_watermark(&self) -> usize {
+        self.overload_watermark.load(Ordering::Relaxed)
+    }
+
+    /// Every shard's current health snapshot, in shard order.
+    pub fn shard_health(&self) -> Vec<ShardHealthSnapshot> {
+        self.core
+            .shards
+            .iter()
+            .map(|shard| shard.health.snapshot())
+            .collect()
+    }
+
+    /// True when any shard is [`HealthState::Quarantined`].
+    pub fn any_quarantined(&self) -> bool {
+        self.core
+            .shards
+            .iter()
+            .any(|shard| shard.health.state() == HealthState::Quarantined)
+    }
+
+    /// Reset statistics and drop logs on every shard (flow caches are kept;
+    /// see [`ShardedEnforcer::clear_flow_cache`]).
+    pub fn reset_stats(&self) {
+        for shard in &self.core.shards {
+            shard.stats.reset();
+            let mut drop_log = shard.drop_log.lock();
+            drop_log.clear();
+            // Holding drop_log makes this thread the telemetry writer.
+            shard.telemetry.reset();
+        }
+    }
+}
+
+impl QueueHandler for ShardedEnforcer {
+    fn name(&self) -> &str {
+        "sharded-policy-enforcer"
+    }
+
+    fn handle(&mut self, packet: &mut Ipv4Packet) -> Verdict {
+        ShardedEnforcer::inspect(self, packet)
+    }
+
+    fn handle_batch_into(&mut self, packets: &mut [&mut Ipv4Packet], verdicts: &mut Vec<Verdict>) {
+        // The enforcer only reads packets; view the reference batch directly
+        // instead of collecting an intermediate `Vec<&Ipv4Packet>`.
+        self.inspect_source_into(PacketSource::refs(packets), verdicts);
+    }
+
+    fn handle_wire_batch(&mut self, frames: &[&[u8]], verdicts: &mut Vec<Verdict>) {
+        // Typed ingress: unlike the default trait impl this counts decode
+        // failures in `dropped_wire` and the drop log.
+        self.inspect_wire_batch_into(frames, verdicts);
+    }
+}

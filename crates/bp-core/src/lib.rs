@@ -37,6 +37,10 @@
 //!   (Healthy → Degraded → Quarantined) chaos runs exercise.
 //! * [`sanitizer`] — the **Packet Sanitizer**: strips the context option from
 //!   conforming packets before they leave the enterprise perimeter.
+//! * [`stats`] — the counter schema: one table defines every enforcement
+//!   counter and drop class, and generates the stats struct, its atomic
+//!   lanes, merge/delta and the telemetry word order; also the drop log and
+//!   the one function that charges a drop.
 //! * [`telemetry`] — the seqlock-published per-shard telemetry snapshot the
 //!   observability plane (`bp-obs`) polls: the hot path stamps a sequence
 //!   word around plain relaxed stores, readers retry on torn reads, and the
@@ -78,6 +82,7 @@ pub mod policy_extractor;
 mod policy_index;
 pub mod runtime;
 pub mod sanitizer;
+pub mod stats;
 pub mod telemetry;
 pub mod wire;
 
@@ -102,5 +107,6 @@ pub use offline::{
 pub use policy::{CompiledPolicySet, CompiledVerdict, Decision, Policy, PolicyAction, PolicySet};
 pub use policy_extractor::{PolicyExtractor, ProfileRun};
 pub use sanitizer::PacketSanitizer;
+pub use stats::{Counter, CounterKind, STATS_WORDS};
 pub use telemetry::{GenerationCounters, TelemetryCell, TelemetrySnapshot, GENERATION_SLOTS};
 pub use wire::{CaptureHeader, CaptureReader, CaptureWriter, WireDecoder, WireError};

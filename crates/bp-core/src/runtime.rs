@@ -88,8 +88,9 @@ use parking_lot::Mutex;
 use bp_netsim::netfilter::Verdict;
 use bp_netsim::packet::Ipv4Packet;
 
-use crate::enforcer::{record_drop, DropReason, EnforcerCore, RUNTIME_FAULT_DROP_REASON};
+use crate::enforcer::{unattributed_drop, EnforcerCore};
 use crate::faults::HealthState;
+use crate::stats::{charge_fixed_drop, Counter};
 
 // ---------------------------------------------------------------------------
 // SPSC ring
@@ -396,8 +397,8 @@ impl VerdictSlots {
 //
 // The partition loop dereferences borrowed-batch raw pointers, so it lives
 // here — with the rest of the handoff protocol — rather than in
-// `enforcer.rs`, keeping every `unsafe` in the crate inside this one audited
-// module.
+// `enforcer/sharded.rs`, keeping every `unsafe` in the crate inside this one
+// audited module.
 
 impl EnforcerCore {
     /// Inspect one shard's partition of a batch, writing each packet's
@@ -486,21 +487,15 @@ impl EnforcerCore {
         indexes: &[u32],
         slots: VerdictSlots,
     ) {
-        let shard = &self.shards[shard];
-        shard.health.record_fault();
-        let mut drop_log = shard.drop_log.lock();
-        for &index in indexes {
-            let slot = &mut *slots.0.add(index as usize);
-            let uninspected = matches!(&*slot, Verdict::Drop { reason } if reason.is_empty());
-            if !uninspected {
-                continue;
+        self.shards[shard].health.record_fault();
+        self.charge_on(shard, |stats, drop_log| {
+            for &index in indexes {
+                let slot = &mut *slots.0.add(index as usize);
+                if *slot == unattributed_drop() {
+                    *slot = charge_fixed_drop(stats, drop_log, Counter::RuntimeFault);
+                }
             }
-            shard.stats.record_runtime_fault();
-            *slot = record_drop(&mut drop_log, DropReason::Static(RUNTIME_FAULT_DROP_REASON));
-        }
-        shard
-            .telemetry
-            .publish(&shard.stats, self.tables().epoch(), &shard.health);
+        });
     }
 
     /// Run one partition under the unwind guard; a panic (injected or

@@ -34,17 +34,16 @@
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
-use crate::enforcer::{AtomicEnforcerStats, EnforcerStats};
 use crate::faults::{HealthState, ShardHealth, ShardHealthSnapshot};
+use crate::stats::{AtomicEnforcerStats, EnforcerStats, STATS_WORDS};
 
 /// Generations tracked per shard.  A rollback window deeper than this many
 /// *concurrently active* epochs recycles the oldest slot; totals are never
 /// lost, only re-attributed to the slot's successor.
 pub const GENERATION_SLOTS: usize = 4;
 
-/// `EnforcerStats` scalar counters plus the 10 per-`WireError` counters.
-const STATS_WORDS: usize = 15 + 10;
-/// (epoch, accepted, dropped) per generation slot.
+/// (epoch, accepted, dropped) per generation slot, after the
+/// [`STATS_WORDS`] of [`EnforcerStats::to_words`].
 const RING_WORDS: usize = 3 * GENERATION_SLOTS;
 /// Shard health words: state, faults, respawns, stalls.
 const HEALTH_WORDS: usize = 4;
@@ -117,25 +116,7 @@ fn write_payload(
     ring: &[GenerationCounters; GENERATION_SLOTS],
     health: &ShardHealthSnapshot,
 ) {
-    let scalars = [
-        stats.packets_inspected,
-        stats.packets_accepted,
-        stats.dropped_by_policy,
-        stats.dropped_untagged,
-        stats.dropped_unknown_app,
-        stats.dropped_malformed,
-        stats.dropped_duplicate_context,
-        stats.dropped_context_switch,
-        stats.dropped_wire,
-        stats.dropped_runtime_fault,
-        stats.dropped_overload,
-        stats.flow_hits,
-        stats.flow_misses,
-        stats.flow_evictions,
-        stats.flow_context_switches,
-    ];
-    words[..15].copy_from_slice(&scalars);
-    words[15..STATS_WORDS].copy_from_slice(&stats.dropped_wire_by.to_array());
+    words[..STATS_WORDS].copy_from_slice(&stats.to_words());
     for (slot, counters) in ring.iter().enumerate() {
         let base = STATS_WORDS + 3 * slot;
         words[base] = counters.epoch;
@@ -157,26 +138,11 @@ fn read_payload(
     [GenerationCounters; GENERATION_SLOTS],
     ShardHealthSnapshot,
 ) {
-    let mut wire_by = [0u64; 10];
-    wire_by.copy_from_slice(&words[15..STATS_WORDS]);
-    let stats = EnforcerStats {
-        packets_inspected: words[0],
-        packets_accepted: words[1],
-        dropped_by_policy: words[2],
-        dropped_untagged: words[3],
-        dropped_unknown_app: words[4],
-        dropped_malformed: words[5],
-        dropped_duplicate_context: words[6],
-        dropped_context_switch: words[7],
-        dropped_wire: words[8],
-        dropped_runtime_fault: words[9],
-        dropped_overload: words[10],
-        flow_hits: words[11],
-        flow_misses: words[12],
-        flow_evictions: words[13],
-        flow_context_switches: words[14],
-        dropped_wire_by: crate::enforcer::WireDropStats::from_array(wire_by),
-    };
+    let stats = EnforcerStats::from_words(
+        words
+            .first_chunk()
+            .expect("a snapshot starts with the stats words"),
+    );
     let mut ring = [GenerationCounters::default(); GENERATION_SLOTS];
     for (slot, counters) in ring.iter_mut().enumerate() {
         let base = STATS_WORDS + 3 * slot;
@@ -228,7 +194,8 @@ impl TelemetryCell {
     ///
     /// Caller must be the shard's sole telemetry writer (hold the shard's
     /// `drop_log` mutex).  Cost: one relaxed snapshot of the counters plus
-    /// ~36 relaxed stores and two stamp stores — no RMW, no lock.
+    /// `SNAPSHOT_WORDS` (42 today) relaxed stores and two stamp stores — no
+    /// RMW, no lock.
     pub(crate) fn publish(&self, stats: &AtomicEnforcerStats, epoch: u64, health: &ShardHealth) {
         let snapshot = stats.snapshot();
         let health = health.snapshot();
@@ -242,20 +209,17 @@ impl TelemetryCell {
         }
         let (previous, mut ring, _) = read_payload(&words);
 
-        // A counter reset (tests, operator action) makes the snapshot
-        // regress; restart attribution from the new totals rather than wrap.
-        let reset = snapshot.packets_inspected < previous.packets_inspected
-            || snapshot.packets_accepted < previous.packets_accepted
-            || snapshot.total_dropped() < previous.total_dropped();
-        let (delta_accepted, delta_dropped) = if reset {
-            ring = [GenerationCounters::default(); GENERATION_SLOTS];
-            (snapshot.packets_accepted, snapshot.total_dropped())
-        } else {
-            (
-                snapshot.packets_accepted - previous.packets_accepted,
-                snapshot.total_dropped() - previous.total_dropped(),
-            )
+        // A counter reset (tests, operator action) makes some lane run
+        // backwards; restart attribution from the new totals rather than
+        // wrap.
+        let delta = match snapshot.delta_since(&previous) {
+            Some(delta) => delta,
+            None => {
+                ring = [GenerationCounters::default(); GENERATION_SLOTS];
+                snapshot
+            }
         };
+        let (delta_accepted, delta_dropped) = (delta.packets_accepted, delta.total_dropped());
         if delta_accepted != 0 || delta_dropped != 0 || ring.iter().all(|g| g.epoch == 0) {
             let slot = ring_slot(&mut ring, epoch);
             slot.accepted += delta_accepted;
@@ -392,6 +356,24 @@ mod tests {
         assert_eq!(snapshot.generations[0].accepted, 7);
         assert_eq!(snapshot.generations[0].dropped, 3);
         assert!(snapshot.consistent(), "{snapshot:?}");
+    }
+
+    /// The table-walking test's seqlock leg (the rest lives in
+    /// `tests/observability.rs`): a distinct value in every stats lane
+    /// survives publish → read, and the ring is fed from the kind sums.
+    #[test]
+    fn every_lane_survives_publish_and_read() {
+        let words: [u64; STATS_WORDS] = std::array::from_fn(|lane| 1_000 + 37 * lane as u64);
+        let stats = EnforcerStats::from_words(&words);
+        let atomic = AtomicEnforcerStats::new();
+        atomic.store(stats);
+        let cell = TelemetryCell::default();
+        cell.publish(&atomic, 9, &ShardHealth::default());
+        let snapshot = cell.read();
+        assert_eq!(snapshot.stats.to_words(), words);
+        assert!(snapshot.checksum_valid());
+        assert_eq!(snapshot.generations[0].accepted, stats.packets_accepted);
+        assert_eq!(snapshot.generations[0].dropped, stats.total_dropped());
     }
 
     #[test]

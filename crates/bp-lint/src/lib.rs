@@ -14,8 +14,9 @@
 //! AST: precise enough for the four rules, simple enough to audit by
 //! reading one file.
 //!
-//! Entry points: [`lint_workspace`] (what the CLI runs) and [`lint_file`]
-//! (what the self-tests drive against fixtures).
+//! Entry points: [`lint_workspace`] (what the CLI runs), [`lint_sources`]
+//! (the same whole-tree pass over in-memory text) and [`lint_file`] (what
+//! the self-tests drive against single fixtures).
 //!
 //! Findings for the `fail-closed` rule can be suppressed at sites where
 //! the permissive default *is* the contract, with an inline annotation
@@ -168,21 +169,30 @@ pub fn lint_file(
     manifest: &Manifest,
     graph: &mut AcquisitionGraph,
 ) -> Vec<Finding> {
-    let model = SourceModel::parse(text);
+    lint_model(rel_path, &SourceModel::parse(text), manifest, graph)
+}
+
+/// [`lint_file`] over an already-lexed file.
+fn lint_model(
+    rel_path: &str,
+    model: &SourceModel,
+    manifest: &Manifest,
+    graph: &mut AcquisitionGraph,
+) -> Vec<Finding> {
     let mut findings = Vec::new();
     if in_scope(rel_path, &manifest.lock_scope) {
-        findings.extend(rules::lock_order::scan(rel_path, &model, manifest, graph));
+        findings.extend(rules::lock_order::scan(rel_path, model, manifest, graph));
     }
-    findings.extend(rules::unsafe_hygiene::scan(rel_path, &model, manifest));
+    findings.extend(rules::unsafe_hygiene::scan(rel_path, model, manifest));
     if manifest
         .atomics_scopes
         .iter()
         .any(|scope| in_scope(rel_path, scope))
     {
-        findings.extend(rules::atomics::scan(rel_path, &model, manifest));
+        findings.extend(rules::atomics::scan(rel_path, model, manifest));
     }
-    findings.extend(rules::fail_closed::scan(rel_path, &model));
-    findings.retain(|finding| !suppressed(&model, finding));
+    findings.extend(rules::fail_closed::scan(rel_path, model));
+    findings.retain(|finding| !suppressed(model, finding));
     findings
 }
 
@@ -193,13 +203,39 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     let mut files = Vec::new();
     collect_rs_files(root, &mut files)?;
     files.sort();
-    let mut graph = AcquisitionGraph::default();
-    let mut findings = Vec::new();
+    let mut sources = Vec::with_capacity(files.len());
     for path in &files {
-        let rel = relative(root, path);
         let text = std::fs::read_to_string(path)
             .map_err(|error| format!("read {}: {error}", path.display()))?;
-        findings.extend(lint_file(&rel, &text, &manifest, &mut graph));
+        sources.push((relative(root, path), text));
+    }
+    Ok(Report {
+        files_scanned: files.len(),
+        findings: lint_sources(&relative(root, &manifest_path(root)), &manifest, &sources),
+    })
+}
+
+/// Lint a whole tree given as `(workspace-relative path, text)` pairs: the
+/// per-file rules of [`lint_file`] plus the checks that need every file —
+/// cross-file lock cycles, and `[atomics]` manifest entries (reported at
+/// `manifest_rel_path`) whose atomic no longer exists.  Findings come back
+/// sorted by file then line.
+pub fn lint_sources(
+    manifest_rel_path: &str,
+    manifest: &Manifest,
+    sources: &[(String, String)],
+) -> Vec<Finding> {
+    let mut graph = AcquisitionGraph::default();
+    let mut findings = Vec::new();
+    let mut declared_atomics = Vec::new();
+    for (rel, text) in sources {
+        let model = SourceModel::parse(text);
+        findings.extend(lint_model(rel, &model, manifest, &mut graph));
+        declared_atomics.extend(
+            rules::atomics::declarations(&model)
+                .into_iter()
+                .map(|(_, name)| (rel.clone(), name)),
+        );
     }
     // Cross-file cycles, minus sites already reported as in-function
     // inversions (an inversion against the declared order is by definition
@@ -214,11 +250,13 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
             findings.push(cycle);
         }
     }
+    findings.extend(rules::atomics::stale_entries(
+        manifest_rel_path,
+        manifest,
+        &declared_atomics,
+    ));
     findings.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
-    Ok(Report {
-        files_scanned: files.len(),
-        findings,
-    })
+    findings
 }
 
 /// Is `rel_path` inside the `/`-separated `scope` prefix?  An empty scope

@@ -89,6 +89,11 @@ pub struct AtomicProtocol {
     /// Why the protocol is sound — required, so the manifest cannot grow
     /// entries nobody can justify.
     pub note: String,
+    /// The path prefixes of the `scope =` line the entry sits under: where
+    /// the atomic it describes must be declared.
+    pub scopes: Vec<String>,
+    /// 1-based manifest line of the entry.
+    pub line: usize,
 }
 
 /// Parsed manifest contents.
@@ -144,6 +149,7 @@ impl Manifest {
         let mut unsafe_allow = Vec::new();
         let mut atomics_scopes = Vec::new();
         let mut atomics = BTreeMap::new();
+        let mut entry_scopes: Vec<String> = Vec::new();
         let mut section = String::new();
         for (index, raw) in text.lines().enumerate() {
             let line = raw.trim();
@@ -177,10 +183,11 @@ impl Manifest {
                         fail(format!("expected `field = protocol`, got `{line}`"))
                     })?;
                     if key == "scope" {
-                        atomics_scopes.extend(value.split_whitespace().map(str::to_string));
+                        entry_scopes = value.split_whitespace().map(str::to_string).collect();
+                        atomics_scopes.extend(entry_scopes.iter().cloned());
                         continue;
                     }
-                    let protocol = parse_protocol(value).map_err(fail)?;
+                    let protocol = parse_protocol(value, &entry_scopes, number).map_err(fail)?;
                     if atomics.insert(key.to_string(), protocol).is_some() {
                         return Err(ManifestError {
                             line: number,
@@ -228,8 +235,9 @@ fn split_assignment(line: &str) -> Option<(&str, &str)> {
     Some((key.trim(), value.trim()))
 }
 
-/// Parse `publish=<o>,… consume=<o>,… relaxed=<policy> -- <note>`.
-fn parse_protocol(value: &str) -> Result<AtomicProtocol, String> {
+/// Parse `publish=<o>,… consume=<o>,… relaxed=<policy> -- <note>`, found on
+/// manifest line `line` under the `scope =` prefixes `scopes`.
+fn parse_protocol(value: &str, scopes: &[String], line: usize) -> Result<AtomicProtocol, String> {
     let (spec, note) = value
         .split_once("--")
         .ok_or_else(|| format!("protocol `{value}` is missing a `-- <why it is sound>` note"))?;
@@ -269,6 +277,8 @@ fn parse_protocol(value: &str) -> Result<AtomicProtocol, String> {
         consume,
         relaxed,
         note,
+        scopes: scopes.to_vec(),
+        line,
     })
 }
 
@@ -317,6 +327,8 @@ pending = publish=AcqRel,Release consume=Acquire relaxed=none -- completion coun
         assert!(head.relaxed.permits(AtomicOpKind::Load));
         assert!(!head.relaxed.permits(AtomicOpKind::Rmw));
         assert_eq!(manifest.atomics["pending"].publish, ["AcqRel", "Release"]);
+        assert_eq!(head.scopes, ["crates/bp-core"]);
+        assert_eq!(head.line, 11);
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! the flow-cache epoch source.  Each gets an entry in
 //! `invariants.manifest` declaring how writers publish, how readers
 //! consume, and which relaxed operations are sound (with a mandatory note
-//! saying why).  The rule then enforces two things over the scoped crate:
+//! saying why).  The rule then enforces three things over the scoped crate:
 //!
 //! * every atomic **field or static declaration** must have a manifest
 //!   entry — new atomics cannot land without a written protocol;
+//! * every manifest entry must match an atomic declaration in its scope —
+//!   a deleted atomic cannot leave its protocol line behind;
 //! * every `Ordering::Relaxed` load/store/RMW whose receiver is a declared
 //!   field is checked against that field's relaxed policy — weakening a
 //!   publish to `Relaxed` on, say, `tail` becomes a CI failure instead of
@@ -34,13 +36,9 @@ pub fn scan(rel_path: &str, model: &SourceModel, manifest: &Manifest) -> Vec<Fin
     findings
 }
 
-/// Flag atomic field/static declarations missing a manifest protocol.
-fn scan_declarations(
-    rel_path: &str,
-    model: &SourceModel,
-    manifest: &Manifest,
-    findings: &mut Vec<Finding>,
-) {
+/// Every atomic field/static declaration in the file: `(line index, name)`.
+pub fn declarations(model: &SourceModel) -> Vec<(usize, String)> {
+    let mut declared = Vec::new();
     let mut structs: Vec<StructContext> = Vec::new();
     for (index, line) in model.lines.iter().enumerate() {
         structs.retain(|context| context.depth <= line.depth);
@@ -48,7 +46,7 @@ fn scan_declarations(
             continue;
         }
         let code = line.code.trim();
-        let declared = if let Some(name) = static_declaration(code) {
+        let name = if let Some(name) = static_declaration(code) {
             Some(name)
         } else if structs
             .last()
@@ -58,17 +56,9 @@ fn scan_declarations(
         } else {
             None
         };
-        if let Some(name) = declared {
-            if is_atomic_type(code) && !manifest.atomics.contains_key(&name) {
-                findings.push(Finding {
-                    file: rel_path.to_string(),
-                    line: index + 1,
-                    rule: RuleId::AtomicsProtocol,
-                    message: format!(
-                        "atomic `{name}` has no declared publish/consume protocol — \
-                         add an entry to the [atomics] section of invariants.manifest"
-                    ),
-                });
+        if let Some(name) = name {
+            if is_atomic_type(code) {
+                declared.push((index, name));
             }
         }
         // Enter a struct block opened on this line (after field handling, so
@@ -80,6 +70,64 @@ fn scan_declarations(
             });
         }
     }
+    declared
+}
+
+/// Flag atomic field/static declarations missing a manifest protocol.
+fn scan_declarations(
+    rel_path: &str,
+    model: &SourceModel,
+    manifest: &Manifest,
+    findings: &mut Vec<Finding>,
+) {
+    for (index, name) in declarations(model) {
+        if !manifest.atomics.contains_key(&name) {
+            findings.push(Finding {
+                file: rel_path.to_string(),
+                line: index + 1,
+                rule: RuleId::AtomicsProtocol,
+                message: format!(
+                    "atomic `{name}` has no declared publish/consume protocol — \
+                     add an entry to the [atomics] section of invariants.manifest"
+                ),
+            });
+        }
+    }
+}
+
+/// The other direction: flag manifest entries that match no atomic
+/// declaration in their scope.  `declared` is every `(file, name)` pair
+/// [`declarations`] found across the linted tree; an entry whose atomic was
+/// deleted or renamed would otherwise stay behind, silently vouching for a
+/// protocol nothing follows.
+pub fn stale_entries(
+    manifest_path: &str,
+    manifest: &Manifest,
+    declared: &[(String, String)],
+) -> Vec<Finding> {
+    manifest
+        .atomics
+        .iter()
+        .filter(|(name, protocol)| {
+            !declared.iter().any(|(file, declared_name)| {
+                declared_name == *name
+                    && protocol
+                        .scopes
+                        .iter()
+                        .any(|scope| crate::in_scope(file, scope))
+            })
+        })
+        .map(|(name, protocol)| Finding {
+            file: manifest_path.to_string(),
+            line: protocol.line,
+            rule: RuleId::AtomicsProtocol,
+            message: format!(
+                "[atomics] entry `{name}` matches no atomic field or static under {} — \
+                 delete the entry or fix its name",
+                protocol.scopes.join(", ")
+            ),
+        })
+        .collect()
 }
 
 /// Flag relaxed operations that the field's declared protocol forbids.

@@ -1,13 +1,13 @@
 //! Rule self-tests: every rule catches its known-bad fixture and stays
 //! quiet on its known-good twin, the CLI exit codes match, and —
 //! the reason this crate exists — reintroducing the PR 5 lock-order
-//! inversion into the real `enforcer.rs` is caught.
+//! inversion into the real `enforcer/sharded.rs` is caught.
 
 use std::path::{Path, PathBuf};
 
 use bp_lint::manifest::Manifest;
 use bp_lint::rules::lock_order::AcquisitionGraph;
-use bp_lint::{lint_file, Finding, RuleId};
+use bp_lint::{lint_file, lint_sources, Finding, RuleId};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
@@ -93,6 +93,46 @@ fn seqlock_fixtures() {
     );
 }
 
+/// The manifest is checked in both directions: the good twin declares every
+/// atomic the manifest names; the bad twin has deleted `retired_lane`, so its
+/// `[atomics]` line vouches for a protocol nothing follows and is flagged at
+/// its own manifest line.  The same name declared outside the entry's scope
+/// does not count.
+#[test]
+fn stale_manifest_entry_fixtures() {
+    const MANIFEST: &str = "crates/bp-lint/invariants.manifest";
+    let manifest = Manifest::parse(
+        "[lock-order]\norder = scratch drop_log flow\n[atomics]\nscope = crates/bp-core\n\
+         head = publish=Release consume=Acquire relaxed=load -- ring index\n\
+         retired_lane = publish=Relaxed consume=Relaxed relaxed=all -- stats counter\n",
+    )
+    .expect("fixture manifest parses");
+    let fixture = |name: &str| {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("fixtures")
+            .join(name);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"))
+    };
+    let lint = |name: &str, as_path: &str| {
+        lint_sources(MANIFEST, &manifest, &[(as_path.to_string(), fixture(name))])
+    };
+
+    let good = lint("manifest_stale_good.rs", "crates/bp-core/src/stats.rs");
+    assert!(good.is_empty(), "{good:#?}");
+
+    let bad = lint("manifest_stale_bad.rs", "crates/bp-core/src/stats.rs");
+    assert_eq!(count(&bad, RuleId::AtomicsProtocol), 1, "{bad:#?}");
+    assert_eq!((bad[0].file.as_str(), bad[0].line), (MANIFEST, 6));
+    assert!(bad[0].message.contains("`retired_lane`"), "{bad:#?}");
+
+    let elsewhere = lint("manifest_stale_good.rs", "crates/bp-obs/src/collector.rs");
+    assert_eq!(
+        count(&elsewhere, RuleId::AtomicsProtocol),
+        2,
+        "{elsewhere:#?}"
+    );
+}
+
 /// The bp-obs scope line works: the collector's declared `stop` flag is
 /// governed there, and an undeclared atomic in bp-obs is flagged.
 #[test]
@@ -153,19 +193,15 @@ fn core_scoped_rules_ignore_other_crates() {
 /// must stay clean.
 #[test]
 fn pr5_lock_inversion_in_real_enforcer_is_caught() {
-    let enforcer = workspace_root().join("crates/bp-core/src/enforcer.rs");
-    let pristine = std::fs::read_to_string(&enforcer).expect("read enforcer.rs");
+    const SHARDED: &str = "crates/bp-core/src/enforcer/sharded.rs";
+    let pristine =
+        std::fs::read_to_string(workspace_root().join(SHARDED)).expect("read enforcer/sharded.rs");
 
     let mut graph = AcquisitionGraph::default();
-    let clean = lint_file(
-        "crates/bp-core/src/enforcer.rs",
-        &pristine,
-        &manifest(),
-        &mut graph,
-    );
+    let clean = lint_file(SHARDED, &pristine, &manifest(), &mut graph);
     assert!(
         clean.is_empty(),
-        "pristine enforcer.rs must lint clean: {clean:#?}"
+        "pristine enforcer/sharded.rs must lint clean: {clean:#?}"
     );
 
     const SCRATCH: &str = "let mut scratch = shard.scratch.lock();";
@@ -181,12 +217,7 @@ fn pr5_lock_inversion_in_real_enforcer_is_caught() {
     assert_ne!(inverted, pristine);
 
     let mut graph = AcquisitionGraph::default();
-    let findings = lint_file(
-        "crates/bp-core/src/enforcer.rs",
-        &inverted,
-        &manifest(),
-        &mut graph,
-    );
+    let findings = lint_file(SHARDED, &inverted, &manifest(), &mut graph);
     assert!(
         findings.iter().any(|f| f.rule == RuleId::LockOrder),
         "the reintroduced PR 5 inversion must be flagged: {findings:#?}"
@@ -231,9 +262,11 @@ fn cli_exit_codes_follow_findings() {
     let _ = std::fs::remove_dir_all(&scratch);
     std::fs::create_dir_all(scratch.join("crates/bp-lint")).unwrap();
     std::fs::create_dir_all(scratch.join("crates/bp-core/src")).unwrap();
-    std::fs::copy(
-        bp_lint::manifest_path(&workspace_root()),
+    // The scratch tree holds one file, so it gets its own manifest: the
+    // checked-in one names atomics this tree does not declare.
+    std::fs::write(
         bp_lint::manifest_path(&scratch),
+        "[lock-order]\nscope = crates/bp-core\norder = scratch drop_log flow\n",
     )
     .unwrap();
 

@@ -19,9 +19,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bp_core::{
-    EnforcerStats, ShardHealthSnapshot, ShardedEnforcer, TelemetrySnapshot, WireDropStats,
-};
+use bp_core::{EnforcerStats, ShardHealthSnapshot, ShardedEnforcer, TelemetrySnapshot};
 
 // ---------------------------------------------------------------------------
 // Sources
@@ -316,8 +314,15 @@ impl Collector {
         let mut shards = Vec::with_capacity(snapshots.len());
         for (index, snapshot) in snapshots.iter().enumerate() {
             totals = totals.merged(&snapshot.stats);
-            let previous = self.previous.get(index);
-            delta = delta.merged(&stats_delta(&snapshot.stats, previous.map(|p| &p.stats)));
+            // A shard seen for the first time, or one whose counters were
+            // reset between polls (`delta_since` is `None`), contributes its
+            // cumulative values: they are what it counted since.
+            let since_previous = self
+                .previous
+                .get(index)
+                .and_then(|previous| snapshot.stats.delta_since(&previous.stats))
+                .unwrap_or(snapshot.stats);
+            delta = delta.merged(&since_previous);
             shards.push(ShardView {
                 index,
                 stats: snapshot.stats,
@@ -382,66 +387,6 @@ impl Collector {
         };
         self.previous = snapshots.to_vec();
         &self.view
-    }
-}
-
-/// Field-wise counter delta between two cumulative snapshots.
-///
-/// A counter running backwards means the shard's stats were reset between
-/// polls; the new cumulative value then *is* the delta (mirroring the reset
-/// handling inside `TelemetryCell::publish`).
-fn stats_delta(current: &EnforcerStats, previous: Option<&EnforcerStats>) -> EnforcerStats {
-    let Some(previous) = previous else {
-        return *current;
-    };
-    if current.packets_inspected < previous.packets_inspected {
-        return *current;
-    }
-    let wire_current = current.dropped_wire_by.to_array();
-    let wire_previous = previous.dropped_wire_by.to_array();
-    let mut wire_delta = [0u64; 10];
-    for (slot, (cur, prev)) in wire_current.iter().zip(wire_previous.iter()).enumerate() {
-        wire_delta[slot] = cur.saturating_sub(*prev);
-    }
-    EnforcerStats {
-        packets_inspected: current.packets_inspected - previous.packets_inspected,
-        packets_accepted: current
-            .packets_accepted
-            .saturating_sub(previous.packets_accepted),
-        dropped_by_policy: current
-            .dropped_by_policy
-            .saturating_sub(previous.dropped_by_policy),
-        dropped_untagged: current
-            .dropped_untagged
-            .saturating_sub(previous.dropped_untagged),
-        dropped_unknown_app: current
-            .dropped_unknown_app
-            .saturating_sub(previous.dropped_unknown_app),
-        dropped_malformed: current
-            .dropped_malformed
-            .saturating_sub(previous.dropped_malformed),
-        dropped_duplicate_context: current
-            .dropped_duplicate_context
-            .saturating_sub(previous.dropped_duplicate_context),
-        dropped_context_switch: current
-            .dropped_context_switch
-            .saturating_sub(previous.dropped_context_switch),
-        dropped_wire: current.dropped_wire.saturating_sub(previous.dropped_wire),
-        dropped_runtime_fault: current
-            .dropped_runtime_fault
-            .saturating_sub(previous.dropped_runtime_fault),
-        dropped_overload: current
-            .dropped_overload
-            .saturating_sub(previous.dropped_overload),
-        flow_hits: current.flow_hits.saturating_sub(previous.flow_hits),
-        flow_misses: current.flow_misses.saturating_sub(previous.flow_misses),
-        flow_evictions: current
-            .flow_evictions
-            .saturating_sub(previous.flow_evictions),
-        flow_context_switches: current
-            .flow_context_switches
-            .saturating_sub(previous.flow_context_switches),
-        dropped_wire_by: WireDropStats::from_array(wire_delta),
     }
 }
 

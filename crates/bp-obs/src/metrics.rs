@@ -7,6 +7,7 @@
 //! are printed with fixed precision against the collector's nominal tick.
 //! The oracle CI job golden-tests the rendering byte for byte.
 
+use bp_core::{Counter, CounterKind};
 use bp_types::WireError;
 
 use crate::collector::{FleetView, Signal};
@@ -23,48 +24,32 @@ pub fn render_metrics(view: &FleetView) -> String {
         "# borderpatrol telemetry poll={} elapsed_ms={}",
         view.polls, view.elapsed_millis
     ));
-    line(format!(
-        "bp_packets_inspected_total {}",
-        view.totals.packets_inspected
-    ));
-    line(format!(
-        "bp_packets_accepted_total {}",
-        view.totals.packets_accepted
-    ));
+    let totals = &view.totals;
+    for counter in Counter::of_kind(CounterKind::Total) {
+        let (label, value) = (counter.label(), totals.get(counter));
+        line(format!("bp_packets_{label}_total {value}"));
+    }
     line(format!(
         "bp_packets_dropped_total {}",
-        view.totals.total_dropped()
+        totals.total_dropped()
     ));
 
-    for (reason, value) in [
-        ("policy", view.totals.dropped_by_policy),
-        ("untagged", view.totals.dropped_untagged),
-        ("unknown-app", view.totals.dropped_unknown_app),
-        ("malformed", view.totals.dropped_malformed),
-        ("duplicate-context", view.totals.dropped_duplicate_context),
-        ("context-switch", view.totals.dropped_context_switch),
-        ("wire", view.totals.dropped_wire),
-        ("runtime-fault", view.totals.dropped_runtime_fault),
-        ("overload", view.totals.dropped_overload),
-    ] {
-        line(format!("bp_drops_total{{reason=\"{reason}\"}} {value}"));
+    for counter in Counter::ALL.into_iter().filter(|c| c.kind().is_drop()) {
+        let (label, value) = (counter.label(), totals.get(counter));
+        line(format!("bp_drops_total{{reason=\"{label}\"}} {value}"));
     }
 
     for error in WireError::ALL {
         line(format!(
             "bp_wire_drops_total{{error=\"{}\"}} {}",
             error.tag(),
-            view.totals.dropped_wire_by.get(error)
+            totals.dropped_wire_by.get(error)
         ));
     }
 
-    for (event, value) in [
-        ("hit", view.totals.flow_hits),
-        ("miss", view.totals.flow_misses),
-        ("eviction", view.totals.flow_evictions),
-        ("context-switch", view.totals.flow_context_switches),
-    ] {
-        line(format!("bp_flow_events_total{{event=\"{event}\"}} {value}"));
+    for counter in Counter::of_kind(CounterKind::Flow) {
+        let (label, value) = (counter.label(), totals.get(counter));
+        line(format!("bp_flow_events_total{{event=\"{label}\"}} {value}"));
     }
 
     for generation in &view.generations {

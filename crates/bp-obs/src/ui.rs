@@ -9,7 +9,7 @@
 //! clear-screen escape, while `--headless` mode prints them verbatim (CI
 //! smoke-tests that path).
 
-use bp_core::HealthState;
+use bp_core::{Counter, CounterKind, HealthState};
 
 use crate::collector::{Abnormality, FleetView, Signal};
 
@@ -45,24 +45,18 @@ pub fn render_dashboard(view: &FleetView, history: &[Abnormality]) -> String {
         totals.packets_accepted,
         totals.total_dropped()
     ));
-    out.push_str(&format!(
-        "│ drops: policy {} · untagged {} · unknown-app {} · malformed {} · spoofed {} · ctx-switch {} · wire {}\n",
-        totals.dropped_by_policy,
-        totals.dropped_untagged,
-        totals.dropped_unknown_app,
-        totals.dropped_malformed,
-        totals.dropped_duplicate_context,
-        totals.dropped_context_switch,
-        totals.dropped_wire,
-    ));
-    out.push_str(&format!(
-        "│ faults: runtime-fault {} · overload {}\n",
-        totals.dropped_runtime_fault, totals.dropped_overload,
-    ));
-    out.push_str(&format!(
-        "│ flows: hits {} · misses {} · evictions {} · context-switches {}\n",
-        totals.flow_hits, totals.flow_misses, totals.flow_evictions, totals.flow_context_switches,
-    ));
+    // One line per counter kind, labelled from the counter table — the same
+    // labels `/metrics` exports, so the two views cannot disagree.
+    for (title, kind) in [
+        ("drops", CounterKind::Drop),
+        ("faults", CounterKind::Fault),
+        ("flows", CounterKind::Flow),
+    ] {
+        let cells: Vec<String> = Counter::of_kind(kind)
+            .map(|counter| format!("{} {}", counter.label(), totals.get(counter)))
+            .collect();
+        out.push_str(&format!("│ {title}: {}\n", cells.join(" · ")));
+    }
 
     // Rates with a bar scaled to the largest EWMA on screen.
     out.push_str("├─ rates (per second, ▌ = ewma trend)\n");

@@ -13,10 +13,14 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use borderpatrol::analysis::scenario::adversary::{AdversaryModel, AdversaryProfile};
-use borderpatrol::analysis::scenario::{PreparedScenario, ScenarioSpec};
-use borderpatrol::core::enforcer::{EnforcerConfig, EnforcerStats, ShardedEnforcer};
+use borderpatrol::analysis::scenario::{PreparedScenario, ScenarioReport, ScenarioSpec};
+use borderpatrol::core::enforcer::{
+    AtomicEnforcerStats, EnforcerConfig, EnforcerStats, ShardedEnforcer,
+};
 use borderpatrol::core::policy::PolicySet;
-use borderpatrol::obs::{render_metrics, Collector, CollectorConfig, Signal};
+use borderpatrol::core::wire::WireError;
+use borderpatrol::core::{Counter, CounterKind, TelemetrySnapshot, STATS_WORDS};
+use borderpatrol::obs::{render_dashboard, render_metrics, Collector, CollectorConfig, Signal};
 
 mod common;
 use common::{solcalendar_fixture, stream, tagged_packet};
@@ -138,6 +142,157 @@ fn summed_collector_deltas_equal_final_stats_exactly() {
     assert_eq!(summed.packets_accepted, final_stats.packets_accepted);
     // And the cumulative view itself matches the enforcer exactly.
     assert_eq!(previous, final_stats);
+}
+
+/// A stats reset between polls followed by *more* traffic than before the
+/// reset: `packets_inspected` alone does not run backwards, but other lanes
+/// do, and a delta mixing pre- and post-reset lanes would break
+/// conservation (prev 100/90/10, then 120 inspected and all dropped, used to
+/// yield inspected 20 / accepted 0 / dropped 110).  Any lane running
+/// backwards makes the new cumulative values the delta.
+#[test]
+fn reset_then_more_traffic_keeps_the_collector_delta_conserved() {
+    let poll = |stats: EnforcerStats| TelemetrySnapshot {
+        stats,
+        ..TelemetrySnapshot::default()
+    };
+    let mut collector = Collector::new(CollectorConfig {
+        tick_millis: 1000, // 1s ticks: rate == per-poll delta
+        ..CollectorConfig::default()
+    });
+    collector.record(&[poll(EnforcerStats {
+        packets_inspected: 100,
+        packets_accepted: 90,
+        dropped_by_policy: 10,
+        ..EnforcerStats::default()
+    })]);
+    let view = collector.record(&[poll(EnforcerStats {
+        packets_inspected: 120,
+        dropped_by_policy: 120,
+        ..EnforcerStats::default()
+    })]);
+    let delta = |signal| view.rate(signal).unwrap().per_sec;
+    assert_eq!(delta(Signal::Inspected), 120.0);
+    assert_eq!(delta(Signal::Accepted), 0.0);
+    assert_eq!(delta(Signal::Dropped), 120.0);
+}
+
+/// The counter table, walked once: a distinct value in every lane (each
+/// [`Counter`], then each [`WireError`]) must come back out of every
+/// surface derived from the table — the atomic lanes, the word layout,
+/// merge and delta, the kind sums, the collector, and under its `name()` in
+/// the scenario report and its `label()` in `/metrics` and the `bp_top`
+/// frame.  (The seqlock cell's publish/read leg is walked the same way by
+/// `telemetry::tests::every_lane_survives_publish_and_read`, where
+/// `publish` is reachable.)  A counter added to the table is covered here
+/// without editing this test.
+#[test]
+fn every_counter_survives_every_surface_derived_from_the_table() {
+    assert_eq!(Counter::ALL.len() + WireError::ALL.len(), STATS_WORDS);
+    let words: [u64; STATS_WORDS] = std::array::from_fn(|lane| 1_000 + 37 * lane as u64);
+    let stats = EnforcerStats::from_words(&words);
+
+    // Word layout: table order, then `WireError::ALL`.
+    assert_eq!(stats.to_words(), words);
+    for (lane, counter) in Counter::ALL.into_iter().enumerate() {
+        assert_eq!(stats.get(counter), words[lane], "{}", counter.name());
+    }
+    for error in WireError::ALL {
+        let lane = Counter::ALL.len() + error.index();
+        assert_eq!(stats.dropped_wire_by.get(error), words[lane], "{error}");
+    }
+
+    // Atomic lanes.
+    let atomic = AtomicEnforcerStats::new();
+    atomic.store(stats);
+    assert_eq!(atomic.snapshot(), stats);
+
+    // Merge and delta, lane by lane.
+    let doubled = stats.merged(&stats);
+    assert_eq!(doubled.to_words(), words.map(|word| 2 * word));
+    assert_eq!(doubled.delta_since(&stats), Some(stats));
+    assert_eq!(
+        stats.delta_since(&doubled),
+        None,
+        "every lane ran backwards"
+    );
+
+    // Kind sums.
+    let dropped: u64 = Counter::of_kind(CounterKind::Drop)
+        .chain(Counter::of_kind(CounterKind::Fault))
+        .map(|counter| stats.get(counter))
+        .sum();
+    assert_eq!(stats.total_dropped(), dropped);
+    let outcomes = stats.without_flow_counters();
+    for counter in Counter::ALL {
+        let kept = counter.kind() != CounterKind::Flow;
+        let expected = if kept { stats.get(counter) } else { 0 };
+        assert_eq!(outcomes.get(counter), expected, "{}", counter.name());
+    }
+    assert_eq!(outcomes.dropped_wire_by, stats.dropped_wire_by);
+
+    // Collector → exporter and dashboard, by label.
+    let mut collector = Collector::new(CollectorConfig::default());
+    let view = collector
+        .record(&[TelemetrySnapshot {
+            stats,
+            ..TelemetrySnapshot::default()
+        }])
+        .clone();
+    assert_eq!(view.totals, stats);
+    let metrics = render_metrics(&view);
+    let frame = render_dashboard(&view, &[]);
+    for counter in Counter::ALL {
+        let (label, value) = (counter.label(), stats.get(counter));
+        let line = match counter.kind() {
+            CounterKind::Total => format!("bp_packets_{label}_total {value}\n"),
+            CounterKind::Drop | CounterKind::Fault => {
+                format!("bp_drops_total{{reason=\"{label}\"}} {value}\n")
+            }
+            CounterKind::Flow => format!("bp_flow_events_total{{event=\"{label}\"}} {value}\n"),
+        };
+        assert!(metrics.contains(&line), "missing {line:?} in:\n{metrics}");
+        // The dashboard's totals line has its own layout; the per-kind
+        // lines print `label value`.
+        if counter.kind() != CounterKind::Total {
+            let cell = format!("{label} {value}");
+            assert!(frame.contains(&cell), "missing {cell:?} in:\n{frame}");
+        }
+    }
+    for error in WireError::ALL {
+        let line = format!(
+            "bp_wire_drops_total{{error=\"{}\"}} {}\n",
+            error.tag(),
+            stats.dropped_wire_by.get(error)
+        );
+        assert!(metrics.contains(&line), "missing {line:?} in:\n{metrics}");
+    }
+
+    // Scenario report, by name.
+    let report = ScenarioReport {
+        name: "table-walk".into(),
+        seed: 0,
+        devices: 0,
+        shards: 1,
+        ticks: 0,
+        flows: 0,
+        packets: 0,
+        legit_packets: 0,
+        legit_accepted: 0,
+        legit_dropped: 0,
+        adversaries: Vec::new(),
+        hot_swaps: 0,
+        stats,
+    }
+    .render();
+    for counter in Counter::ALL {
+        let row = report
+            .lines()
+            .find(|line| line.split('|').nth(1).map(str::trim) == Some(counter.name()))
+            .unwrap_or_else(|| panic!("no row for {} in:\n{report}", counter.name()));
+        let value = stats.get(counter).to_string();
+        assert_eq!(row.split('|').nth(2).map(str::trim), Some(value.as_str()));
+    }
 }
 
 /// `TelemetryCell::try_read` is allowed to fail (odd/moved stamp) but a
