@@ -73,6 +73,7 @@ mod tests;
 pub use sharded::ShardedEnforcer;
 pub(crate) use sharded::{unattributed_drop, EnforcerCore};
 pub use single::PolicyEnforcer;
+pub(crate) use tables::PacketView;
 pub use tables::{EnforcementTables, PolicyDelta, PolicyReuse, TableReuse};
 
 pub use crate::stats::{

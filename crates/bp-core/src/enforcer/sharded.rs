@@ -7,8 +7,9 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 
+use bp_netsim::addr::Endpoint;
 use bp_netsim::clock::SimDuration;
-use bp_netsim::netfilter::{QueueHandler, Verdict};
+use bp_netsim::netfilter::{DropReason, QueueHandler, Verdict};
 use bp_netsim::packet::Ipv4Packet;
 
 use super::{EnforcementTables, EnforcerConfig};
@@ -21,7 +22,7 @@ use crate::stats::{
     charge_fixed_drop, charge_wire_drop, AtomicEnforcerStats, Counter, DropLog, EnforcerStats,
 };
 use crate::telemetry::{TelemetryCell, TelemetrySnapshot};
-use crate::wire::{self, WireError};
+use crate::wire::{self, WireFrame};
 
 /// One worker shard: private counters, drop log, decode scratch and flow
 /// table.  Batch partitioning is by flow, so a flow's packets always land on
@@ -108,7 +109,12 @@ impl EnforcerCore {
     /// The shard a packet is routed to: flows stick to shards so per-flow
     /// packet order is preserved within a shard.
     pub(crate) fn shard_for(&self, packet: &Ipv4Packet) -> usize {
-        let source = packet.source();
+        self.shard_for_source(packet.source())
+    }
+
+    /// [`EnforcerCore::shard_for`] by the source endpoint alone, which is
+    /// all of a packet the routing reads.
+    pub(crate) fn shard_for_source(&self, source: Endpoint) -> usize {
         let octets = source.ip.octets();
         let mut key = u64::from(u32::from_be_bytes(octets));
         key = (key << 16) | u64::from(source.port);
@@ -156,10 +162,9 @@ impl EnforcerCore {
         let shard = &self.shards[shard];
         let mut drop_log = shard.drop_log.lock();
         let charged = charge(&shard.stats, &mut drop_log);
+        let epoch = self.tables.read().epoch();
         // Sole writer: this thread holds the shard's drop_log mutex.
-        shard
-            .telemetry
-            .publish(&shard.stats, self.tables().epoch(), &shard.health);
+        shard.telemetry.publish(&shard.stats, epoch, &shard.health);
         charged
     }
 
@@ -174,7 +179,7 @@ impl EnforcerCore {
 /// filling a slot array with it allocates nothing).
 pub(crate) fn unattributed_drop() -> Verdict {
     Verdict::Drop {
-        reason: String::new(),
+        reason: DropReason::Static(""),
     }
 }
 
@@ -341,11 +346,13 @@ impl ShardedEnforcer {
     /// packet) into `verdicts`, which is cleared first.
     ///
     /// With a reused `verdicts` buffer this performs **zero allocations**
-    /// per batch on the all-accept path: partitions land in the runtime's
-    /// reused index buffers, jobs travel through fixed ring slots, and each
-    /// verdict is written in place into its slot.
+    /// per batch whenever every packet's flow is cached — accepted or
+    /// dropped: partitions land in the runtime's reused index buffers, jobs
+    /// travel through fixed ring slots, each verdict is written in place
+    /// into its slot and a drop reason is handed out by pointer.
     pub fn inspect_batch_into(&self, packets: &[Ipv4Packet], verdicts: &mut Vec<Verdict>) {
-        self.inspect_source_into(PacketSource::slice(packets), verdicts);
+        let shards = packets.iter().map(|packet| self.core.shard_for(packet));
+        self.inspect_source_into(PacketSource::slice(packets), shards, verdicts);
     }
 
     /// Inspect a batch of raw wire frames and return verdicts in frame
@@ -357,86 +364,103 @@ impl ShardedEnforcer {
         verdicts
     }
 
-    /// Inspect a batch of raw wire frames: decode each through the byte
-    /// ingress boundary ([`crate::wire`]), run the packets that parsed
-    /// through [`ShardedEnforcer::inspect_batch_into`], and write one
-    /// verdict per frame (frame order) into `verdicts`.
+    /// Inspect a batch of raw wire frames in place: validate each through
+    /// the byte ingress boundary ([`WireFrame::parse`]), route the ones that
+    /// parse to their shards, inspect them as borrowed views — no packet is
+    /// materialized, and like [`ShardedEnforcer::inspect_batch_into`] a
+    /// batch of cached flows allocates nothing — and write one verdict per
+    /// frame (frame order) into `verdicts`.
     ///
-    /// A frame that fails decode never reaches enforcement: it yields a
+    /// A frame that fails validation never reaches enforcement: it yields a
     /// fail-closed [`Verdict::Drop`] whose reason is the typed
-    /// [`WireError::drop_reason`], counted in
-    /// [`EnforcerStats::dropped_wire`] and recorded in the drop log.
-    /// Malformed frames are charged to shard 0 — an unparsable frame has no
-    /// flow key to hash a shard from.  Never panics on malformed input.
+    /// [`WireError::drop_reason`](crate::wire::WireError::drop_reason),
+    /// counted in [`EnforcerStats::dropped_wire`] and recorded in the drop
+    /// log.  Malformed frames are charged to shard 0 — an unparsable frame
+    /// has no flow key to hash a shard from.  Never panics on malformed
+    /// input.
+    ///
+    /// Under an overload watermark ([`ShardedEnforcer::set_overload_watermark`])
+    /// only frames that parse count against it: a malformed frame is always
+    /// charged `dropped_wire`, the first `watermark` parsable frames are
+    /// inspected and the remaining parsable ones are shed.  Shard 0's drop
+    /// log reads in that order too — wire failures are charged before
+    /// inspection, sheds after it.
     pub fn inspect_wire_batch_into(&self, frames: &[&[u8]], verdicts: &mut Vec<Verdict>) {
-        let mut packets = Vec::with_capacity(frames.len());
-        let mut failures: Vec<(usize, WireError)> = Vec::new();
-        let injector = self.core.faults.get();
-        for (index, frame) in frames.iter().enumerate() {
-            let corrupt = injector.is_some_and(|i| i.corrupt_next_frame());
-            let result = match (corrupt, frame.first()) {
-                (true, Some(_)) => {
-                    // Injected wire corruption: flip the version/IHL byte so
-                    // the frame fails closed through the ordinary typed
-                    // wire-error path, deterministically.
-                    let mut bytes = frame.to_vec();
-                    bytes[0] ^= 0xFF;
-                    wire::decode_frame(&bytes)
-                }
-                _ => wire::decode_frame(frame),
-            };
-            match result {
-                Ok(packet) => packets.push(packet),
-                Err(error) => failures.push((index, error)),
-            }
-        }
-        if failures.is_empty() {
-            self.inspect_batch_into(&packets, verdicts);
-            return;
-        }
-        let failure_verdicts: Vec<(usize, Verdict)> = self.core.charge_on(0, |stats, drop_log| {
-            failures
-                .iter()
-                .map(|&(index, error)| (index, charge_wire_drop(stats, drop_log, error)))
-                .collect()
-        });
-        let mut decoded_verdicts = Vec::with_capacity(packets.len());
-        self.inspect_batch_into(&packets, &mut decoded_verdicts);
+        let core = &*self.core;
+        let injector = core.faults.get();
+        let admission = self.admission_limit();
         verdicts.clear();
-        verdicts.reserve(frames.len());
-        let mut failure_iter = failure_verdicts.into_iter().peekable();
-        let mut decoded = decoded_verdicts.into_iter();
-        for index in 0..frames.len() {
-            match failure_iter.peek() {
-                Some(&(at, _)) if at == index => {
-                    let (_, verdict) = failure_iter.next().expect("peeked entry exists");
-                    verdicts.push(verdict);
+        // Fail-closed placeholders, as in `inspect_source_into`.
+        verdicts.resize(frames.len(), unattributed_drop());
+        let mut batch = self.pool.begin(frames.len());
+        let mut admitted = 0;
+        for (index, bytes) in frames.iter().enumerate() {
+            // Injected wire corruption: the frame fails closed through the
+            // ordinary typed wire-error path, deterministically.
+            let parsed = if injector.is_some_and(|i| i.corrupt_next_frame()) {
+                Err(wire::corrupted_frame_error(bytes))
+            } else {
+                WireFrame::parse(bytes)
+            };
+            match parsed {
+                Ok(frame) if admitted < admission => {
+                    admitted += 1;
+                    batch.route_frame(core.shard_for_source(frame.source()), index, &frame);
                 }
-                _ => verdicts.push(decoded.next().expect("one verdict per decoded packet")),
+                Ok(_) => batch.wire().shed.push(index),
+                Err(error) => batch.wire().failures.push((index, error)),
             }
+        }
+        if !batch.wire().failures.is_empty() {
+            core.charge_on(0, |stats, drop_log| {
+                for &(index, error) in &batch.wire().failures {
+                    verdicts[index] = charge_wire_drop(stats, drop_log, error);
+                }
+            });
+        }
+        batch.run_frames(frames, verdicts);
+        if !batch.wire().shed.is_empty() {
+            core.charge_on(0, |stats, drop_log| {
+                for &index in &batch.wire().shed {
+                    verdicts[index] = charge_fixed_drop(stats, drop_log, Counter::Overload);
+                }
+            });
         }
     }
 
-    /// Shared batch implementation over either batch shape (owned slice or
-    /// NFQUEUE reference batch).
-    fn inspect_source_into(&self, source: PacketSource, verdicts: &mut Vec<Verdict>) {
+    /// How many packets of one batch the overload guard admits.
+    fn admission_limit(&self) -> usize {
+        match self.overload_watermark.load(Ordering::Relaxed) {
+            0 => usize::MAX,
+            watermark => watermark,
+        }
+    }
+
+    /// Shared batch implementation over either struct batch shape (owned
+    /// slice or NFQUEUE reference batch); `shards` yields each packet's
+    /// shard, in batch order.
+    fn inspect_source_into(
+        &self,
+        source: PacketSource,
+        shards: impl ExactSizeIterator<Item = usize>,
+        verdicts: &mut Vec<Verdict>,
+    ) {
         verdicts.clear();
-        let len = source.len();
+        let len = shards.len();
         // Overload guard: admit at most the watermark, shed the tail
         // fail-closed after inspection so verdicts stay in input order.
-        let watermark = self.overload_watermark.load(Ordering::Relaxed);
-        let admitted = if watermark == 0 {
-            len
-        } else {
-            len.min(watermark)
-        };
+        let admitted = len.min(self.admission_limit());
         // Pre-size the slot array with **fail-closed** placeholders: every
         // slot is overwritten by exactly one partition on the normal path,
         // and a partition that panics has its uninspected slots converted
         // into attributed `dropped_runtime_fault` drops by the recovery
         // path — never silent accepts.
         verdicts.resize(admitted, unattributed_drop());
-        self.pool.inspect(source.truncated(admitted), verdicts);
+        let mut batch = self.pool.begin(admitted);
+        for (index, shard) in shards.take(admitted).enumerate() {
+            batch.route(shard, index);
+        }
+        batch.run(source, verdicts);
         if admitted < len {
             self.shed_overload(len - admitted, verdicts);
         }
@@ -516,7 +540,9 @@ impl ShardedEnforcer {
     /// Set the overload-guard admission watermark in packets per batch
     /// (`0` disables the guard).  Batches longer than the watermark have
     /// their tail shed fail-closed under
-    /// [`EnforcerStats::dropped_overload`] before inspection.
+    /// [`EnforcerStats::dropped_overload`] instead of being inspected.  On
+    /// the byte ingress the watermark counts *parsable* frames only; see
+    /// [`ShardedEnforcer::inspect_wire_batch_into`].
     pub fn set_overload_watermark(&self, watermark: usize) {
         self.overload_watermark.store(watermark, Ordering::Relaxed);
     }
@@ -568,7 +594,8 @@ impl QueueHandler for ShardedEnforcer {
     fn handle_batch_into(&mut self, packets: &mut [&mut Ipv4Packet], verdicts: &mut Vec<Verdict>) {
         // The enforcer only reads packets; view the reference batch directly
         // instead of collecting an intermediate `Vec<&Ipv4Packet>`.
-        self.inspect_source_into(PacketSource::refs(packets), verdicts);
+        let shards = packets.iter().map(|packet| self.core.shard_for(packet));
+        self.inspect_source_into(PacketSource::refs(packets), shards, verdicts);
     }
 
     fn handle_wire_batch(&mut self, frames: &[&[u8]], verdicts: &mut Vec<Verdict>) {

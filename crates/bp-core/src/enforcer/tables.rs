@@ -6,8 +6,9 @@ use std::sync::Arc;
 
 use bp_netsim::clock::SimDuration;
 use bp_netsim::netfilter::Verdict;
-use bp_netsim::options::{IpOption, IpOptionKind};
-use bp_netsim::packet::Ipv4Packet;
+use bp_netsim::options::IpOptionKind;
+use bp_netsim::packet::{FlowKey, Ipv4Packet};
+use bp_types::wire::OPT_BP_CONTEXT;
 
 use super::EnforcerConfig;
 use crate::encoding::ContextEncoding;
@@ -15,6 +16,7 @@ use crate::flow::{CachedOutcome, FlowProbe, FlowTable};
 use crate::offline::{CompiledSignatureDb, SignatureDatabase};
 use crate::policy::{CompiledPolicySet, CompiledVerdict, Decision, PolicySet};
 use crate::stats::{charge_drop, charge_fixed_drop, AtomicEnforcerStats, Counter, DropLog};
+use crate::wire::WireFrame;
 
 /// Source of the monotonically increasing epoch stamped onto every
 /// [`EnforcementTables`] build.  Process-global so that *any* recompilation
@@ -26,6 +28,64 @@ static NEXT_TABLE_EPOCH: AtomicU64 = AtomicU64::new(1);
 /// Drop-log reason for covert bytes after End-of-List: the second fixed text
 /// charged to `dropped_malformed`, shared with the legacy reference path.
 pub(super) const TRAILING_DATA_DROP_REASON: &str = "non-zero data after end-of-options-list";
+
+/// Everything the pipeline reads of one packet, borrowed from wherever the
+/// packet lives: an owned [`Ipv4Packet`] or the bytes of a parsed
+/// [`WireFrame`].  Building one allocates nothing, which is what lets the
+/// byte ingress inspect frames in place.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PacketView<'p> {
+    flow_key: FlowKey,
+    /// Payload of the first BorderPatrol context option, if any.
+    context: Option<&'p [u8]>,
+    /// Whether a second context option follows the first.
+    duplicate_context: bool,
+    /// Non-zero bytes after End-of-List (see `IpOptions::has_trailing_data`).
+    trailing_data: bool,
+}
+
+impl<'p> PacketView<'p> {
+    fn new(
+        flow_key: FlowKey,
+        mut contexts: impl Iterator<Item = &'p [u8]>,
+        trailing_data: bool,
+    ) -> Self {
+        PacketView {
+            flow_key,
+            context: contexts.next(),
+            duplicate_context: contexts.next().is_some(),
+            trailing_data,
+        }
+    }
+
+    /// The view of an owned packet.
+    pub(crate) fn of_packet(packet: &'p Ipv4Packet) -> Self {
+        let options = packet.options();
+        let contexts = options
+            .iter()
+            .filter(|option| option.kind == IpOptionKind::BorderPatrolContext)
+            .map(|option| option.data.as_slice());
+        PacketView::new(packet.flow_key(), contexts, options.has_trailing_data())
+    }
+
+    /// The view of a parsed wire frame: the same fields
+    /// [`WireFrame::to_packet`] would copy out, read in place.
+    pub(crate) fn of_frame(frame: &WireFrame<'p>) -> Self {
+        let (source, destination) = (frame.source(), frame.destination());
+        let flow_key = FlowKey {
+            src_ip: source.ip,
+            src_port: source.port,
+            dst_ip: destination.ip,
+            dst_port: destination.port,
+            protocol: frame.protocol(),
+        };
+        let contexts = frame
+            .options()
+            .filter(|&(type_byte, _)| type_byte == OPT_BP_CONTEXT)
+            .map(|(_, data)| data);
+        PacketView::new(flow_key, contexts, frame.has_trailing_data())
+    }
+}
 
 /// How the compiled policy half of a generation was obtained — what
 /// [`EnforcementTables::next_generation`] reports back to the control plane
@@ -265,16 +325,16 @@ impl EnforcementTables {
 
     /// Stage 0 + 1: §IV-A4 conformance checks and context extraction.
     ///
-    /// Returns the single context option to enforce on, `Ok(None)` for
-    /// untagged packets, or the early verdict for non-conforming packets
-    /// (duplicate context options, covert data after End-of-List) and
-    /// untagged packets in strict deployments.
+    /// Returns the payload of the single context option to enforce on,
+    /// `Ok(None)` for untagged packets, or the early verdict for
+    /// non-conforming packets (duplicate context options, covert data after
+    /// End-of-List) and untagged packets in strict deployments.
     fn extract_context<'p>(
         &self,
-        packet: &'p Ipv4Packet,
+        packet: &PacketView<'p>,
         stats: &AtomicEnforcerStats,
         drop_log: &mut DropLog,
-    ) -> Result<Option<&'p IpOption>, Verdict> {
+    ) -> Result<Option<&'p [u8]>, Verdict> {
         // A second context option is a spoofing attempt: the hardened kernel
         // emits exactly one, and enforcing on only the first would let the
         // other ride through unchecked.  No legitimate deployment — however
@@ -282,7 +342,7 @@ impl EnforcementTables {
         // policies still apply, so this check is unconditional: gating it
         // would hand permissive deployments the exact bypass back (an
         // attacker prepending a benign option to mask a denied context).
-        if packet.options().count(IpOptionKind::BorderPatrolContext) > 1 {
+        if packet.duplicate_context {
             return Err(charge_fixed_drop(
                 stats,
                 drop_log,
@@ -294,7 +354,7 @@ impl EnforcementTables {
         // duplicates this stays gated — trailing garbage does not change
         // which context is enforced, the sanitizer scrubs it regardless, and
         // permissive rollouts tolerate broken middlebox padding.
-        if self.config.drop_malformed_context && packet.options().has_trailing_data() {
+        if self.config.drop_malformed_context && packet.trailing_data {
             return Err(charge_drop(
                 stats,
                 drop_log,
@@ -302,13 +362,10 @@ impl EnforcementTables {
                 TRAILING_DATA_DROP_REASON.into(),
             ));
         }
-        let Some(option) = packet.options().find(IpOptionKind::BorderPatrolContext) else {
-            if self.config.drop_untagged {
-                return Err(charge_fixed_drop(stats, drop_log, Counter::Untagged));
-            }
-            return Ok(None);
-        };
-        Ok(Some(option))
+        if packet.context.is_none() && self.config.drop_untagged {
+            return Err(charge_fixed_drop(stats, drop_log, Counter::Untagged));
+        }
+        Ok(packet.context)
     }
 
     /// Inspect one packet against the compiled tables (the three-stage
@@ -331,15 +388,15 @@ impl EnforcementTables {
         drop_log: &mut DropLog,
     ) -> Verdict {
         stats.add(Counter::Inspected, 1);
-        let option = match self.extract_context(packet, stats, drop_log) {
-            Ok(Some(option)) => option,
+        let context = match self.extract_context(&PacketView::of_packet(packet), stats, drop_log) {
+            Ok(Some(context)) => context,
             Ok(None) => {
                 stats.add(Counter::Accepted, 1);
                 return Verdict::Accept;
             }
             Err(verdict) => return verdict,
         };
-        let outcome = self.evaluate_payload(&option.data, scratch);
+        let outcome = self.evaluate_payload(context, scratch);
         self.apply_outcome(&outcome, stats, drop_log)
     }
 
@@ -374,9 +431,31 @@ impl EnforcementTables {
         stats: &AtomicEnforcerStats,
         drop_log: &mut DropLog,
     ) -> Verdict {
+        self.inspect_view(
+            &PacketView::of_packet(packet),
+            flow,
+            now,
+            scratch,
+            stats,
+            drop_log,
+        )
+    }
+
+    /// The body of [`EnforcementTables::inspect_flow_cached`], over the
+    /// borrowed view every batch partition hands it — of a packet or of a
+    /// wire frame inspected in place.
+    pub(crate) fn inspect_view(
+        &self,
+        packet: &PacketView<'_>,
+        flow: &mut FlowTable,
+        now: SimDuration,
+        scratch: &mut Vec<u32>,
+        stats: &AtomicEnforcerStats,
+        drop_log: &mut DropLog,
+    ) -> Verdict {
         stats.add(Counter::Inspected, 1);
-        let option = match self.extract_context(packet, stats, drop_log) {
-            Ok(Some(option)) => option,
+        let context = match self.extract_context(packet, stats, drop_log) {
+            Ok(Some(context)) => context,
             Ok(None) => {
                 stats.add(Counter::Accepted, 1);
                 return Verdict::Accept;
@@ -384,8 +463,8 @@ impl EnforcementTables {
             Err(verdict) => return verdict,
         };
 
-        let key = packet.flow_key();
-        match flow.probe(&key, &option.data, self.epoch, now) {
+        let key = packet.flow_key;
+        match flow.probe(&key, context, self.epoch, now) {
             FlowProbe::Hit(outcome) => {
                 stats.add(Counter::FlowHits, 1);
                 return self.apply_outcome(outcome, stats, drop_log);
@@ -399,8 +478,8 @@ impl EnforcementTables {
             FlowProbe::Miss => {}
         }
         stats.add(Counter::FlowMisses, 1);
-        let outcome = self.evaluate_payload(&option.data, scratch);
-        let evicted = flow.insert(key, &option.data, self.epoch, outcome.clone(), now);
+        let outcome = self.evaluate_payload(context, scratch);
+        let evicted = flow.insert(key, context, self.epoch, outcome.clone(), now);
         stats.add(Counter::FlowEvictions, evicted);
         self.apply_outcome(&outcome, stats, drop_log)
     }

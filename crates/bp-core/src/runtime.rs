@@ -1,13 +1,17 @@
 //! The data-plane batch runtime: the one path a batch takes from
-//! [`ShardedEnforcer::inspect_batch`] to its verdict slots.
+//! [`ShardedEnforcer::inspect_batch`] — or, as wire frames, from
+//! [`ShardedEnforcer::inspect_wire_batch_into`] — to its verdict slots.
 //!
 //! Every batch — one shard or many, empty or 100k packets, healthy lane or
-//! quarantined — runs through `WorkerPool::inspect`:
+//! quarantined — takes one turn on the pool: `WorkerPool::begin`, one
+//! `Submission::route` per packet, `Submission::run`.
 //!
 //! ```text
-//!           inspect_batch(&[pkt; N])
-//!                 │  partition by flow into per-shard index buffers
-//!                 │  (reused across batches, no per-batch allocation)
+//!      inspect_batch(&[pkt; N])      inspect_wire_batch_into(&[&[u8]; N])
+//!                 │ route by flow          │ parse view → route by flow
+//!                 ▼                        ▼
+//!        per-shard index buffers (+ per-frame parsed descriptors)
+//!        (reused across batches, no per-batch allocation)
 //!                 ▼
 //!   ┌─ SPSC ring ─▶ worker 0 ── owns shard 0 flow table / scratch ─┐
 //!   ├─ SPSC ring ─▶ worker 1 ── owns shard 1 flow table / scratch ─┤ verdicts
@@ -55,8 +59,8 @@
 //!   no detached threads outlive the enforcer.
 //!
 //! Submission is serialized: concurrent `inspect_batch` callers take turns
-//! for the full batch (the partition buffers and rings are
-//! single-producer).
+//! for the full batch, routing included (the partition buffers and rings
+//! are single-producer).
 //!
 //! # Safety
 //!
@@ -72,6 +76,7 @@
 //!
 //! [`ShardedEnforcer`]: crate::enforcer::ShardedEnforcer
 //! [`ShardedEnforcer::inspect_batch`]: crate::enforcer::ShardedEnforcer::inspect_batch
+//! [`ShardedEnforcer::inspect_wire_batch_into`]: crate::enforcer::ShardedEnforcer::inspect_wire_batch_into
 
 #![allow(unsafe_code)]
 
@@ -83,14 +88,15 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use bp_netsim::netfilter::Verdict;
 use bp_netsim::packet::Ipv4Packet;
 
-use crate::enforcer::{unattributed_drop, EnforcerCore};
+use crate::enforcer::{unattributed_drop, EnforcerCore, PacketView};
 use crate::faults::HealthState;
 use crate::stats::{charge_fixed_drop, Counter};
+use crate::wire::{FrameDescriptor, WireError, WireFrame};
 
 // ---------------------------------------------------------------------------
 // SPSC ring
@@ -264,20 +270,22 @@ impl<T> SpscReceiver<T> {
 
 /// A borrowed, indexable view of a packet batch.
 ///
-/// The two batch entry points deliver packets as `&[Ipv4Packet]`
-/// ([`ShardedEnforcer::inspect_batch`]) and `&mut [&mut Ipv4Packet]`
-/// ([`QueueHandler::handle_batch_into`]); this view lets the partitioning and
-/// inspection loops index either shape directly instead of collecting an
-/// intermediate `Vec<&Ipv4Packet>` per batch.
+/// The batch entry points deliver packets as `&[Ipv4Packet]`
+/// ([`ShardedEnforcer::inspect_batch`]), `&mut [&mut Ipv4Packet]`
+/// ([`QueueHandler::handle_batch_into`]) and raw wire frames
+/// ([`ShardedEnforcer::inspect_wire_batch_into`]); this view lets the
+/// inspection loop read any shape in place — no intermediate
+/// `Vec<&Ipv4Packet>`, no packet materialized from a frame.
 ///
 /// # Safety contract
 ///
 /// A `PacketSource` is a raw borrow: whoever constructs one must keep the
-/// underlying slice alive and unmodified until the last [`PacketSource::get`]
-/// call.  Within this crate that is guaranteed by the batch submission
-/// protocol (the submitter outlives the batch).
+/// underlying slice alive and unmodified until the last
+/// [`PacketSource::view`] call.  Within this crate that is guaranteed by the
+/// batch submission protocol (the submitter outlives the batch).
 ///
 /// [`ShardedEnforcer::inspect_batch`]: crate::enforcer::ShardedEnforcer::inspect_batch
+/// [`ShardedEnforcer::inspect_wire_batch_into`]: crate::enforcer::ShardedEnforcer::inspect_wire_batch_into
 /// [`QueueHandler::handle_batch_into`]: bp_netsim::netfilter::QueueHandler::handle_batch_into
 #[derive(Clone, Copy)]
 pub(crate) enum PacketSource {
@@ -293,6 +301,17 @@ pub(crate) enum PacketSource {
         /// First packet pointer.
         ptr: *const *const Ipv4Packet,
         /// Packet count.
+        len: usize,
+    },
+    /// Raw wire frames with what the submitter's one parse established
+    /// about each (the byte-ingress shape).  Only frames that parsed are
+    /// ever indexed; the descriptor slots of the others are placeholders.
+    Frames {
+        /// First frame.
+        frames: *const *const [u8],
+        /// First descriptor, one per frame.
+        descriptors: *const FrameDescriptor,
+        /// Frame count.
         len: usize,
     },
 }
@@ -325,41 +344,48 @@ impl PacketSource {
         }
     }
 
+    /// View a batch of wire frames beside their parsed descriptors (`&[u8]`
+    /// and `*const [u8]` share one fat-pointer layout).
+    fn frames(frames: &[&[u8]], descriptors: &[FrameDescriptor]) -> Self {
+        assert_eq!(frames.len(), descriptors.len(), "one descriptor per frame");
+        PacketSource::Frames {
+            frames: frames.as_ptr().cast::<*const [u8]>(),
+            descriptors: descriptors.as_ptr(),
+            len: frames.len(),
+        }
+    }
+
     /// Number of packets in the batch.
     pub(crate) fn len(&self) -> usize {
         match *self {
-            PacketSource::Slice { len, .. } | PacketSource::Refs { len, .. } => len,
+            PacketSource::Slice { len, .. }
+            | PacketSource::Refs { len, .. }
+            | PacketSource::Frames { len, .. } => len,
         }
     }
 
-    /// This view limited to its first `new_len` packets (no-op when the
-    /// batch is already at most that long).  The overload guard inspects the
-    /// truncated head and sheds the tail fail-closed.
-    pub(crate) fn truncated(self, new_len: usize) -> Self {
-        match self {
-            PacketSource::Slice { ptr, len } => PacketSource::Slice {
-                ptr,
-                len: len.min(new_len),
-            },
-            PacketSource::Refs { ptr, len } => PacketSource::Refs {
-                ptr,
-                len: len.min(new_len),
-            },
-        }
-    }
-
-    /// The packet at `index`.
+    /// What the pipeline reads of the packet at `index`.
     ///
     /// # Safety
     ///
-    /// `index < self.len()`, and the borrowed batch must still be alive (see
+    /// `index < self.len()` and the borrowed batch must still be alive (see
     /// the type-level contract).  The returned lifetime is unbounded; the
-    /// caller must not let it outlive the batch.
-    pub(crate) unsafe fn get<'a>(&self, index: usize) -> &'a Ipv4Packet {
+    /// caller must not let it outlive the batch.  (Of a frame the submitter
+    /// did not parse the view is meaningless, or a panic — but still safe:
+    /// see [`FrameDescriptor::over`].)
+    pub(crate) unsafe fn view<'a>(&self, index: usize) -> PacketView<'a> {
         debug_assert!(index < self.len());
         match *self {
-            PacketSource::Slice { ptr, .. } => &*ptr.add(index),
-            PacketSource::Refs { ptr, .. } => &**ptr.add(index),
+            PacketSource::Slice { ptr, .. } => PacketView::of_packet(&*ptr.add(index)),
+            PacketSource::Refs { ptr, .. } => PacketView::of_packet(&**ptr.add(index)),
+            PacketSource::Frames {
+                frames,
+                descriptors,
+                ..
+            } => {
+                let frame: WireFrame<'a> = (*descriptors.add(index)).over(&**frames.add(index));
+                PacketView::of_frame(&frame)
+            }
         }
     }
 }
@@ -451,8 +477,8 @@ impl EnforcerCore {
                 generation = current;
                 tables = self.tables();
             }
-            let verdict = tables.inspect_flow_cached(
-                source.get(index as usize),
+            let verdict = tables.inspect_view(
+                &source.view(index as usize),
                 &mut flow,
                 self.now(),
                 &mut scratch,
@@ -650,10 +676,25 @@ struct Worker {
 }
 
 /// Producer-side state, serialized by the submission lock: the per-shard
-/// lanes and the reused per-shard partition buffers.
+/// lanes and the buffers reused from batch to batch.
 struct SubmitState {
     lanes: Vec<Lane>,
+    /// Per shard, the batch indexes routed to it.
     partitions: Vec<Vec<u32>>,
+    wire: WireScratch,
+}
+
+/// What the byte ingress keeps per batch beside the partitions.  Like them,
+/// each buffer is empty until a batch first needs it and reused afterwards.
+#[derive(Default)]
+pub(crate) struct WireScratch {
+    /// What the submitter's parse established about each frame, by frame
+    /// index, for the worker that inspects it.
+    descriptors: Vec<FrameDescriptor>,
+    /// Frames that failed wire validation, in frame order.
+    pub(crate) failures: Vec<(usize, WireError)>,
+    /// Frames that parsed but arrived past the overload watermark.
+    pub(crate) shed: Vec<usize>,
 }
 
 /// The per-shard worker lanes and the batch routine that feeds them (see
@@ -722,6 +763,7 @@ impl WorkerPool {
             submit: Mutex::new(SubmitState {
                 lanes: (0..shard_count).map(|_| Lane::default()).collect(),
                 partitions: vec![Vec::new(); shard_count],
+                wire: WireScratch::default(),
             }),
             core: Arc::clone(core),
             live_workers: Arc::new(AtomicUsize::new(0)),
@@ -786,36 +828,105 @@ impl WorkerPool {
         Arc::clone(&self.live_workers)
     }
 
-    /// Inspect a batch: partition by flow, hand every busy partition but the
-    /// last to its shard's lane, run the rest on the submitting thread, wait
-    /// for the countdown.
+    /// Take the pool's turn for one batch of `len` packets: the caller
+    /// routes each packet to its shard ([`Submission::route`]) and then runs
+    /// the batch ([`Submission::run`]).  Concurrent submitters wait here.
+    pub(crate) fn begin(&self, len: usize) -> Submission<'_> {
+        let mut state = self.submit.lock();
+        for partition in state.partitions.iter_mut() {
+            partition.clear();
+        }
+        let wire = &mut state.wire;
+        wire.descriptors.clear();
+        wire.failures.clear();
+        wire.shed.clear();
+        Submission {
+            pool: self,
+            state,
+            len,
+            next: 0,
+        }
+    }
+}
+
+/// One batch's turn on the pool (see [`WorkerPool::begin`]), holding the
+/// submission lock until it drops.
+pub(crate) struct Submission<'p> {
+    pool: &'p WorkerPool,
+    state: MutexGuard<'p, SubmitState>,
+    /// Verdict slots the batch has; every routed index is below it.
+    len: usize,
+    /// One past the highest index routed so far.
+    next: usize,
+}
+
+impl Submission<'_> {
+    /// Route packet `index` of the batch to `shard`.
+    ///
+    /// Indexes must arrive in increasing order and below the batch length —
+    /// checked here, because it is what makes the partitions disjoint and
+    /// in bounds, which the unchecked slot writes of [`Submission::run`]
+    /// rely on.  Indexes may be skipped: a skipped packet is not inspected.
+    pub(crate) fn route(&mut self, shard: usize, index: usize) {
+        assert!(
+            self.next <= index && index < self.len,
+            "packets are routed once each, in batch order"
+        );
+        self.next = index + 1;
+        self.state.partitions[shard].push(index as u32);
+    }
+
+    /// [`Submission::route`] for frame `index` of a wire batch, keeping what
+    /// the caller's parse established so the shard worker does not parse
+    /// the frame again.
+    pub(crate) fn route_frame(&mut self, shard: usize, index: usize, frame: &WireFrame<'_>) {
+        self.route(shard, index);
+        let descriptors = &mut self.state.wire.descriptors;
+        // Frames skipped since the last routed one keep placeholder slots.
+        descriptors.resize(index, FrameDescriptor::UNPARSED);
+        descriptors.push(frame.descriptor());
+    }
+
+    /// The wire-ingress bookkeeping of this batch.
+    pub(crate) fn wire(&mut self) -> &mut WireScratch {
+        &mut self.state.wire
+    }
+
+    /// [`Submission::run`] over the wire `frames` the batch was routed from
+    /// with [`Submission::route_frame`].
+    pub(crate) fn run_frames(&mut self, frames: &[&[u8]], out: &mut [Verdict]) {
+        let descriptors = &mut self.state.wire.descriptors;
+        descriptors.resize(frames.len(), FrameDescriptor::UNPARSED);
+        let source = PacketSource::frames(frames, descriptors);
+        self.run(source, out);
+    }
+
+    /// Inspect the routed batch: hand every busy partition but the last to
+    /// its shard's lane, run the rest on the submitting thread, wait for the
+    /// countdown.
     ///
     /// Self-healing: a lane whose worker retired after a panic is respawned
     /// here under the backoff budget (see [`Lane`]); partitions of
     /// quarantined shards, of lanes mid cooldown and of lanes whose worker
     /// could not be spawned run on the submitting thread.  Either way the
-    /// call returns normally with every slot holding a real verdict; a
-    /// panicked partition's uninspected packets fail closed.
+    /// call returns normally with every routed packet's slot holding a real
+    /// verdict; a panicked partition's uninspected packets fail closed.
+    /// Slots of packets that were not routed are left as the caller filled
+    /// them.
     ///
-    /// `out` must hold exactly `source.len()` initialized verdict slots;
-    /// each is overwritten in place.  On the all-accept path this performs
-    /// no allocation: the partition buffers are reused, the jobs are
-    /// fixed-size ring slots and the verdicts land in `out`.
-    pub(crate) fn inspect(&self, source: PacketSource, out: &mut [Verdict]) {
-        let core = &self.core;
-        debug_assert_eq!(out.len(), source.len());
-        let mut state = self.submit.lock();
-        let SubmitState { lanes, partitions } = &mut *state;
-
-        for partition in partitions.iter_mut() {
-            partition.clear();
-        }
-        for index in 0..source.len() {
-            // SAFETY: `index < len` and the caller's batch outlives this
-            // call.
-            let packet = unsafe { source.get(index) };
-            partitions[core.shard_for(packet)].push(index as u32);
-        }
+    /// `out` must hold exactly the batch's `len` initialized verdict slots.
+    /// This performs no allocation: the partition buffers are reused, the
+    /// jobs are fixed-size ring slots and the verdicts land in `out`.
+    pub(crate) fn run(&mut self, source: PacketSource, out: &mut [Verdict]) {
+        let pool = self.pool;
+        let core = &pool.core;
+        assert!(
+            out.len() == self.len && self.len <= source.len(),
+            "one verdict slot and one packet per routable index"
+        );
+        let SubmitState {
+            lanes, partitions, ..
+        } = &mut *self.state;
         let Some(last_busy) = partitions.iter().rposition(|p| !p.is_empty()) else {
             return;
         };
@@ -834,7 +945,7 @@ impl WorkerPool {
                 continue;
             }
             if shard != last_busy {
-                if let Some(worker) = self.ensure_lane(shard, &mut lanes[shard]) {
+                if let Some(worker) = pool.ensure_lane(shard, &mut lanes[shard]) {
                     let health = &core.shards[shard].health;
                     health.set_batch_done(false);
                     // Count the job *before* it lands: the countdown is the
@@ -859,9 +970,10 @@ impl WorkerPool {
                     health.set_batch_done(true);
                 }
             }
-            // SAFETY: indexes are in bounds by construction, the batch is
-            // alive for the whole call, and partitions are disjoint so no
-            // slot is written twice.
+            // SAFETY: `route` admitted only increasing indexes below
+            // `self.len`, which is `out.len()` and at most `source.len()`,
+            // so indexes are in bounds and no slot is written twice; the
+            // batch is alive for the whole call.
             unsafe { core.run_partition_caught(shard, source, partition, slots) };
         }
     }

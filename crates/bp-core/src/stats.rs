@@ -20,12 +20,11 @@
 //! counted but not logged (or the reverse) cannot be written.
 
 use std::collections::VecDeque;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
+pub use bp_netsim::netfilter::DropReason;
 use bp_netsim::netfilter::Verdict;
 
 use crate::wire::WireError;
@@ -440,9 +439,10 @@ impl AtomicEnforcerStats {
 /// A [`CounterKind::Fault`] class also counts the packet inspected: it was
 /// failed closed before any inspection path could.
 ///
-/// The log entry is appended by pointer copy or refcount bump (see
-/// [`DropReason`]); the only string the drop path allocates is the
-/// rendering carried by the returned verdict itself.
+/// The log and the verdict each take a clone of `reason` — a pointer copy
+/// for fixed texts and wire errors, a refcount bump for a diagnostic shared
+/// with the flow cache (see [`DropReason`]) — so dropping a packet allocates
+/// nothing and copies no text.
 pub(crate) fn charge_drop(
     stats: &AtomicEnforcerStats,
     drop_log: &mut DropLog,
@@ -458,11 +458,8 @@ pub(crate) fn charge_drop(
         stats.lanes[Counter::Inspected as usize].fetch_add(1, Ordering::Relaxed);
     }
     stats.lanes[class as usize].fetch_add(1, Ordering::Relaxed);
-    let verdict = Verdict::Drop {
-        reason: reason.as_str().to_owned(),
-    };
-    drop_log.push(reason);
-    verdict
+    drop_log.push(reason.clone());
+    Verdict::Drop { reason }
 }
 
 /// [`charge_drop`] for a class whose reason text is fixed by the table
@@ -499,61 +496,6 @@ pub(crate) fn charge_wire_drop(
 
 /// Default capacity of the drop log ring buffer.
 pub const DROP_LOG_CAPACITY: usize = 10_000;
-
-/// Why a packet was dropped, as retained by the [`DropLog`].
-///
-/// The log used to store `String`s, which made every drop clone the reason
-/// twice (once into the log, once into the returned
-/// [`Verdict::Drop`]).  A `DropReason` is either a `'static` conformance
-/// diagnostic (appending it is a pointer copy) or an evaluation diagnostic
-/// shared with the flow cache's [`CachedOutcome`](crate::flow::CachedOutcome)
-/// behind an `Arc` (appending it is a refcount bump) — logging never copies
-/// string bytes.  The human-readable text, rendered on demand by
-/// [`DropReason::as_str`] / [`DropLog::to_vec`], is byte-identical to what
-/// the `String` log recorded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DropReason {
-    /// A fixed conformance diagnostic (§IV-A4 checks, strict-mode untagged
-    /// drops, mid-flow context switches).
-    Static(&'static str),
-    /// A diagnostic rendered during evaluation (malformed context, unknown
-    /// app, policy denial), shared with the cached outcome that produced it.
-    Rendered(Arc<str>),
-}
-
-impl DropReason {
-    /// The reason text.
-    pub fn as_str(&self) -> &str {
-        match self {
-            DropReason::Static(reason) => reason,
-            DropReason::Rendered(reason) => reason,
-        }
-    }
-}
-
-impl fmt::Display for DropReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl From<&'static str> for DropReason {
-    fn from(reason: &'static str) -> Self {
-        DropReason::Static(reason)
-    }
-}
-
-impl From<String> for DropReason {
-    fn from(reason: String) -> Self {
-        DropReason::Rendered(reason.into())
-    }
-}
-
-impl From<&Arc<str>> for DropReason {
-    fn from(reason: &Arc<str>) -> Self {
-        DropReason::Rendered(Arc::clone(reason))
-    }
-}
 
 /// Bounded log of drop reasons (most recent last).
 ///

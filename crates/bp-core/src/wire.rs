@@ -12,8 +12,11 @@
 //!   options and non-zero data trailing the End-of-List marker.
 //! * [`WireFrame`] — a zero-copy validated view over a `&[u8]` frame.  All
 //!   header, checksum and option-geometry validation happens against the
-//!   borrowed bytes; nothing is allocated until [`WireFrame::to_packet`]
-//!   materializes the packet that feeds the enforcer's decode scratch.
+//!   borrowed bytes, and the enforcer inspects the frame through the same
+//!   view ([`ShardedEnforcer::inspect_wire_batch_into`] reads the flow key
+//!   and the context option in place), so the byte ingress allocates
+//!   nothing.  [`WireFrame::to_packet`] / [`decode_frame`] /
+//!   [`WireDecoder`] materialize an owned packet for captures and tools.
 //! * [`WireError`] — the typed, frame-ordered decode failure taxonomy
 //!   (re-exported from `bp-types`).  Malformed bytes never panic and never
 //!   pass: the enforcer turns each failure into a fail-closed drop verdict
@@ -49,6 +52,8 @@
 //!
 //! assert_eq!(wire::decode_frame(&[0u8; 10]), Err(WireError::TruncatedHeader));
 //! ```
+//!
+//! [`ShardedEnforcer::inspect_wire_batch_into`]: crate::enforcer::ShardedEnforcer::inspect_wire_batch_into
 
 use std::io::{self, Read, Write};
 
@@ -250,9 +255,23 @@ impl<'a> WireFrame<'a> {
         }
     }
 
+    /// What [`WireFrame::parse`] established about the frame, without the
+    /// borrow: kept per frame across the hand-off to a shard worker, which
+    /// re-attaches it with [`FrameDescriptor::over`] instead of parsing the
+    /// frame a second time.
+    pub(crate) fn descriptor(&self) -> FrameDescriptor {
+        FrameDescriptor {
+            // At most 60: `parse` bounds the IHL.
+            header_len: self.header_len as u8,
+            protocol: self.protocol,
+            trailing_data: self.trailing_data,
+        }
+    }
+
     /// Materialize the borrowed frame into an owned [`Ipv4Packet`] — the
-    /// structured form the enforcement plane inspects.  Infallible: every
-    /// check already ran in [`WireFrame::parse`].
+    /// structured form captures, tools and the struct-path entry points
+    /// trade in.  Infallible: every check already ran in
+    /// [`WireFrame::parse`].
     pub fn to_packet(&self) -> Ipv4Packet {
         let mut options: IpOptions = self
             .options()
@@ -274,6 +293,55 @@ impl<'a> WireFrame<'a> {
         packet.set_ttl(self.ttl());
         *packet.options_mut() = options;
         packet
+    }
+}
+
+/// The lifetime-free half of a parsed [`WireFrame`] (see
+/// [`WireFrame::descriptor`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrameDescriptor {
+    header_len: u8,
+    protocol: Protocol,
+    trailing_data: bool,
+}
+
+impl FrameDescriptor {
+    /// Fills the slot of a frame that did not parse (or was not admitted)
+    /// in a per-frame descriptor array; such a frame is never inspected, so
+    /// the value is never attached to bytes.
+    pub(crate) const UNPARSED: FrameDescriptor = FrameDescriptor {
+        header_len: 0,
+        protocol: Protocol::Tcp,
+        trailing_data: false,
+    };
+
+    /// The parsed view of `frame`, which must be the bytes this descriptor
+    /// was taken from.  Over any other bytes the view's accessors may read
+    /// the wrong fields or panic on a short slice — never anything worse.
+    pub(crate) fn over(self, frame: &[u8]) -> WireFrame<'_> {
+        WireFrame {
+            frame,
+            header_len: usize::from(self.header_len),
+            protocol: self.protocol,
+            trailing_data: self.trailing_data,
+        }
+    }
+}
+
+/// What [`WireFrame::parse`] reports for `frame` once injected corruption
+/// ([`FaultInjector::corrupt_next_frame`]) has inverted its version/IHL
+/// byte — decided from the borrowed bytes, without copying the frame to
+/// flip the byte.  An inverted version nibble is 4 only if it was `0xB`, so
+/// the length check aside a corrupted frame is a [`WireError::BadVersion`];
+/// a frame that already carried version `0xB` keeps that error rather than
+/// being re-validated as the different frame the flip would make of it.
+///
+/// [`FaultInjector::corrupt_next_frame`]: crate::faults::FaultInjector::corrupt_next_frame
+pub(crate) fn corrupted_frame_error(frame: &[u8]) -> WireError {
+    if frame.len() < MIN_FRAME_LEN {
+        WireError::TruncatedHeader
+    } else {
+        WireError::BadVersion
     }
 }
 

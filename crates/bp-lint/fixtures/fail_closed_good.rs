@@ -5,14 +5,14 @@ fn verdict_for(kind: PacketKind) -> Verdict {
     match kind {
         PacketKind::Known(app) => evaluate(app),
         _ => Verdict::Drop {
-            reason: String::from("unhandled packet kind"),
+            reason: DropReason::Static("unhandled packet kind"),
         },
     }
 }
 
 fn verdict_or_drop(result: Result<Verdict, DecodeError>) -> Verdict {
     result.unwrap_or(Verdict::Drop {
-        reason: String::from("decode failed"),
+        reason: DropReason::Static("decode failed"),
     })
 }
 
@@ -20,7 +20,7 @@ fn presize(verdicts: &mut Vec<Verdict>, len: usize) {
     verdicts.resize(
         len,
         Verdict::Drop {
-            reason: String::new(),
+            reason: DropReason::Static(""),
         },
     );
 }

@@ -15,7 +15,7 @@ fn tolerate_checksum_faults(frame: &[u8]) -> Verdict {
         Ok(packet) => inspect(&packet),
         Err(WireError::BadChecksum) => Verdict::Accept,
         Err(error) => Verdict::Drop {
-            reason: String::from(error.drop_reason()),
+            reason: DropReason::Static(error.drop_reason()),
         },
     }
 }

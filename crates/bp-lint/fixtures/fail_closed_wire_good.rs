@@ -6,7 +6,7 @@ fn verdict_for_frame(frame: &[u8]) -> Verdict {
     match wire::decode_frame(frame) {
         Ok(packet) => inspect(&packet),
         Err(error) => Verdict::Drop {
-            reason: String::from(error.drop_reason()),
+            reason: DropReason::Static(error.drop_reason()),
         },
     }
 }
@@ -20,7 +20,7 @@ fn gated_fallback(frame: &[u8], config: &EnforcerConfig) -> Verdict {
                 return Verdict::Accept;
             }
             Verdict::Drop {
-                reason: String::from(error.drop_reason()),
+                reason: DropReason::Static(error.drop_reason()),
             }
         }
     }

@@ -11,7 +11,7 @@ fn recover_fail_closed(len: usize, verdicts: &mut Vec<Verdict>) {
     if outcome.is_err() {
         while verdicts.len() < len {
             verdicts.push(Verdict::Drop {
-                reason: String::from(RUNTIME_FAULT_DROP_REASON),
+                reason: DropReason::Static(RUNTIME_FAULT_DROP_REASON),
             });
         }
     }

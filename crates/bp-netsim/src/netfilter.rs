@@ -15,6 +15,117 @@ use serde::{Deserialize, Serialize};
 
 use crate::packet::{Ipv4Packet, Protocol};
 
+/// Why a packet was dropped: the text a [`Verdict::Drop`] carries.
+///
+/// Every verdict producer hands the same reason to its caller and to its own
+/// drop log, on every dropped packet — under attack, on most packets.  A
+/// `DropReason` makes both hand-offs free of heap traffic: it is either a
+/// `'static` diagnostic (cloning it is a pointer copy) or a diagnostic
+/// rendered once and shared behind an `Arc` (cloning it is a refcount bump).
+/// It lives beside [`Verdict`] because the verdict is where the text leaves
+/// the component that produced it.
+///
+/// To its readers it behaves like the `String` it replaces: it derefs to
+/// `str`, compares by text with `str`, `&str` and `String` on either side
+/// (so `Static("x") == Rendered("x")`), prints and debug-prints as the text,
+/// and serializes as a plain string.
+#[derive(Clone)]
+pub enum DropReason {
+    /// A fixed diagnostic.
+    Static(&'static str),
+    /// A diagnostic rendered at run time, shared with whatever cached it.
+    Rendered(Arc<str>),
+}
+
+impl DropReason {
+    /// The reason text.
+    pub fn as_str(&self) -> &str {
+        match self {
+            DropReason::Static(reason) => reason,
+            DropReason::Rendered(reason) => reason,
+        }
+    }
+}
+
+impl std::ops::Deref for DropReason {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl fmt::Display for DropReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl fmt::Debug for DropReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl PartialEq for DropReason {
+    fn eq(&self, other: &DropReason) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for DropReason {}
+
+/// Text equality with the string types on either side, as `String` has.
+macro_rules! drop_reason_eq {
+    ($($text:ty),*) => {$(
+        impl PartialEq<$text> for DropReason {
+            fn eq(&self, other: &$text) -> bool {
+                self.as_str() == &other[..]
+            }
+        }
+
+        impl PartialEq<DropReason> for $text {
+            fn eq(&self, other: &DropReason) -> bool {
+                &self[..] == other.as_str()
+            }
+        }
+    )*};
+}
+
+drop_reason_eq!(str, &str, String);
+
+impl From<&'static str> for DropReason {
+    fn from(reason: &'static str) -> Self {
+        DropReason::Static(reason)
+    }
+}
+
+impl From<String> for DropReason {
+    fn from(reason: String) -> Self {
+        DropReason::Rendered(reason.into())
+    }
+}
+
+impl From<&Arc<str>> for DropReason {
+    fn from(reason: &Arc<str>) -> Self {
+        DropReason::Rendered(Arc::clone(reason))
+    }
+}
+
+// Hand-written: the wire form is the bare text, exactly what the `String`
+// field serialized as.
+impl Serialize for DropReason {
+    fn to_value(&self) -> serde::Value {
+        self.as_str().to_value()
+    }
+}
+
+impl Deserialize for DropReason {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        String::from_value(value).map(DropReason::from)
+    }
+}
+
 /// The verdict a queue handler returns for one packet.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Verdict {
@@ -23,13 +134,13 @@ pub enum Verdict {
     /// Drop the packet; `reason` is recorded for diagnostics.
     Drop {
         /// Human-readable reason recorded by the dropping component.
-        reason: String,
+        reason: DropReason,
     },
 }
 
 impl Verdict {
     /// Convenience constructor for a drop verdict.
-    pub fn drop(reason: impl Into<String>) -> Self {
+    pub fn drop(reason: impl Into<DropReason>) -> Self {
         Verdict::Drop {
             reason: reason.into(),
         }
@@ -93,9 +204,7 @@ pub trait QueueHandler: Send {
         for frame in frames {
             verdicts.push(match Ipv4Packet::parse(frame) {
                 Ok(mut packet) => self.handle(&mut packet),
-                Err(e) => Verdict::Drop {
-                    reason: format!("wire: {e}"),
-                },
+                Err(e) => Verdict::drop(format!("wire: {e}")),
             });
         }
     }
@@ -412,7 +521,7 @@ impl FilterChain {
                             Verdict::Drop { reason } => {
                                 outcomes[*index] = Some(ChainOutcome::Dropped {
                                     by: by.clone(),
-                                    reason,
+                                    reason: reason.to_string(),
                                 });
                             }
                         }
@@ -465,7 +574,10 @@ impl FilterChain {
                         Verdict::Accept => {}
                         Verdict::Drop { reason } => {
                             let by = queue.handler.lock().name().to_string();
-                            return ChainOutcome::Dropped { by, reason };
+                            return ChainOutcome::Dropped {
+                                by,
+                                reason: reason.to_string(),
+                            };
                         }
                     }
                 }
@@ -479,6 +591,7 @@ impl FilterChain {
 mod tests {
     use super::*;
     use crate::addr::Endpoint;
+    use serde::Value;
 
     fn packet_to(dst: [u8; 4], port: u16) -> Ipv4Packet {
         Ipv4Packet::new(
@@ -709,9 +822,7 @@ mod tests {
         let mut c = packet_to([1, 1, 1, 1], 82);
         let mut batch: Vec<&mut Ipv4Packet> = vec![&mut a, &mut b, &mut c];
         // Seed with a stale drop to prove every slot gets overwritten.
-        let mut verdicts = vec![Verdict::Drop {
-            reason: String::from("stale"),
-        }];
+        let mut verdicts = vec![Verdict::drop("stale")];
         handler.handle_batch_into(&mut batch, &mut verdicts);
         assert_eq!(verdicts.len(), 3);
         assert!(!verdicts[0].is_accept());
@@ -732,6 +843,98 @@ mod tests {
         assert_eq!(stats.received, 2);
         assert_eq!(stats.dropped, 1);
         assert_eq!(stats.accepted, 1);
+    }
+
+    #[test]
+    fn drop_reason_compares_by_text_with_every_string_type() {
+        let fixed = DropReason::Static("policy");
+        let shared = DropReason::Rendered(Arc::from("policy"));
+        let other = DropReason::from(String::from("untagged"));
+        assert_eq!(fixed, shared);
+        assert_ne!(fixed, other);
+        // `str`, `&str` and `String`, on either side.
+        assert!(fixed == *"policy" && *"policy" == shared);
+        assert!(shared == "policy" && "policy" == fixed);
+        let owned = String::from("policy");
+        assert!(fixed == owned && owned == shared);
+        assert!(other != "policy");
+        assert!("policy" != other);
+        // The shape the suites match on: `&DropReason` against a `&str` const.
+        const REASON: &str = "policy";
+        assert!(matches!(&Verdict::drop(REASON), Verdict::Drop { reason } if reason == REASON));
+        assert_eq!(Verdict::drop("policy"), Verdict::Drop { reason: shared });
+    }
+
+    #[test]
+    fn drop_reason_reads_and_prints_like_the_string_it_replaces() {
+        let text = "quote \" and newline \n";
+        for reason in [DropReason::Static(text), DropReason::from(text.to_owned())] {
+            assert_eq!(reason.as_str(), text);
+            // Deref: `str` methods apply directly.
+            assert_eq!(reason.len(), text.len());
+            assert!(reason.starts_with("quote"));
+            assert_eq!(reason.to_string(), text);
+            assert_eq!(format!("{reason:?}"), format!("{text:?}"));
+            assert_eq!(
+                format!("{:?}", Verdict::Drop { reason }),
+                format!("Drop {{ reason: {text:?} }}")
+            );
+        }
+    }
+
+    #[test]
+    fn drop_reason_conversions_keep_the_cheap_representation() {
+        assert!(matches!(
+            DropReason::from("fixed"),
+            DropReason::Static("fixed")
+        ));
+        assert!(matches!(
+            DropReason::from(String::from("rendered")),
+            DropReason::Rendered(_)
+        ));
+        let cached: Arc<str> = Arc::from("cached");
+        let DropReason::Rendered(shared) = DropReason::from(&cached) else {
+            panic!("an Arc converts to the shared representation");
+        };
+        assert!(Arc::ptr_eq(&shared, &cached), "no text copy");
+        // Cloning a shared reason bumps the refcount; it does not copy.
+        let reason = DropReason::Rendered(shared);
+        let clone = reason.clone();
+        assert_eq!(Arc::strong_count(&cached), 3);
+        assert_eq!(clone, reason);
+    }
+
+    #[test]
+    fn drop_reason_serializes_as_a_bare_string() {
+        let text = Value::Str("policy".to_owned());
+        for reason in [
+            DropReason::Static("policy"),
+            DropReason::from("policy".to_owned()),
+        ] {
+            assert_eq!(reason.to_value(), text);
+        }
+        let parsed = DropReason::from_value(&text).unwrap();
+        assert!(matches!(&parsed, DropReason::Rendered(_)));
+        assert_eq!(parsed, "policy");
+        assert!(DropReason::from_value(&Value::Bool(true)).is_err());
+
+        // So `Verdict` keeps the shape it had with a `String` field.
+        let verdict = Verdict::drop("policy");
+        let value = verdict.to_value();
+        assert_eq!(
+            value
+                .get_field("Drop")
+                .and_then(|drop| drop.get_field("reason")),
+            Some(&text)
+        );
+        assert_eq!(Verdict::from_value(&value).unwrap(), verdict);
+        let accept = Verdict::Accept.to_value();
+        assert_eq!(Verdict::from_value(&accept).unwrap(), Verdict::Accept);
+    }
+
+    #[test]
+    fn verdict_is_no_larger_than_with_a_string_reason() {
+        assert!(std::mem::size_of::<Verdict>() <= std::mem::size_of::<String>());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Record-and-replay walkthrough: run an adversarial fleet scenario once
 //! while recording every packet batch as raw wire bytes, then replay the
-//! capture — byte-for-byte, through the same `WireDecoder` ingress the
+//! capture — byte-for-byte, through the same in-place wire ingress the
 //! engine uses for live traffic — and prove the replayed report is
 //! identical to the live one, on a *different* shard count too.
 //!

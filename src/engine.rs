@@ -123,8 +123,8 @@ impl Engine {
         self.data_plane.stats()
     }
 
-    /// The byte ingress path: decode raw wire frames through
-    /// `bp_core::wire` and inspect the batch, returning one verdict per
+    /// The byte ingress path: validate raw wire frames through
+    /// `bp_core::wire` and inspect them in place, returning one verdict per
     /// frame in frame order.  Malformed frames never panic — they fail
     /// closed with a typed `WireError` drop reason counted in
     /// [`EnforcerStats::dropped_wire`].
@@ -133,7 +133,9 @@ impl Engine {
     }
 
     /// Buffer-reusing variant of [`Engine::ingest_bytes`]: verdicts are
-    /// written into `verdicts` (cleared first).
+    /// written into `verdicts` (cleared first).  With a reused buffer a
+    /// batch whose flows are all cached — accepted or dropped — allocates
+    /// nothing (`tests/alloc_budget.rs`).
     pub fn ingest_bytes_into(&self, frames: &[&[u8]], verdicts: &mut Vec<Verdict>) {
         self.data_plane.inspect_wire_batch_into(frames, verdicts);
     }

@@ -1,0 +1,239 @@
+//! The allocation budget of the byte ingress.
+//!
+//! `Engine::ingest_bytes_into` holds every packet of every flow until it has
+//! a verdict, and under attack most verdicts are drops, so its steady state
+//! must not touch the heap: frames are inspected in place and drop reasons
+//! are handed out by pointer.  This binary counts allocations with a
+//! wrapping global allocator and asserts **zero** per batch once the
+//! engine is warm, for cached accepts, cached drops and an attack-shaped
+//! mix.  A flow-table miss is the slow path and may allocate (it renders
+//! the deny reason once per flow); it is only held to the parent's count.
+//!
+//! One `#[test]`, on purpose: the counter is process-wide, and a second
+//! test running (or being spawned by the harness) beside a measured window
+//! would be counted into it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::fs;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use borderpatrol::core::enforcer::{EnforcerConfig, EnforcerStats, DROP_LOG_CAPACITY};
+use borderpatrol::core::flow::FlowTableConfig;
+use borderpatrol::core::policy::{Policy, PolicySet};
+use borderpatrol::core::wire::{self, WireError};
+use borderpatrol::netsim::netfilter::Verdict;
+use borderpatrol::netsim::options::{IpOption, IpOptionKind};
+use borderpatrol::types::EnforcementLevel;
+use borderpatrol::Engine;
+
+mod common;
+use common::{solcalendar_fixture, tagged_packet};
+
+/// Calls to `alloc`/`realloc` since the process started.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// `System`, counting.  Test-only: the workspace's one `unsafe` outside
+/// `bp-core::runtime` (see `crates/bp-lint/invariants.manifest`).
+struct CountingAllocator;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// `GlobalAlloc` contract is therefore this type's; the counter is a relaxed
+// atomic that never touches the memory being managed.
+unsafe impl GlobalAlloc for CountingAllocator {
+    // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract, which is
+    // exactly `System.alloc`'s.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    // SAFETY: `ptr` came from `System` through this type with this `layout`.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    // SAFETY: as for `dealloc`, and the caller upholds `realloc`'s contract.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+const BATCH: usize = 256;
+const MEASURED_BATCHES: usize = 64;
+/// Flows per shard: room for every flow below, small enough that warm-up
+/// soon carries each flow table past its first touch-queue compaction.
+const FLOW_CAPACITY: usize = 512;
+
+/// Allocations a batch of 256 never-seen policy-denied flows made at the
+/// parent of the change that introduced this budget (same warm-up, same
+/// frames, measured with this file).
+const PARENT_MISS_BATCH_ALLOCATIONS: u64 = 4_099;
+
+fn engine(shards: usize) -> Engine {
+    let (db, _, _) = solcalendar_fixture();
+    Engine::builder()
+        .shards(shards)
+        .database(db.clone())
+        .policies(PolicySet::from_policies(vec![Policy::deny(
+            EnforcementLevel::Class,
+            "com/facebook/appevents",
+        )]))
+        .config(EnforcerConfig::strict())
+        .flow_config(FlowTableConfig {
+            capacity: FLOW_CAPACITY,
+            ..FlowTableConfig::default()
+        })
+        .build()
+}
+
+/// `BATCH` frames over 64 flows, each built by `shape` from its flow number.
+fn batch_of(shape: impl Fn(u16) -> Vec<u8>) -> Vec<Vec<u8>> {
+    (0..BATCH as u16).map(|n| shape(n % 64)).collect()
+}
+
+/// Every committed malformed frame (one per `WireError`, plus the covert
+/// post-EOL frame that decodes and dies in enforcement).
+fn malformed_corpus() -> Vec<Vec<u8>> {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/wire");
+    let mut paths: Vec<PathBuf> = fs::read_dir(&dir)
+        .expect("fixture directory")
+        .map(|entry| entry.expect("fixture entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "bin"))
+        .collect();
+    paths.sort();
+    paths
+        .iter()
+        .map(|path| fs::read(path).expect("fixture"))
+        .collect()
+}
+
+/// What an attacker sends, beside the traffic it rides on: wire errors of
+/// every kind, untagged, duplicate-context and trailing-data packets,
+/// replayed context on live flows — and the cached accepts of those flows.
+fn attack_batch() -> Vec<Vec<u8>> {
+    let (_, analytics, login) = solcalendar_fixture();
+    let corpus = malformed_corpus();
+    (0..BATCH as u16)
+        .map(|n| {
+            // Eight frames per flow, the cached accepts ahead of the switch.
+            let flow = n / 8 % 16;
+            let mut packet = tagged_packet(flow, login);
+            match n % 8 {
+                0 | 1 => return corpus[n as usize / 4 % corpus.len()].clone(),
+                2 => packet.options_mut().clear(),
+                3 => packet
+                    .options_mut()
+                    .push(IpOption::new(IpOptionKind::BorderPatrolContext, vec![9, 9]).unwrap())
+                    .unwrap(),
+                4 => packet.options_mut().mark_trailing_data(),
+                // The flow's cached context is `login`: a mid-flow switch.
+                7 => packet = tagged_packet(flow, analytics),
+                _ => {}
+            }
+            wire::encode(&packet)
+        })
+        .collect()
+}
+
+/// Has a shard nothing left to grow?  Its drop log, if it logs at all, is
+/// at `DROP_LOG_CAPACITY`, and its flow table's touch queue (one entry per
+/// hit, compacted past four times the table's capacity) has been through
+/// several compactions.
+fn is_warm(shard: &EnforcerStats) -> bool {
+    let (dropped, hits) = (shard.total_dropped(), shard.flow_hits);
+    (dropped == 0 || dropped >= DROP_LOG_CAPACITY as u64)
+        && (hits == 0 || hits >= 16 * FLOW_CAPACITY as u64)
+}
+
+/// Drive `frames` through `engine` until nothing is left to grow — worker
+/// lanes spawned, flows cached, every shard [`is_warm`], the `verdicts`
+/// buffer sized — then count the allocations of `MEASURED_BATCHES` more
+/// batches.
+fn steady_state_allocations(engine: &Engine, frames: &[Vec<u8>]) -> u64 {
+    let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+    let mut verdicts: Vec<Verdict> = Vec::new();
+    loop {
+        engine.ingest_bytes_into(&refs, &mut verdicts);
+        if engine.data_plane().shard_stats().iter().all(is_warm) {
+            break;
+        }
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..MEASURED_BATCHES {
+        engine.ingest_bytes_into(&refs, &mut verdicts);
+    }
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn byte_ingress_stays_within_its_allocation_budget() {
+    let (_, analytics, login) = solcalendar_fixture();
+    let accepts = batch_of(|flow| wire::encode(&tagged_packet(flow, login)));
+    let denies = batch_of(|flow| wire::encode(&tagged_packet(flow, analytics)));
+
+    for shards in [1, 2] {
+        let engine = engine(shards);
+        assert_eq!(
+            steady_state_allocations(&engine, &accepts),
+            0,
+            "cached accepts, {shards} shard(s)"
+        );
+        let stats = engine.stats();
+        assert_eq!(stats.packets_accepted, stats.packets_inspected);
+        assert_eq!(stats.flow_misses, 64);
+    }
+
+    let engine = self::engine(2);
+    assert_eq!(
+        steady_state_allocations(&engine, &denies),
+        0,
+        "cached policy denies"
+    );
+    let stats = engine.stats();
+    assert_eq!(stats.dropped_by_policy, stats.packets_inspected);
+    assert_eq!(stats.flow_misses, 64);
+
+    let engine = self::engine(2);
+    assert_eq!(
+        steady_state_allocations(&engine, &attack_batch()),
+        0,
+        "attack-shaped batch"
+    );
+    let stats = engine.stats();
+    for error in WireError::ALL {
+        assert!(stats.dropped_wire_by.get(error) > 0, "no {error} frame");
+    }
+    for (class, count) in [
+        ("untagged", stats.dropped_untagged),
+        ("duplicate context", stats.dropped_duplicate_context),
+        ("trailing data", stats.dropped_malformed),
+        ("context switch", stats.dropped_context_switch),
+        ("accepted", stats.packets_accepted),
+    ] {
+        assert!(count > 0, "the attack batch has no {class} packet");
+    }
+    assert_eq!(stats.dropped_by_policy, 0, "nothing reached evaluation");
+
+    // The slow path: a batch of flows the (warm) engine has never seen, all
+    // policy-denied, so each renders its reason.
+    let fresh: Vec<Vec<u8>> = (0..BATCH as u16)
+        .map(|n| wire::encode(&tagged_packet(1_000 + n, analytics)))
+        .collect();
+    let refs: Vec<&[u8]> = fresh.iter().map(Vec::as_slice).collect();
+    let mut verdicts = Vec::with_capacity(BATCH);
+    let misses = engine.stats().flow_misses;
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    engine.ingest_bytes_into(&refs, &mut verdicts);
+    let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(engine.stats().flow_misses - misses, BATCH as u64);
+    assert!(
+        allocated <= PARENT_MISS_BATCH_ALLOCATIONS,
+        "{BATCH} flow-table misses allocated {allocated} times, \
+         {PARENT_MISS_BATCH_ALLOCATIONS} at the parent"
+    );
+}

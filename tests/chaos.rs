@@ -365,7 +365,7 @@ proptest! {
                 } else {
                     prop_assert_eq!(chaos_verdict, twin_verdict);
                     if let Verdict::Drop { reason } = twin_verdict {
-                        expected_drops.push(reason.clone());
+                        expected_drops.push(reason.to_string());
                     }
                 }
             }

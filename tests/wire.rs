@@ -14,7 +14,11 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use borderpatrol::analysis::scenario::{PreparedScenario, ScenarioSpec};
-use borderpatrol::core::enforcer::{EnforcementTables, EnforcerConfig, ShardedEnforcer};
+use borderpatrol::core::enforcer::{
+    EnforcementTables, EnforcerConfig, EnforcerStats, ShardedEnforcer, WireDropStats,
+    OVERLOAD_DROP_REASON,
+};
+use borderpatrol::core::faults::{FaultInjector, FaultPlan};
 use borderpatrol::core::policy::{Policy, PolicySet};
 use borderpatrol::core::wire::{self, CaptureReader, WireError};
 use borderpatrol::netsim::addr::Endpoint;
@@ -25,7 +29,7 @@ use borderpatrol::types::EnforcementLevel;
 use borderpatrol::Engine;
 
 mod common;
-use common::{solcalendar_fixture, tagged_packet};
+use common::{inspect_each, solcalendar_fixture, tagged_packet};
 
 // ---------------------------------------------------------------------------
 // Property: decode(encode(p)) ≡ p
@@ -179,6 +183,250 @@ proptest! {
             prop_assert_eq!(wire_path.stats().dropped_wire, 0);
         }
     }
+}
+
+/// Damage one encoded frame — or leave it alone, half the time — so a batch
+/// carries every kind of wire failure between frames that decode: a byte
+/// inverted somewhere (a bad checksum in the header, a still-valid frame in
+/// the payload), a truncation, a foreign version, or a frame of the
+/// committed malformed corpus in its place.  No damage yields version
+/// `0xB`, the one value injected corruption would flip back to 4.
+fn damaged(mut frame: Vec<u8>, kind: u8, at: u16) -> Vec<u8> {
+    let at = at as usize;
+    match kind % 8 {
+        0 => {
+            let at = 1 + at % (frame.len() - 1);
+            frame[at] ^= 0xFF;
+        }
+        1 => frame.truncate(at % frame.len()),
+        2 => frame[0] = 0x60 | (frame[0] & 0x0f),
+        3 => {
+            let corpus = corpus();
+            frame = corpus[at % corpus.len()].1.clone();
+        }
+        _ => {}
+    }
+    frame
+}
+
+/// `stats` after `failures` more frames were rejected at the wire boundary.
+fn with_wire_failures(mut stats: EnforcerStats, failures: &[WireError]) -> EnforcerStats {
+    let mut by = stats.dropped_wire_by.to_array();
+    for error in failures {
+        by[error.index()] += 1;
+    }
+    stats.packets_inspected += failures.len() as u64;
+    stats.dropped_wire += failures.len() as u64;
+    stats.dropped_wire_by = WireDropStats::from_array(by);
+    stats
+}
+
+proptest! {
+    // Twelve sharded enforcers per case, so the case count stays modest.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The in-place byte path against a reference that shares none of it:
+    /// decode every frame to an owned packet (`wire::decode_frame`), run the
+    /// packets that decoded through the struct path of a twin enforcer, and
+    /// expect each frame that did not decode to drop with its typed reason.
+    #[test]
+    fn wire_path_with_malformed_frames_matches_the_per_frame_reference(
+        batch in arb_batch(),
+        damage in prop::collection::vec((any::<u8>(), any::<u16>()), 120),
+    ) {
+        let tables = strict_tables();
+        let frames: Vec<Vec<u8>> = batch
+            .iter()
+            .zip(&damage)
+            .map(|(packet, &(kind, at))| damaged(wire::encode(packet), kind, at))
+            .collect();
+        let frame_refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+
+        for corrupt_every in [None, std::num::NonZeroU64::new(3)] {
+            // What each frame decodes to once the armed plan has inverted the
+            // version/IHL byte of the frames it schedules.
+            let decoded: Vec<Result<Ipv4Packet, WireError>> = frames
+                .iter()
+                .enumerate()
+                .map(|(index, frame)| {
+                    let mut frame = frame.clone();
+                    let corrupt = corrupt_every.is_some_and(|n| (index as u64 + 1) % n.get() == 0);
+                    if let (true, Some(first)) = (corrupt, frame.first_mut()) {
+                        *first ^= 0xFF;
+                    }
+                    wire::decode_frame(&frame)
+                })
+                .collect();
+            let packets: Vec<Ipv4Packet> = decoded.iter().flatten().cloned().collect();
+            let failures: Vec<WireError> = decoded.iter().filter_map(|d| d.as_ref().err().copied()).collect();
+
+            for shards in [1usize, 4, 8] {
+                let wire_path = ShardedEnforcer::new(Arc::clone(&tables), shards);
+                let plan = FaultPlan { corrupt_every, ..FaultPlan::default() };
+                wire_path.install_faults(Arc::new(FaultInjector::new(plan, shards)));
+                let twin = ShardedEnforcer::new(Arc::clone(&tables), shards);
+
+                let mut wire_verdicts = Vec::new();
+                wire_path.inspect_wire_batch_into(&frame_refs, &mut wire_verdicts);
+                let mut twin_verdicts = Vec::new();
+                twin.inspect_batch_into(&packets, &mut twin_verdicts);
+
+                let mut inspected = twin_verdicts.into_iter();
+                let expected: Vec<Verdict> = decoded
+                    .iter()
+                    .map(|decoded| match decoded {
+                        Ok(_) => inspected.next().expect("one verdict per decoded packet"),
+                        Err(error) => Verdict::drop(error.drop_reason()),
+                    })
+                    .collect();
+                prop_assert_eq!(&wire_verdicts, &expected, "verdicts diverged at {} shards", shards);
+                prop_assert_eq!(
+                    wire_path.stats(),
+                    with_wire_failures(twin.stats(), &failures),
+                    "stats diverged at {} shards", shards
+                );
+                let mut logged = wire_path.drop_log();
+                let mut expected_log = twin.drop_log();
+                expected_log.extend(failures.iter().map(|e| e.drop_reason().to_owned()));
+                logged.sort();
+                expected_log.sort();
+                prop_assert_eq!(logged, expected_log, "drop logs diverged at {} shards", shards);
+            }
+        }
+    }
+}
+
+/// Wire failures, accepts, enforcement drops and an overload watermark in
+/// one batch.  The watermark counts frames that decode: the malformed ones
+/// are always `dropped_wire`, the first `WATERMARK` decodable ones are
+/// inspected, the rest are shed; on shard 0 the wire failures are logged
+/// before the inspection drops and the sheds after them.
+#[test]
+fn watermark_counts_decodable_frames_and_charges_in_a_fixed_order() {
+    const WATERMARK: usize = 5;
+    let (_, analytics, login) = solcalendar_fixture();
+    let untagged = |flow| {
+        let mut packet = tagged_packet(flow, login);
+        packet.options_mut().clear();
+        packet
+    };
+    let corpus = corpus();
+    let malformed = |name: &str| {
+        let (_, bytes, expect) = corpus.iter().find(|(n, _, _)| *n == name).expect(name);
+        let Expect::Fail(error) = expect else {
+            panic!("{name} decodes");
+        };
+        (bytes.clone(), *error)
+    };
+    // Frame order: what each frame is, and the packet behind it if it decodes.
+    let plan: Vec<Result<Ipv4Packet, (Vec<u8>, WireError)>> = vec![
+        Ok(tagged_packet(1, login)),
+        Err(malformed("bad_checksum")),
+        Ok(tagged_packet(2, analytics)),
+        Ok(untagged(3)),
+        Err(malformed("truncated_header")),
+        Ok(tagged_packet(4, login)),
+        Ok(tagged_packet(5, analytics)),
+        // Past the watermark from here on.
+        Ok(tagged_packet(6, login)),
+        Err(malformed("option_overrun")),
+        Ok(tagged_packet(7, analytics)),
+        Ok(tagged_packet(1, login)),
+    ];
+    let frames: Vec<Vec<u8>> = plan
+        .iter()
+        .map(|frame| match frame {
+            Ok(packet) => wire::encode(packet),
+            Err((bytes, _)) => bytes.clone(),
+        })
+        .collect();
+    let frame_refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+    let decodable: Vec<Ipv4Packet> = plan.iter().flatten().cloned().collect();
+    let failures: Vec<WireError> = plan
+        .iter()
+        .filter_map(|f| f.as_ref().err().map(|e| e.1))
+        .collect();
+    let shed = decodable.len() - WATERMARK;
+
+    for shards in [1usize, 2, 4] {
+        let enforcer = ShardedEnforcer::new(strict_tables(), shards);
+        enforcer.set_overload_watermark(WATERMARK);
+        let verdicts = enforcer.inspect_wire_batch(&frame_refs);
+
+        // The reference inspects the admitted packets one at a time.
+        let twin = ShardedEnforcer::new(strict_tables(), shards);
+        let admitted = &decodable[..WATERMARK];
+        let admitted_verdicts = inspect_each(&twin, admitted);
+        assert!(admitted_verdicts.iter().any(Verdict::is_accept));
+        assert!(admitted_verdicts.iter().any(|v| !v.is_accept()));
+
+        let mut inspected = admitted_verdicts.iter().cloned();
+        let expected: Vec<Verdict> = plan
+            .iter()
+            .map(|frame| match frame {
+                Err((_, error)) => Verdict::drop(error.drop_reason()),
+                Ok(_) => inspected
+                    .next()
+                    .unwrap_or_else(|| Verdict::drop(OVERLOAD_DROP_REASON)),
+            })
+            .collect();
+        assert_eq!(verdicts, expected, "{shards} shards: verdicts, frame order");
+
+        let mut expected_stats = twin.shard_stats();
+        expected_stats[0] = with_wire_failures(expected_stats[0], &failures);
+        expected_stats[0].packets_inspected += shed as u64;
+        expected_stats[0].dropped_overload += shed as u64;
+        assert_eq!(enforcer.shard_stats(), expected_stats, "{shards} shards");
+
+        let mut expected_log: Vec<Vec<String>> = vec![Vec::new(); shards];
+        expected_log[0].extend(failures.iter().map(|e| e.drop_reason().to_owned()));
+        for (packet, verdict) in admitted.iter().zip(&admitted_verdicts) {
+            if let Verdict::Drop { reason } = verdict {
+                expected_log[twin.shard_for(packet)].push(reason.to_string());
+            }
+        }
+        expected_log[0].extend((0..shed).map(|_| OVERLOAD_DROP_REASON.to_owned()));
+        assert_eq!(
+            enforcer.drop_log(),
+            expected_log.concat(),
+            "{shards} shards: drop log, grouped by shard"
+        );
+    }
+}
+
+/// Injected corruption is decided from the borrowed frame, without the copy
+/// the byte flip used to be applied to: every corpus frame and every valid
+/// frame must still fail with the error the flipped copy decodes to.
+#[test]
+fn injected_corruption_reports_what_the_flipped_copy_decodes_to() {
+    let (_, analytics, login) = solcalendar_fixture();
+    let mut frames: Vec<Vec<u8>> = corpus().into_iter().map(|(_, bytes, _)| bytes).collect();
+    frames.extend((0..8u16).map(|flow| wire::encode(&tagged_packet(flow, login))));
+    frames.push(wire::encode(&tagged_packet(9, analytics)));
+    frames.push(Vec::new());
+    let frame_refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+
+    let enforcer = ShardedEnforcer::new(strict_tables(), 2);
+    let plan = FaultPlan {
+        corrupt_every: std::num::NonZeroU64::new(1),
+        ..FaultPlan::default()
+    };
+    enforcer.install_faults(Arc::new(FaultInjector::new(plan, 2)));
+    let verdicts = enforcer.inspect_wire_batch(&frame_refs);
+
+    for (frame, verdict) in frames.iter().zip(&verdicts) {
+        let mut flipped = frame.clone();
+        if let Some(first) = flipped.first_mut() {
+            *first ^= 0xFF;
+        }
+        let error = wire::decode_frame(&flipped).expect_err("a flipped version byte never decodes");
+        assert_eq!(
+            *verdict,
+            Verdict::drop(error.drop_reason()),
+            "frame {frame:02x?}"
+        );
+    }
+    assert_eq!(enforcer.stats().dropped_wire, frames.len() as u64);
 }
 
 // ---------------------------------------------------------------------------
