@@ -28,13 +28,25 @@
 //!
 //! Every shard additionally owns a [`FlowTable`]: a bounded map from the
 //! 5-tuple flow key to the cached outcome of the last evaluation, versioned
-//! by a hash of the exact context-option payload and by the **epoch** of the
+//! by the exact context-option payload bytes and by the **epoch** of the
 //! compiled tables.  A packet whose flow and payload match hits an O(1)
 //! probe and skips decode/resolve/evaluate entirely; any context change
 //! re-evaluates, and every table rebuild — a committed
 //! [`ControlPlane`](crate::control::ControlPlane) transaction installing a
 //! new generation — bumps the epoch so entries cached before a hot swap are
 //! lazily invalidated instead of served stale.
+//!
+//! A flow-table **miss** is usually not a new context: an app's sockets
+//! share a few dozen (app hash, call stack) payloads.  Behind the flow
+//! entries each table keeps a small fixed-size **context memo** (exact
+//! payload + epoch → outcome, see [`crate::flow`]) that
+//! [`EnforcementTables::inspect_flow_cached`] consults after the probe has
+//! missed, so each shard evaluates a context once per generation rather than
+//! once per flow; a commit re-evaluates per context, not per flow.  It is
+//! not a flow hit — every flow counter reads as it did — and
+//! [`EnforcementTables::inspect_packet`] never consults it: that stays the
+//! full pipeline the oracles compare against and the benchmark's
+//! `enforcer.slow_path_ns_per_pkt` prices.
 //!
 //! The flow table doubles as a **replay detector**: the set-once hardened
 //! kernel injects the context exactly once per socket, so a payload change

@@ -1,6 +1,7 @@
 //! The immutable, compiled half of the enforcement plane and the
 //! three-stage pipeline (extract → decode/resolve → evaluate) over it.
 
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -14,7 +15,7 @@ use super::EnforcerConfig;
 use crate::encoding::ContextEncoding;
 use crate::flow::{CachedOutcome, FlowProbe, FlowTable};
 use crate::offline::{CompiledSignatureDb, SignatureDatabase};
-use crate::policy::{CompiledPolicySet, CompiledVerdict, Decision, PolicySet};
+use crate::policy::{CompiledPolicySet, CompiledVerdict, PolicySet};
 use crate::stats::{charge_drop, charge_fixed_drop, AtomicEnforcerStats, Counter, DropLog};
 use crate::wire::WireFrame;
 
@@ -256,7 +257,8 @@ impl EnforcementTables {
     /// The result is configuration-independent (how a [`CachedOutcome`] maps
     /// to a verdict is decided by [`EnforcementTables::apply_outcome`]) and
     /// depends only on the payload bytes and these tables — which is exactly
-    /// what makes it safe to cache per flow, keyed by exact payload and epoch.
+    /// what makes it safe to cache per flow, and to remember per context
+    /// across flows, keyed by exact payload and epoch.
     fn evaluate_payload(&self, payload: &[u8], scratch: &mut Vec<u32>) -> CachedOutcome {
         let header = match ContextEncoding::decode_into(payload, scratch) {
             Ok(header) => header,
@@ -285,14 +287,13 @@ impl EnforcementTables {
         {
             CompiledVerdict::Allow => CachedOutcome::Accept,
             verdict @ CompiledVerdict::Deny { policy, .. } => {
-                let decision = self.policies.verdict_to_decision(verdict, frame);
-                let Decision::Deny { reason, .. } = decision else {
-                    unreachable!("deny verdict renders to deny decision");
-                };
-                let detail = match policy.and_then(|i| self.policies.policy(i)) {
-                    Some(policy) => format!("policy {policy} violated: {reason}"),
-                    None => reason,
-                };
+                // Rendered once, into one buffer sized for a typical detail.
+                let mut detail = String::with_capacity(192);
+                if let Some(policy) = policy.and_then(|i| self.policies.policy(i)) {
+                    write!(detail, "policy {policy} violated: ")
+                        .expect("writing to a String cannot fail");
+                }
+                verdict.write_reason(frame, &mut detail);
                 CachedOutcome::Deny(detail.into())
             }
         }
@@ -377,9 +378,9 @@ impl EnforcementTables {
     /// `scratch`, resolution is a `u64` map probe plus slice lookups, and
     /// evaluation works on pre-split targets.
     ///
-    /// This is the *uncached* path — every packet pays the full pipeline.
-    /// [`EnforcementTables::inspect_flow_cached`] adds the per-flow verdict
-    /// cache in front of it.
+    /// This is the *uncached* path — every packet pays the full pipeline,
+    /// and no flow table or context memo is consulted.
+    /// [`EnforcementTables::inspect_flow_cached`] adds both in front of it.
     pub fn inspect_packet(
         &self,
         packet: &Ipv4Packet,
@@ -407,7 +408,9 @@ impl EnforcementTables {
     /// before (under these tables' epoch, within `flow`'s TTL measured
     /// against `now`) replays the cached outcome after one O(1) probe —
     /// no decode, no database resolution, no policy evaluation.  An epoch
-    /// bump or expiry re-evaluates and refreshes the entry.
+    /// bump or expiry refreshes the entry — from `flow`'s context memo when
+    /// this shard already evaluated the same payload under this epoch on
+    /// another flow, by evaluating (and remembering) it otherwise.
     ///
     /// A **context change on a live flow** (the probe reports a
     /// [`FlowProbe::ContextSwitch`]) is counted in
@@ -478,7 +481,11 @@ impl EnforcementTables {
             FlowProbe::Miss => {}
         }
         stats.add(Counter::FlowMisses, 1);
-        let outcome = self.evaluate_payload(context, scratch);
+        // A context this shard already evaluated under this epoch — on any
+        // flow — is not evaluated again.
+        let outcome = flow.remembered_or(context, self.epoch, || {
+            self.evaluate_payload(context, scratch)
+        });
         let evicted = flow.insert(key, context, self.epoch, outcome.clone(), now);
         stats.add(Counter::FlowEvictions, evicted);
         self.apply_outcome(&outcome, stats, drop_log)

@@ -38,6 +38,37 @@
 //! flow, so a flow's packets always land on the same shard and the tables
 //! need no cross-shard synchronization.
 //!
+//! # The context memo
+//!
+//! A context is (app hash, call stack at `connect`), so an app's thousands
+//! of sockets carry a few dozen distinct payloads: most flow-table *misses*
+//! bring bytes this shard evaluated moments ago on another flow.  Behind the
+//! flow entries the table therefore keeps a small **context memo** — exact
+//! payload bytes + tables epoch → [`CachedOutcome`] — that the enforcer
+//! consults only after a probe has missed (`FlowTable::remembered_or`): a
+//! remembered context skips decode, resolve and evaluation and gets its
+//! reason text by refcount; a new one is evaluated once and remembered.
+//! Probe, insert, eviction and every flow counter are what they were — a
+//! remembered context is still a flow miss.
+//!
+//! * **Sound** because evaluation is a pure function of (payload bytes,
+//!   tables) and the epoch names the tables: an entry is only served under
+//!   the epoch it was stored under, so a commit invalidates it exactly as it
+//!   does flow entries (and a rollback to a retained generation, which
+//!   restores that generation's tables *and* epoch, revives it).  A commit
+//!   then costs one evaluation per distinct context per shard, not one per
+//!   flow.
+//! * **Exact bytes, not a hash**, for the reason given on `PayloadBuf`: the
+//!   hash only picks a set, the bytes decide.
+//! * **Bounded against hostile traffic by construction**: 64 sets × 4 ways
+//!   (256 contexts, 18 KiB per shard) allocated with the table, never
+//!   resized, rehashed or swept.  A never-repeating payload costs one hash,
+//!   four compares and one store that shifts its set down (288 bytes) more
+//!   than it did without a memo, and displaces one entry of one set — so a
+//!   flood displaces at most the 256 remembered contexts, each of which
+//!   costs its next flow one ordinary evaluation.  Payloads over the RFC 791
+//!   bound are never remembered; [`FlowTable::clear`] empties it.
+//!
 //! [`EnforcementTables`]: crate::enforcer::EnforcementTables
 //! [`ShardedEnforcer`]: crate::enforcer::ShardedEnforcer
 
@@ -238,6 +269,37 @@ struct FlowEntry {
     tick: u64,
 }
 
+/// Sets in the context memo; a power of two.
+const MEMO_SETS: usize = 64;
+
+/// Ways per memo set.  Capacity is `MEMO_SETS * MEMO_WAYS` = 256 contexts at
+/// 72 bytes each: 18 KiB per shard, allocated once.
+const MEMO_WAYS: usize = 4;
+
+/// One remembered evaluation: the exact payload, the epoch it was evaluated
+/// under, and what the evaluation said.
+#[derive(Debug, Clone)]
+struct MemoEntry {
+    payload: PayloadBuf,
+    epoch: u64,
+    outcome: CachedOutcome,
+}
+
+/// The memo set `payload` lives in: the Fx mix of [`FlowKeyHasher`] over the
+/// zero-padded bytes a word at a time (five multiplies, not 38).  The hash
+/// only picks the set — a match is decided by comparing the bytes.
+fn memo_set(payload: &PayloadBuf) -> usize {
+    let mut hasher = FlowKeyHasher::default();
+    for chunk in payload.bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        hasher.write_u64(u64::from_le_bytes(word));
+    }
+    hasher.write_u8(payload.len);
+    // The multiply leaves its entropy in the high bits.
+    (hasher.finish() >> 32) as usize % MEMO_SETS
+}
+
 /// A bounded per-shard flow table: [`FlowKey`] → cached verdict, versioned by
 /// exact payload bytes and tables epoch, with lazy-LRU + TTL eviction.
 ///
@@ -283,6 +345,9 @@ pub struct FlowTable {
     /// the queue grows past a multiple of capacity).
     order: VecDeque<(FlowKey, u64)>,
     tick: u64,
+    /// The context memo: `MEMO_SETS` sets of `MEMO_WAYS` slots, newest first
+    /// within a set (see the module documentation).
+    memo: Box<[Option<MemoEntry>]>,
 }
 
 impl Default for FlowTable {
@@ -306,6 +371,7 @@ impl FlowTable {
             ),
             order: VecDeque::new(),
             tick: 0,
+            memo: vec![None; MEMO_SETS * MEMO_WAYS].into_boxed_slice(),
         }
     }
 
@@ -324,10 +390,11 @@ impl FlowTable {
         self.entries.is_empty()
     }
 
-    /// Drop every tracked flow.
+    /// Drop every tracked flow and every remembered context.
     pub fn clear(&mut self) {
         self.entries.clear();
         self.order.clear();
+        self.memo.fill(None);
     }
 
     /// Bound the touch queue: stale touches accumulate one per hit, so
@@ -423,6 +490,45 @@ impl FlowTable {
             },
         );
         evicted
+    }
+
+    /// The outcome of evaluating `payload` under `epoch`: the remembered one
+    /// if this table has seen these exact bytes under this epoch, otherwise
+    /// `evaluate()`'s, which is remembered for the next flow that carries
+    /// them.  `evaluate` must be a pure function of (`payload`, the tables
+    /// `epoch` names) — the caller's half of the soundness argument in the
+    /// module documentation.
+    ///
+    /// O(1) and allocation-free apart from `evaluate` itself: one hash, at
+    /// most `MEMO_WAYS` byte comparisons, and on a first sighting one store
+    /// that shifts the set's entries down and drops its oldest.  Oversized
+    /// payloads are evaluated and not remembered.
+    pub(crate) fn remembered_or(
+        &mut self,
+        payload: &[u8],
+        epoch: u64,
+        evaluate: impl FnOnce() -> CachedOutcome,
+    ) -> CachedOutcome {
+        let Some(payload) = PayloadBuf::new(payload) else {
+            return evaluate();
+        };
+        let first = memo_set(&payload) * MEMO_WAYS;
+        let set = &mut self.memo[first..first + MEMO_WAYS];
+        let remembered = set
+            .iter()
+            .flatten()
+            .find(|entry| entry.epoch == epoch && entry.payload == payload);
+        if let Some(entry) = remembered {
+            return entry.outcome.clone();
+        }
+        let outcome = evaluate();
+        set.rotate_right(1);
+        set[0] = Some(MemoEntry {
+            payload,
+            epoch,
+            outcome: outcome.clone(),
+        });
+        outcome
     }
 
     /// Remove the least-recently-used live entry; returns false only if the
@@ -589,6 +695,77 @@ mod tests {
         // Eviction still works after heavy compaction.
         t.insert(key(100), b"ctx", 1, CachedOutcome::Accept, now);
         assert_eq!(t.len(), 4);
+    }
+
+    /// `remembered_or` with an evaluation that counts its calls.
+    fn recall(
+        t: &mut FlowTable,
+        payload: &[u8],
+        epoch: u64,
+        evaluations: &mut u32,
+    ) -> CachedOutcome {
+        t.remembered_or(payload, epoch, || {
+            *evaluations += 1;
+            CachedOutcome::Deny(format!("denied {payload:?} under {epoch}").into())
+        })
+    }
+
+    #[test]
+    fn memo_remembers_a_context_per_epoch_and_clear_forgets_it() {
+        let mut t = table(8, SimDuration::ZERO);
+        let mut evaluations = 0;
+        let first = recall(&mut t, b"ctx", 1, &mut evaluations);
+        // The same bytes on any later flow: not evaluated, same reason text
+        // handed out by refcount.
+        let again = recall(&mut t, b"ctx", 1, &mut evaluations);
+        assert_eq!((evaluations, &again), (1, &first));
+        let (CachedOutcome::Deny(a), CachedOutcome::Deny(b)) = (&first, &again) else {
+            panic!("deny outcomes");
+        };
+        assert!(Arc::ptr_eq(a, b));
+        // Exact bytes, including length; and never across an epoch.
+        recall(&mut t, b"ctx\0", 1, &mut evaluations);
+        assert_eq!(evaluations, 2);
+        let bumped = recall(&mut t, b"ctx", 2, &mut evaluations);
+        assert_eq!(evaluations, 3);
+        assert_ne!(bumped, first);
+        // Oversized payloads are evaluated every time.
+        recall(&mut t, &[7; 64], 2, &mut evaluations);
+        recall(&mut t, &[7; 64], 2, &mut evaluations);
+        assert_eq!(evaluations, 5);
+        // The memo is independent of the flow entries, and `clear` drops both.
+        assert!(t.is_empty());
+        t.clear();
+        recall(&mut t, b"ctx", 2, &mut evaluations);
+        assert_eq!(evaluations, 6);
+    }
+
+    #[test]
+    fn memo_is_bounded_under_a_flood_of_distinct_contexts() {
+        let mut t = table(8, SimDuration::ZERO);
+        let slots = t.memo.len();
+        assert_eq!(slots, MEMO_SETS * MEMO_WAYS);
+        assert_eq!(std::mem::size_of_val(&*t.memo), 18 * 1024);
+        let mut evaluations = 0;
+        let legit = recall(&mut t, b"legit", 1, &mut evaluations);
+
+        // 100k never-repeating payloads: one evaluation each (what they cost
+        // without a memo), and the memo neither grows nor moves.
+        let storage = t.memo.as_ptr();
+        for n in 0..100_000u32 {
+            let mut payload = [0xA5u8; MAX_CONTEXT_PAYLOAD];
+            payload[..4].copy_from_slice(&n.to_le_bytes());
+            recall(&mut t, &payload[..4 + n as usize % 35], 1, &mut evaluations);
+        }
+        assert_eq!(evaluations, 100_001);
+        assert_eq!((t.memo.len(), t.memo.as_ptr()), (slots, storage));
+        assert!(t.memo.iter().all(Option::is_some), "the flood fills it");
+
+        // The flood displaced the legitimate context; it is re-evaluated
+        // once, gets the same outcome, and is remembered again.
+        assert_eq!(recall(&mut t, b"legit", 1, &mut evaluations), legit);
+        assert_eq!(recall(&mut t, b"legit", 1, &mut evaluations), legit);
+        assert_eq!(evaluations, 100_002);
     }
 
     #[test]

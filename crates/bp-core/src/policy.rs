@@ -746,6 +746,30 @@ impl CompiledVerdict {
     pub fn is_allow(self) -> bool {
         matches!(self, CompiledVerdict::Allow)
     }
+
+    /// Append a deny verdict's reason text to `out` (nothing for an allow):
+    /// the one rendering behind [`CompiledPolicySet::verdict_to_decision`]
+    /// and the enforcer's drop detail, which writes it straight after its
+    /// own prefix instead of formatting a `String` to format again.
+    pub(crate) fn write_reason<'s, F>(self, frame: F, out: &mut String)
+    where
+        F: Fn(usize) -> &'s MethodSignature,
+    {
+        use fmt::Write;
+        match self {
+            CompiledVerdict::Allow => {}
+            CompiledVerdict::Deny { policy: None, .. } => {
+                out.push_str("no whitelist policy is satisfied by every stack frame")
+            }
+            CompiledVerdict::Deny { frame: None, .. } => {
+                out.push_str("application hash is blacklisted")
+            }
+            CompiledVerdict::Deny { frame: Some(i), .. } => {
+                write!(out, "stack frame {} matches denied target", frame(i))
+                    .expect("writing to a String cannot fail")
+            }
+        }
+    }
 }
 
 /// The compiled, evaluation-ready form of a [`PolicySet`].
@@ -1060,26 +1084,19 @@ impl CompiledPolicySet {
     where
         F: Fn(usize) -> &'s MethodSignature,
     {
-        match verdict {
-            CompiledVerdict::Allow => Decision::Allow,
-            CompiledVerdict::Deny {
-                policy: Some(index),
-                frame: hit,
-            } => {
-                let policy = self
-                    .policies
+        let CompiledVerdict::Deny { policy, .. } = verdict else {
+            return Decision::Allow;
+        };
+        let mut reason = String::new();
+        verdict.write_reason(frame, &mut reason);
+        Decision::Deny {
+            policy: policy.map(|index| {
+                self.policies
                     .get(index)
-                    .expect("verdict policy index in range");
-                let reason = match hit {
-                    Some(i) => format!("stack frame {} matches denied target", frame(i)),
-                    None => "application hash is blacklisted".to_string(),
-                };
-                Decision::deny_by(policy, reason)
-            }
-            CompiledVerdict::Deny { policy: None, .. } => Decision::Deny {
-                policy: None,
-                reason: "no whitelist policy is satisfied by every stack frame".to_string(),
-            },
+                    .expect("verdict policy index in range")
+                    .clone()
+            }),
+            reason,
         }
     }
 }

@@ -6,8 +6,11 @@
 //! are handed out by pointer.  This binary counts allocations with a
 //! wrapping global allocator and asserts **zero** per batch once the
 //! engine is warm, for cached accepts, cached drops and an attack-shaped
-//! mix.  A flow-table miss is the slow path and may allocate (it renders
-//! the deny reason once per flow); it is only held to the parent's count.
+//! mix — and for batches made only of *new flows* whose contexts the shard
+//! has evaluated before, with the flow table at capacity: the context memo
+//! hands those their outcome, and its reason text, by refcount.  Only the
+//! first sighting of a context is the slow path and may allocate (it
+//! renders the deny reason once); it is held to the parent's count.
 //!
 //! One `#[test]`, on purpose: the counter is process-wide, and a second
 //! test running (or being spawned by the harness) beside a measured window
@@ -18,6 +21,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use borderpatrol::core::encoding::ContextEncoding;
 use borderpatrol::core::enforcer::{EnforcerConfig, EnforcerStats, DROP_LOG_CAPACITY};
 use borderpatrol::core::flow::FlowTableConfig;
 use borderpatrol::core::policy::{Policy, PolicySet};
@@ -69,10 +73,16 @@ const MEASURED_BATCHES: usize = 64;
 /// soon carries each flow table past its first touch-queue compaction.
 const FLOW_CAPACITY: usize = 512;
 
-/// Allocations a batch of 256 never-seen policy-denied flows made at the
-/// parent of the change that introduced this budget (same warm-up, same
-/// frames, measured with this file).
-const PARENT_MISS_BATCH_ALLOCATIONS: u64 = 4_099;
+/// Allocations a batch of 256 never-seen flows carrying 256 never-seen
+/// policy-denied contexts made at the parent of the change that introduced
+/// the context memo (same warm-up, same frames, measured with this file).
+const PARENT_MISS_BATCH_ALLOCATIONS: u64 = 3_076;
+
+/// Batches of never-seen flows that fill each shard's flow table and carry
+/// its map and touch queue past their last growth, and the batches counted
+/// after them.
+const CHURN_WARM_BATCHES: usize = 48;
+const CHURN_MEASURED_BATCHES: usize = 16;
 
 fn engine(shards: usize) -> Engine {
     let (db, _, _) = solcalendar_fixture();
@@ -198,6 +208,49 @@ fn byte_ingress_stays_within_its_allocation_budget() {
     assert_eq!(stats.dropped_by_policy, stats.packets_inspected);
     assert_eq!(stats.flow_misses, 64);
 
+    // New flows, remembered contexts: every frame opens a flow this (warm)
+    // engine has never seen, half of them policy-denied, and once the flow
+    // tables are full every insert evicts.  Each shard evaluates `login`
+    // once, during the warm-up (`analytics` it has seen above).
+    let churn: Vec<Vec<u8>> = (0..((CHURN_WARM_BATCHES + CHURN_MEASURED_BATCHES) * BATCH) as u16)
+        .map(|n| {
+            let context = if n % 2 == 0 { analytics } else { login };
+            wire::encode(&tagged_packet(2_000 + n, context))
+        })
+        .collect();
+    let refs: Vec<&[u8]> = churn.iter().map(Vec::as_slice).collect();
+    let mut verdicts = Vec::with_capacity(BATCH);
+    let (warm_up, measured) = refs.split_at(CHURN_WARM_BATCHES * BATCH);
+    for batch in warm_up.chunks(BATCH) {
+        engine.ingest_bytes_into(batch, &mut verdicts);
+    }
+    for shard in engine.data_plane().shard_stats() {
+        assert!(
+            shard.flow_evictions >= 4 * FLOW_CAPACITY as u64,
+            "a shard's flow table is not warm: {} evictions",
+            shard.flow_evictions
+        );
+    }
+    let before_stats = engine.stats();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for batch in measured.chunks(BATCH) {
+        engine.ingest_bytes_into(batch, &mut verdicts);
+    }
+    assert_eq!(
+        ALLOCATIONS.load(Ordering::Relaxed) - before,
+        0,
+        "new flows carrying remembered contexts, flow table at capacity"
+    );
+    let stats = engine
+        .stats()
+        .delta_since(&before_stats)
+        .expect("same engine");
+    let frames = measured.len() as u64;
+    assert_eq!((stats.flow_misses, stats.flow_hits), (frames, 0));
+    assert_eq!(stats.flow_evictions, frames);
+    assert_eq!(stats.dropped_by_policy, frames / 2);
+    assert_eq!(stats.packets_accepted, frames / 2);
+
     let engine = self::engine(2);
     assert_eq!(
         steady_state_allocations(&engine, &attack_batch()),
@@ -219,10 +272,19 @@ fn byte_ingress_stays_within_its_allocation_budget() {
     }
     assert_eq!(stats.dropped_by_policy, 0, "nothing reached evaluation");
 
-    // The slow path: a batch of flows the (warm) engine has never seen, all
-    // policy-denied, so each renders its reason.
+    // The slow path: a batch of flows the (warm) engine has never seen, each
+    // carrying a context it has never seen either — the analytics stack
+    // under two more (harmless) frames — so each is evaluated, policy-denied
+    // and renders its reason.
+    let denied = ContextEncoding::decode(analytics).expect("fixture context");
     let fresh: Vec<Vec<u8>> = (0..BATCH as u16)
-        .map(|n| wire::encode(&tagged_packet(1_000 + n, analytics)))
+        .map(|n| {
+            let mut stack = denied.frame_indexes.clone();
+            stack.extend([u32::from(n / 16), u32::from(n % 16)]);
+            let context =
+                ContextEncoding::encode(denied.app_tag, &stack, false).expect("fits the option");
+            wire::encode(&tagged_packet(1_000 + n, &context))
+        })
         .collect();
     let refs: Vec<&[u8]> = fresh.iter().map(Vec::as_slice).collect();
     let mut verdicts = Vec::with_capacity(BATCH);
@@ -230,7 +292,9 @@ fn byte_ingress_stays_within_its_allocation_budget() {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     engine.ingest_bytes_into(&refs, &mut verdicts);
     let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(engine.stats().flow_misses - misses, BATCH as u64);
+    let stats = engine.stats();
+    assert_eq!(stats.flow_misses - misses, BATCH as u64);
+    assert_eq!(stats.dropped_by_policy, BATCH as u64);
     assert!(
         allocated <= PARENT_MISS_BATCH_ALLOCATIONS,
         "{BATCH} flow-table misses allocated {allocated} times, \
