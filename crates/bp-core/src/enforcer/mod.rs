@@ -16,8 +16,13 @@
 //!   descriptors pre-parsed) plus a [`CompiledPolicySet`] (targets pre-split
 //!   into slice comparisons) plus the [`EnforcerConfig`].  Built once, shared
 //!   via `Arc` by every worker.
-//! * Per-shard **mutable** state — [`AtomicEnforcerStats`] counters, a
-//!   [`DropLog`] ring buffer and a reusable index-decode scratch buffer.
+//! * Per-shard **mutable** state — [`EnforcerCounters`], a [`DropLog`] ring
+//!   buffer, a reusable index-decode scratch buffer and the flow table
+//!   below — held together behind the shard's **one** mutex.  Whoever
+//!   holds it (a batch worker for one partition, an inline `inspect` for
+//!   one packet, a statistics reader for one copy) owns the whole shard,
+//!   so there is no acquisition order between its parts and the counters
+//!   are plain words, not atomics.
 //!
 //! [`PolicyEnforcer`] is the single-shard facade with the historical API;
 //! [`ShardedEnforcer`] fans packet batches across N shards with merged
@@ -64,10 +69,10 @@
 //! * `single.rs` — [`PolicyEnforcer`], including the `inspect_legacy` /
 //!   `inspect_uncached` reference paths the benches and oracles compare
 //!   against.
-//! * `sharded.rs` — the per-shard state, the shared core the worker pool
-//!   holds, and [`ShardedEnforcer`].
-//! * [`crate::stats`] — the counter table ([`EnforcerStats`],
-//!   [`AtomicEnforcerStats`]), the [`DropLog`] and the one function that
+//! * `sharded.rs` — the per-shard state and the one method that locks it,
+//!   the shared core the worker pool holds, and [`ShardedEnforcer`].
+//! * [`crate::stats`] — the counter table ([`EnforcerStats`], the live
+//!   [`EnforcerCounters`]), the [`DropLog`] and the one function that
 //!   charges a drop; re-exported here.
 //!
 //! [`CompiledSignatureDb`]: crate::offline::CompiledSignatureDb
@@ -88,9 +93,11 @@ pub use single::PolicyEnforcer;
 pub(crate) use tables::PacketView;
 pub use tables::{EnforcementTables, PolicyDelta, PolicyReuse, TableReuse};
 
+// `AtomicEnforcerStats` is `EnforcerCounters`' old name, re-exported only
+// for the frozen `benchmark/` package.
 pub use crate::stats::{
-    AtomicEnforcerStats, DropLog, DropReason, EnforcerStats, WireDropStats, DROP_LOG_CAPACITY,
-    OVERLOAD_DROP_REASON, RUNTIME_FAULT_DROP_REASON,
+    AtomicEnforcerStats, DropLog, DropReason, EnforcerCounters, EnforcerStats, WireDropStats,
+    DROP_LOG_CAPACITY, OVERLOAD_DROP_REASON, RUNTIME_FAULT_DROP_REASON,
 };
 
 /// Configuration of the Policy Enforcer.

@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use bp_netsim::addr::Endpoint;
 use bp_netsim::clock::SimDuration;
@@ -19,32 +19,39 @@ use crate::offline::SignatureDatabase;
 use crate::policy::PolicySet;
 use crate::runtime::{PacketSource, WorkerPool};
 use crate::stats::{
-    charge_fixed_drop, charge_wire_drop, AtomicEnforcerStats, Counter, DropLog, EnforcerStats,
+    charge_fixed_drop, charge_wire_drop, Counter, DropLog, EnforcerCounters, EnforcerStats,
 };
 use crate::telemetry::{TelemetryCell, TelemetrySnapshot};
 use crate::wire::{self, WireFrame};
 
-/// One worker shard: private counters, drop log, decode scratch and flow
-/// table.  Batch partitioning is by flow, so a flow's packets always land on
-/// the same shard and the flow table needs no cross-shard synchronization.
-///
-/// **Lock order**: every path that takes more than one of these mutexes
-/// must acquire them as `scratch` → `drop_log` → `flow` (see
-/// [`EnforcerCore::run_partition`] and [`EnforcerCore::inspect`]).  An
-/// inline `inspect` and a batch worker routinely contend for the same
-/// shard; inconsistent ordering deadlocks them.
+/// Everything one shard mutates while inspecting: counters, drop log,
+/// decode scratch and flow table.  It only ever exists inside
+/// [`EnforcerShard`]'s one mutex, so whoever holds a `&mut ShardState` is
+/// the shard's owner for as long as the guard lives — the sole counter
+/// writer, the sole drop-log writer and the sole telemetry publisher.
 #[derive(Debug, Default)]
+pub(crate) struct ShardState {
+    pub(crate) counters: EnforcerCounters,
+    pub(crate) drop_log: DropLog,
+    pub(crate) scratch: Vec<u32>,
+    pub(crate) flow: FlowTable,
+}
+
+/// One worker shard.  Batch partitioning is by flow, so a flow's packets
+/// always land on the same shard and the flow table needs no cross-shard
+/// synchronization.
+///
+/// The shard has **one lock**, taken only through
+/// [`EnforcerShard::lock_state`]: an inline `inspect`, a batch worker and a
+/// reader of the statistics all queue for the same mutex, so there is no
+/// acquisition order to get wrong and nothing they read can tear.
+#[derive(Debug)]
 pub(crate) struct EnforcerShard {
-    pub(crate) stats: AtomicEnforcerStats,
-    pub(crate) drop_log: Mutex<DropLog>,
-    pub(crate) scratch: Mutex<Vec<u32>>,
-    pub(crate) flow: Mutex<FlowTable>,
-    /// The shard's seqlock-published telemetry snapshot.  Written at
-    /// partition/batch end by whichever thread holds the shard's `drop_log`
-    /// mutex — that lock is the single-writer guarantee; readers (the
-    /// observability collector) spin on the sequence stamp instead of
-    /// locking anything.
-    pub(crate) telemetry: TelemetryCell,
+    state: Mutex<ShardState>,
+    /// The shard's seqlock-published telemetry snapshot: written only
+    /// through [`EnforcerShard::publish`], read (by the observability
+    /// collector) without locking anything.
+    telemetry: TelemetryCell,
     /// The shard's health state machine (Healthy → Degraded → Quarantined),
     /// fed by the runtime's panic recovery, respawn and watchdog paths and
     /// published through the telemetry snapshot.
@@ -54,9 +61,26 @@ pub(crate) struct EnforcerShard {
 impl EnforcerShard {
     fn with_flow_config(config: FlowTableConfig) -> Self {
         EnforcerShard {
-            flow: Mutex::new(FlowTable::new(config)),
-            ..EnforcerShard::default()
+            state: Mutex::new(ShardState {
+                flow: FlowTable::new(config),
+                ..ShardState::default()
+            }),
+            telemetry: TelemetryCell::default(),
+            health: ShardHealth::default(),
         }
+    }
+
+    /// Become the shard's owner until the guard drops.  The only place
+    /// shard state is locked.
+    pub(crate) fn lock_state(&self) -> MutexGuard<'_, ShardState> {
+        self.state.lock()
+    }
+
+    /// Publish the owner's counters as the shard's telemetry snapshot.
+    /// Taking the state the lock guards is what proves the caller is the
+    /// cell's single writer.
+    pub(crate) fn publish(&self, state: &ShardState, epoch: u64) {
+        self.telemetry.publish(&state.counters, epoch, &self.health);
     }
 }
 
@@ -124,47 +148,37 @@ impl EnforcerCore {
     }
 
     /// Inspect one packet inline on its flow's shard (flow-cached),
-    /// publishing the shard's telemetry snapshot before the locks drop —
+    /// publishing the shard's telemetry snapshot before the lock drops —
     /// one inline inspect is its own batch.
     pub(crate) fn inspect(&self, packet: &Ipv4Packet) -> Verdict {
         let tables = self.tables();
         let shard = &self.shards[self.shard_for(packet)];
-        // Shard lock order: scratch → drop_log → flow, matching
-        // `run_partition` — an inline inspect and a batch worker contending
-        // for the same shard must never interleave acquisition.
-        let mut scratch = shard.scratch.lock();
-        let mut drop_log = shard.drop_log.lock();
-        let mut flow = shard.flow.lock();
+        let state = &mut *shard.lock_state();
         let verdict = tables.inspect_flow_cached(
             packet,
-            &mut flow,
+            &mut state.flow,
             self.now(),
-            &mut scratch,
-            &shard.stats,
-            &mut drop_log,
+            &mut state.scratch,
+            &state.counters,
+            &mut state.drop_log,
         );
-        // Sole writer: this thread holds the shard's drop_log mutex.
-        shard
-            .telemetry
-            .publish(&shard.stats, tables.epoch(), &shard.health);
+        shard.publish(state, tables.epoch());
         verdict
     }
 
     /// Charge drops that no inspection path produced (wire-decode failures,
     /// overload sheds, a panicked partition's remainder) to `shard`: lock
-    /// its drop log, let `charge` attribute them, then publish the shard's
-    /// telemetry before the lock drops.
+    /// it, let `charge` attribute them, then publish the shard's telemetry
+    /// before the lock drops.
     pub(crate) fn charge_on<R>(
         &self,
         shard: usize,
-        charge: impl FnOnce(&AtomicEnforcerStats, &mut DropLog) -> R,
+        charge: impl FnOnce(&EnforcerCounters, &mut DropLog) -> R,
     ) -> R {
         let shard = &self.shards[shard];
-        let mut drop_log = shard.drop_log.lock();
-        let charged = charge(&shard.stats, &mut drop_log);
-        let epoch = self.tables.read().epoch();
-        // Sole writer: this thread holds the shard's drop_log mutex.
-        shard.telemetry.publish(&shard.stats, epoch, &shard.health);
+        let state = &mut *shard.lock_state();
+        let charged = charge(&state.counters, &mut state.drop_log);
+        shard.publish(state, self.tables.read().epoch());
         charged
     }
 
@@ -192,8 +206,8 @@ pub(crate) fn unattributed_drop() -> Verdict {
 /// per-shard threads (see [`crate::runtime`]): each is spawned the first
 /// time a batch fans out to its shard, parked when idle and joined on drop;
 /// the last busy partition of every batch runs on the submitting thread, so
-/// a one-shard enforcer never spawns one.  Statistics merge across shards
-/// without stopping the workers.
+/// a one-shard enforcer never spawns one.  Statistics are read shard by
+/// shard, each between two of that shard's partitions.
 ///
 /// # Examples
 ///
@@ -308,13 +322,14 @@ impl ShardedEnforcer {
 
     /// Number of flows currently tracked across all shards' verdict caches.
     pub fn flow_cache_len(&self) -> usize {
-        self.core.shards.iter().map(|s| s.flow.lock().len()).sum()
+        let shards = self.core.shards.iter();
+        shards.map(|s| s.lock_state().flow.len()).sum()
     }
 
     /// Drop every cached flow verdict on every shard (statistics are kept).
     pub fn clear_flow_cache(&self) {
         for shard in &self.core.shards {
-            shard.flow.lock().clear();
+            shard.lock_state().flow.clear();
         }
     }
 
@@ -476,51 +491,49 @@ impl ShardedEnforcer {
         });
     }
 
-    /// Merged statistics across all shards.
+    /// Merged statistics across all shards.  Each shard is read under its
+    /// lock, so every addend conserves; shards are read one after another,
+    /// so the sum is of per-shard instants, not one global one.
     pub fn stats(&self) -> EnforcerStats {
-        self.core
-            .shards
+        self.shard_stats()
             .iter()
-            .map(|shard| shard.stats.snapshot())
-            .fold(EnforcerStats::default(), |acc, shard| acc.merged(&shard))
+            .fold(EnforcerStats::default(), |acc, shard| acc.merged(shard))
     }
 
-    /// Per-shard statistics snapshots.
+    /// Per-shard statistics, each read under its shard's lock: exact as of
+    /// an instant between two of that shard's partitions, so `inspected ==
+    /// accepted + dropped` holds on every entry even while batches run.  A
+    /// reader waits for the partition the shard is running;
+    /// [`ShardedEnforcer::telemetry`] is the reader that never waits.
     pub fn shard_stats(&self) -> Vec<EnforcerStats> {
-        self.core
-            .shards
-            .iter()
-            .map(|shard| shard.stats.snapshot())
-            .collect()
+        let shards = self.core.shards.iter();
+        shards.map(|s| s.lock_state().counters.snapshot()).collect()
     }
 
     /// One shard's latest seqlock-published telemetry snapshot (consistent:
     /// the reader retries until an attempt lands between publications).
-    /// Unlike [`ShardedEnforcer::shard_stats`] — whose relaxed counter
-    /// reads can tear across counters — a snapshot is exactly one
-    /// publication, so cross-counter invariants hold and deltas between
-    /// successive snapshots are exact.
+    /// Unlike [`ShardedEnforcer::shard_stats`] it takes no lock, so it
+    /// never waits for a running partition — and reads the counters as of
+    /// the shard's last batch end, not as of now.
     pub fn shard_telemetry(&self, shard: usize) -> TelemetrySnapshot {
         self.core.shards[shard].telemetry.read()
     }
 
     /// Every shard's latest telemetry snapshot, in shard order.
     pub fn telemetry(&self) -> Vec<TelemetrySnapshot> {
-        self.core
-            .shards
-            .iter()
-            .map(|shard| shard.telemetry.read())
+        (0..self.shard_count())
+            .map(|shard| self.shard_telemetry(shard))
             .collect()
     }
 
     /// Drop reasons across all shards (grouped by shard, oldest first within
     /// each shard).
     pub fn drop_log(&self) -> Vec<String> {
-        self.core
-            .shards
-            .iter()
-            .flat_map(|shard| shard.drop_log.lock().to_vec())
-            .collect()
+        // Copy the reasons (pointers and refcounts) under the lock a worker
+        // needs; render the text after releasing it.
+        let shards = self.core.shards.iter();
+        let copies = shards.map(|s| s.lock_state().drop_log.clone());
+        copies.flat_map(|log| log.to_vec()).collect()
     }
 
     /// Arm a deterministic fault injector on this enforcer's data plane
@@ -573,10 +586,12 @@ impl ShardedEnforcer {
     /// see [`ShardedEnforcer::clear_flow_cache`]).
     pub fn reset_stats(&self) {
         for shard in &self.core.shards {
-            shard.stats.reset();
-            let mut drop_log = shard.drop_log.lock();
-            drop_log.clear();
-            // Holding drop_log makes this thread the telemetry writer.
+            // Counters, log and published snapshot go together under the
+            // lock: a reset lands between two partitions, never between two
+            // counter bumps of one packet.
+            let mut state = shard.lock_state();
+            state.counters.reset();
+            state.drop_log.clear();
             shard.telemetry.reset();
         }
     }

@@ -15,7 +15,7 @@ use crate::flow::{FlowTable, FlowTableConfig};
 use crate::offline::SignatureDatabase;
 use crate::policy::{Decision, PolicySet};
 use crate::stats::{
-    charge_drop, charge_fixed_drop, charge_wire_drop, AtomicEnforcerStats, Counter, DropLog,
+    charge_drop, charge_fixed_drop, charge_wire_drop, Counter, DropLog, EnforcerCounters,
     EnforcerStats,
 };
 use crate::wire;
@@ -45,7 +45,7 @@ pub struct PolicyEnforcer {
     database: SignatureDatabase,
     policies: PolicySet,
     tables: Arc<EnforcementTables>,
-    stats: AtomicEnforcerStats,
+    stats: EnforcerCounters,
     drop_log: DropLog,
     scratch: Vec<u32>,
     flow: FlowTable,
@@ -86,7 +86,7 @@ impl PolicyEnforcer {
             database,
             policies,
             tables,
-            stats: AtomicEnforcerStats::new(),
+            stats: EnforcerCounters::new(),
             drop_log: DropLog::default(),
             scratch: Vec::with_capacity(ContextEncoding::max_frames(false)),
             flow: FlowTable::new(flow),

@@ -16,7 +16,7 @@ use crate::encoding::ContextEncoding;
 use crate::flow::{CachedOutcome, FlowProbe, FlowTable};
 use crate::offline::{CompiledSignatureDb, SignatureDatabase};
 use crate::policy::{CompiledPolicySet, CompiledVerdict, PolicySet};
-use crate::stats::{charge_drop, charge_fixed_drop, AtomicEnforcerStats, Counter, DropLog};
+use crate::stats::{charge_drop, charge_fixed_drop, Counter, DropLog, EnforcerCounters};
 use crate::wire::WireFrame;
 
 /// Source of the monotonically increasing epoch stamped onto every
@@ -305,7 +305,7 @@ impl EnforcementTables {
     fn apply_outcome(
         &self,
         outcome: &CachedOutcome,
-        stats: &AtomicEnforcerStats,
+        stats: &EnforcerCounters,
         drop_log: &mut DropLog,
     ) -> Verdict {
         let (class, reason) = match outcome {
@@ -333,7 +333,7 @@ impl EnforcementTables {
     fn extract_context<'p>(
         &self,
         packet: &PacketView<'p>,
-        stats: &AtomicEnforcerStats,
+        stats: &EnforcerCounters,
         drop_log: &mut DropLog,
     ) -> Result<Option<&'p [u8]>, Verdict> {
         // A second context option is a spoofing attempt: the hardened kernel
@@ -385,7 +385,7 @@ impl EnforcementTables {
         &self,
         packet: &Ipv4Packet,
         scratch: &mut Vec<u32>,
-        stats: &AtomicEnforcerStats,
+        stats: &EnforcerCounters,
         drop_log: &mut DropLog,
     ) -> Verdict {
         stats.add(Counter::Inspected, 1);
@@ -431,7 +431,7 @@ impl EnforcementTables {
         flow: &mut FlowTable,
         now: SimDuration,
         scratch: &mut Vec<u32>,
-        stats: &AtomicEnforcerStats,
+        stats: &EnforcerCounters,
         drop_log: &mut DropLog,
     ) -> Verdict {
         self.inspect_view(
@@ -453,7 +453,7 @@ impl EnforcementTables {
         flow: &mut FlowTable,
         now: SimDuration,
         scratch: &mut Vec<u32>,
-        stats: &AtomicEnforcerStats,
+        stats: &EnforcerCounters,
         drop_log: &mut DropLog,
     ) -> Verdict {
         stats.add(Counter::Inspected, 1);

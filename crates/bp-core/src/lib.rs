@@ -38,8 +38,8 @@
 //! * [`sanitizer`] — the **Packet Sanitizer**: strips the context option from
 //!   conforming packets before they leave the enterprise perimeter.
 //! * [`stats`] — the counter schema: one table defines every enforcement
-//!   counter and drop class, and generates the stats struct, its atomic
-//!   lanes, merge/delta and the telemetry word order; also the drop log and
+//!   counter and drop class, and generates the stats struct, its live
+//!   counter lanes, merge/delta and the telemetry word order; also the drop log and
 //!   the one function that charges a drop.
 //! * [`telemetry`] — the seqlock-published per-shard telemetry snapshot the
 //!   observability plane (`bp-obs`) polls: the hot path stamps a sequence
@@ -92,10 +92,12 @@ pub use control::{
     RolloutValidation, RolloutWarning, Transaction,
 };
 pub use encoding::{ContextEncoding, DecodedHeader, EncodedContext, MAX_CONTEXT_PAYLOAD};
+// `AtomicEnforcerStats` is `EnforcerCounters`' old name, re-exported only
+// for the frozen `benchmark/` package.
 pub use enforcer::{
-    AtomicEnforcerStats, DropLog, DropReason, EnforcementTables, EnforcerConfig, EnforcerStats,
-    PolicyDelta, PolicyEnforcer, PolicyReuse, ShardedEnforcer, TableReuse, WireDropStats,
-    OVERLOAD_DROP_REASON, RUNTIME_FAULT_DROP_REASON,
+    AtomicEnforcerStats, DropLog, DropReason, EnforcementTables, EnforcerConfig, EnforcerCounters,
+    EnforcerStats, PolicyDelta, PolicyEnforcer, PolicyReuse, ShardedEnforcer, TableReuse,
+    WireDropStats, OVERLOAD_DROP_REASON, RUNTIME_FAULT_DROP_REASON,
 };
 pub use faults::{
     FaultInjector, FaultPlan, HealthState, ShardHealthSnapshot, WorkerPanic, WorkerStall,

@@ -426,6 +426,11 @@ impl VerdictSlots {
 // `enforcer/sharded.rs`, keeping every `unsafe` in the crate inside this one
 // audited module.
 
+// The lanes share the core between threads: its `!Sync` shard counters must
+// stay behind the shard lock for this to compile.
+const fn shared_between_lanes<T: Send + Sync>() {}
+const _: () = shared_between_lanes::<EnforcerCore>();
+
 impl EnforcerCore {
     /// Inspect one shard's partition of a batch, writing each packet's
     /// verdict into its slot.  This is the inner loop of every batch,
@@ -463,12 +468,7 @@ impl EnforcerCore {
                 injector.on_partition_start(shard_index);
             }
         }
-        // Shard lock order: scratch → drop_log → flow, matching
-        // `EnforcerCore::inspect` — an inline inspect and a batch worker
-        // contending for the same shard must never interleave acquisition.
-        let mut scratch = shard.scratch.lock();
-        let mut drop_log = shard.drop_log.lock();
-        let mut flow = shard.flow.lock();
+        let state = &mut *shard.lock_state();
         let mut generation = self.tables_generation.load(Ordering::Acquire);
         let mut tables = self.tables();
         for &index in indexes {
@@ -479,21 +479,18 @@ impl EnforcerCore {
             }
             let verdict = tables.inspect_view(
                 &source.view(index as usize),
-                &mut flow,
+                &mut state.flow,
                 self.now(),
-                &mut scratch,
-                &shard.stats,
-                &mut drop_log,
+                &mut state.scratch,
+                &state.counters,
+                &mut state.drop_log,
             );
             slots.set(index as usize, verdict);
         }
         // Publish once per partition, not per packet: the batch paths keep
-        // telemetry out of the per-packet budget.  Still holding drop_log,
-        // which is the telemetry single-writer token.
+        // telemetry out of the per-packet budget.
         shard.health.note_clean_batch();
-        shard
-            .telemetry
-            .publish(&shard.stats, tables.epoch(), &shard.health);
+        shard.publish(state, tables.epoch());
     }
 
     /// Fail a panicked partition closed: every index whose slot still holds

@@ -10,7 +10,7 @@
 //! table generates [`EnforcerStats`] and the [`Counter`] enum; everything
 //! that copies, sums, subtracts, stores, serializes or prints counters —
 //! [`EnforcerStats::merged`] / [`EnforcerStats::delta_since`], the
-//! [`AtomicEnforcerStats`] lanes, the telemetry word layout, the `bp-obs`
+//! [`EnforcerCounters`] lanes, the telemetry word layout, the `bp-obs`
 //! exporter and dashboard, the scenario report — is a loop over
 //! [`Counter::ALL`], so a new counter is one new row.
 //!
@@ -19,8 +19,8 @@
 //! and builds the [`Verdict::Drop`] in the same step, so a drop that is
 //! counted but not logged (or the reverse) cannot be written.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -242,7 +242,7 @@ impl Counter {
 const WIRE_LANES: usize = WireError::ALL.len();
 
 /// Words one [`EnforcerStats`] occupies in the telemetry snapshot and in
-/// [`AtomicEnforcerStats`]: [`Counter::ALL`], then [`WireError::ALL`].
+/// [`EnforcerCounters`]: [`Counter::ALL`], then [`WireError::ALL`].
 pub const STATS_WORDS: usize = Counter::COUNT + WIRE_LANES;
 
 /// Wire-decode drops broken out by [`WireError`] variant (one counter per
@@ -377,39 +377,60 @@ impl EnforcerStats {
     }
 }
 
-/// Lock-free enforcement counters, readable while shard workers are
-/// counting: one relaxed lane per [`EnforcerStats::to_words`] word.
+/// The live enforcement counters of one owner: one plain word per
+/// [`EnforcerStats::to_words`] word, recorded through `&self`.
+///
+/// The words are [`Cell`]s, so the type is `Send` but **not** `Sync`: a
+/// shard's counters live inside the state its one lock guards (a
+/// [`PolicyEnforcer`](crate::enforcer::PolicyEnforcer) owns its own
+/// outright), every read and write happens on the thread that owns them at
+/// that moment, and [`EnforcerCounters::snapshot`] is therefore exact —
+/// `inspected == accepted + dropped` holds on every one.  Counters shared
+/// between threads without a lock do not compile:
+///
+/// ```compile_fail
+/// fn shared_across_threads<T: Sync>() {}
+/// shared_across_threads::<bp_core::stats::EnforcerCounters>();
+/// ```
+///
+/// while handing them to another thread, which is what a lock does, does:
+///
+/// ```
+/// fn moved_to_a_thread<T: Send>() {}
+/// moved_to_a_thread::<bp_core::stats::EnforcerCounters>();
+/// ```
 #[derive(Debug)]
-pub struct AtomicEnforcerStats {
-    lanes: [AtomicU64; STATS_WORDS],
+pub struct EnforcerCounters {
+    lanes: [Cell<u64>; STATS_WORDS],
 }
 
-impl Default for AtomicEnforcerStats {
+/// [`EnforcerCounters`]' old name, kept only for the frozen `benchmark/` package.
+pub type AtomicEnforcerStats = EnforcerCounters;
+
+impl Default for EnforcerCounters {
     fn default() -> Self {
-        AtomicEnforcerStats {
-            lanes: std::array::from_fn(|_| AtomicU64::new(0)),
+        EnforcerCounters {
+            lanes: std::array::from_fn(|_| Cell::new(0)),
         }
     }
 }
 
-impl AtomicEnforcerStats {
+impl EnforcerCounters {
     /// Fresh zeroed counters.
     pub fn new() -> Self {
-        AtomicEnforcerStats::default()
+        EnforcerCounters::default()
     }
 
-    /// A consistent-enough snapshot of the counters.
+    /// The counters as of now.
     #[inline]
     pub fn snapshot(&self) -> EnforcerStats {
-        EnforcerStats::from_words(&std::array::from_fn(|lane| {
-            self.lanes[lane].load(Ordering::Relaxed)
-        }))
+        EnforcerStats::from_words(&std::array::from_fn(|lane| self.lanes[lane].get()))
     }
 
     /// Overwrite every counter from a snapshot.
     pub fn store(&self, stats: EnforcerStats) {
         for (lane, word) in self.lanes.iter().zip(stats.to_words()) {
-            lane.store(word, Ordering::Relaxed);
+            lane.set(word);
         }
     }
 
@@ -427,7 +448,14 @@ impl AtomicEnforcerStats {
             "{} is a drop class: charge it through charge_drop",
             counter.name()
         );
-        self.lanes[counter as usize].fetch_add(n, Ordering::Relaxed);
+        self.bump(counter as usize, n);
+    }
+
+    /// Add `n` to the word at `lane`.
+    #[inline]
+    fn bump(&self, lane: usize, n: u64) {
+        let lane = &self.lanes[lane];
+        lane.set(lane.get() + n);
     }
 }
 
@@ -444,7 +472,7 @@ impl AtomicEnforcerStats {
 /// with the flow cache (see [`DropReason`]) — so dropping a packet allocates
 /// nothing and copies no text.
 pub(crate) fn charge_drop(
-    stats: &AtomicEnforcerStats,
+    stats: &EnforcerCounters,
     drop_log: &mut DropLog,
     class: Counter,
     reason: DropReason,
@@ -455,9 +483,9 @@ pub(crate) fn charge_drop(
         class.name()
     );
     if class.kind() == CounterKind::Fault {
-        stats.lanes[Counter::Inspected as usize].fetch_add(1, Ordering::Relaxed);
+        stats.bump(Counter::Inspected as usize, 1);
     }
-    stats.lanes[class as usize].fetch_add(1, Ordering::Relaxed);
+    stats.bump(class as usize, 1);
     drop_log.push(reason.clone());
     Verdict::Drop { reason }
 }
@@ -465,7 +493,7 @@ pub(crate) fn charge_drop(
 /// [`charge_drop`] for a class whose reason text is fixed by the table
 /// ([`Counter::fixed_reason`]).
 pub(crate) fn charge_fixed_drop(
-    stats: &AtomicEnforcerStats,
+    stats: &EnforcerCounters,
     drop_log: &mut DropLog,
     class: Counter,
 ) -> Verdict {
@@ -480,12 +508,12 @@ pub(crate) fn charge_fixed_drop(
 /// enforcement logic ran — charged to [`EnforcerStats::dropped_wire`] and
 /// the per-variant breakdown, with the typed [`WireError::drop_reason`].
 pub(crate) fn charge_wire_drop(
-    stats: &AtomicEnforcerStats,
+    stats: &EnforcerCounters,
     drop_log: &mut DropLog,
     error: WireError,
 ) -> Verdict {
     stats.add(Counter::Inspected, 1);
-    stats.lanes[Counter::COUNT + error.index()].fetch_add(1, Ordering::Relaxed);
+    stats.bump(Counter::COUNT + error.index(), 1);
     charge_drop(
         stats,
         drop_log,
@@ -601,7 +629,7 @@ mod tests {
             if !class.kind().is_drop() {
                 continue;
             }
-            let (stats, mut log) = (AtomicEnforcerStats::new(), DropLog::default());
+            let (stats, mut log) = (EnforcerCounters::new(), DropLog::default());
             let verdict = match class.fixed_reason() {
                 Some(_) => charge_fixed_drop(&stats, &mut log, class),
                 None => charge_drop(&stats, &mut log, class, String::from("rendered").into()),
@@ -622,7 +650,7 @@ mod tests {
 
     #[test]
     fn wire_drop_charges_the_aggregate_its_variant_and_inspected() {
-        let (stats, mut log) = (AtomicEnforcerStats::new(), DropLog::default());
+        let (stats, mut log) = (EnforcerCounters::new(), DropLog::default());
         for error in WireError::ALL {
             let verdict = charge_wire_drop(&stats, &mut log, error);
             assert_eq!(verdict, Verdict::drop(error.drop_reason()));

@@ -1,19 +1,19 @@
 //! Per-shard seqlock-published telemetry snapshots (DESIGN §12).
 //!
-//! The enforcer's [`AtomicEnforcerStats`] counters are relaxed atomics: any
-//! thread can read them at any time, but a multi-counter read can tear —
-//! `packets_inspected` from after a batch, `packets_accepted` from before
-//! it.  That is fine for coarse totals and useless for rates: an
-//! observability plane computing per-second deltas from torn snapshots
-//! reports phantom spikes.
+//! A shard's live [`EnforcerCounters`] are plain words inside the state its
+//! one lock guards: reading them means taking that lock, and so waiting for
+//! whatever partition the shard is running.  That is right for a caller
+//! that wants the counters as of now
+//! ([`ShardedEnforcer::shard_stats`](crate::enforcer::ShardedEnforcer::shard_stats))
+//! and wrong for an observability plane that polls every shard many times a
+//! second and must never queue behind — or in front of — the data plane.
 //!
-//! [`TelemetryCell`] fixes this without perturbing the data plane.  Each
-//! shard owns one cell: a fixed array of `AtomicU64` words plus a sequence
-//! stamp.  The **writer** — the shard's batch worker, which already holds
-//! the shard's `drop_log` mutex at every publication site, making it the
-//! sole writer — publishes at partition/batch end with plain relaxed
-//! stores bracketed by two stamp stores (odd = write in progress, even =
-//! stable).  No lock, no read-modify-write, no `SeqCst`; the only fence is
+//! [`TelemetryCell`] is the reader that takes no lock.  Each shard owns one
+//! cell: a fixed array of `AtomicU64` words plus a sequence stamp.  The
+//! **writer** — whichever thread holds the shard lock, which every
+//! publication site does, making it the sole writer — publishes at
+//! partition/batch end with plain relaxed stores bracketed by two stamp
+//! stores (odd = write in progress, even = stable).  No lock, no read-modify-write, no `SeqCst`; the only fence is
 //! a compiler-level `Release` fence that costs nothing on x86 and pairs
 //! with the reader's `Acquire` fence elsewhere.
 //!
@@ -35,7 +35,7 @@
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::faults::{HealthState, ShardHealth, ShardHealthSnapshot};
-use crate::stats::{AtomicEnforcerStats, EnforcerStats, STATS_WORDS};
+use crate::stats::{EnforcerCounters, EnforcerStats, STATS_WORDS};
 
 /// Generations tracked per shard.  A rollback window deeper than this many
 /// *concurrently active* epochs recycles the oldest slot; totals are never
@@ -167,9 +167,10 @@ fn checksum(words: &[u64; SNAPSHOT_WORDS]) -> u64 {
 }
 
 /// One shard's seqlock-published snapshot cell (see the module docs for the
-/// protocol).  Writers must hold the shard's `drop_log` mutex — that lock
-/// is what makes "single writer" true at every publication site; the cell
-/// itself never blocks anyone.
+/// protocol).  Writers must hold the shard lock — that is what makes
+/// "single writer" true at every publication site (the shard only publishes
+/// from a borrow of the state the lock guards); the cell itself never
+/// blocks anyone.
 #[derive(Debug)]
 pub struct TelemetryCell {
     /// The sequence stamp: odd while a publication is in flight, even and
@@ -192,17 +193,16 @@ impl TelemetryCell {
     /// Publish the shard's current counters, attributing the verdict delta
     /// since the previous publication to `epoch`'s generation-ring slot.
     ///
-    /// Caller must be the shard's sole telemetry writer (hold the shard's
-    /// `drop_log` mutex).  Cost: one relaxed snapshot of the counters plus
-    /// `SNAPSHOT_WORDS` (42 today) relaxed stores and two stamp stores — no
-    /// RMW, no lock.
-    pub(crate) fn publish(&self, stats: &AtomicEnforcerStats, epoch: u64, health: &ShardHealth) {
+    /// Caller must be the shard's sole telemetry writer (hold the shard
+    /// lock).  Cost: one copy of the counters plus `SNAPSHOT_WORDS` (42
+    /// today) relaxed stores and two stamp stores — no RMW, no lock.
+    pub(crate) fn publish(&self, stats: &EnforcerCounters, epoch: u64, health: &ShardHealth) {
         let snapshot = stats.snapshot();
         let health = health.snapshot();
 
         // The previous payload is writer-private between publications (the
-        // drop_log lock serializes writers), so these relaxed loads see
-        // exactly the last published words.
+        // shard lock serializes writers), so these relaxed loads see exactly
+        // the last published words.
         let mut words = [0u64; SNAPSHOT_WORDS];
         for (word, cell) in words.iter_mut().zip(self.words.iter()) {
             *word = cell.load(Ordering::Relaxed);
@@ -242,7 +242,7 @@ impl TelemetryCell {
     }
 
     /// Zero the cell (paired with a stats reset).  Caller must hold the
-    /// shard's `drop_log` mutex, like every writer.
+    /// shard lock, like every writer.
     pub(crate) fn reset(&self) {
         let seq = self.seq.load(Ordering::Relaxed);
         self.seq.store(seq.wrapping_add(1), Ordering::Relaxed);
@@ -324,15 +324,15 @@ fn ring_slot(
 mod tests {
     use super::*;
 
-    fn counters_with(accepted: u64, dropped_by_policy: u64) -> AtomicEnforcerStats {
-        let atomic = AtomicEnforcerStats::new();
-        atomic.store(EnforcerStats {
+    fn counters_with(accepted: u64, dropped_by_policy: u64) -> EnforcerCounters {
+        let counters = EnforcerCounters::new();
+        counters.store(EnforcerStats {
             packets_inspected: accepted + dropped_by_policy,
             packets_accepted: accepted,
             dropped_by_policy,
             ..EnforcerStats::default()
         });
-        atomic
+        counters
     }
 
     #[test]
@@ -365,10 +365,10 @@ mod tests {
     fn every_lane_survives_publish_and_read() {
         let words: [u64; STATS_WORDS] = std::array::from_fn(|lane| 1_000 + 37 * lane as u64);
         let stats = EnforcerStats::from_words(&words);
-        let atomic = AtomicEnforcerStats::new();
-        atomic.store(stats);
+        let counters = EnforcerCounters::new();
+        counters.store(stats);
         let cell = TelemetryCell::default();
-        cell.publish(&atomic, 9, &ShardHealth::default());
+        cell.publish(&counters, 9, &ShardHealth::default());
         let snapshot = cell.read();
         assert_eq!(snapshot.stats.to_words(), words);
         assert!(snapshot.checksum_valid());
@@ -423,7 +423,7 @@ mod tests {
     fn counter_reset_restarts_attribution_without_wrapping() {
         let cell = TelemetryCell::default();
         cell.publish(&counters_with(50, 5), 7, &ShardHealth::default());
-        let fresh = AtomicEnforcerStats::new();
+        let fresh = EnforcerCounters::new();
         fresh.store(EnforcerStats {
             packets_inspected: 2,
             packets_accepted: 2,

@@ -2,16 +2,16 @@
 //! plane invariants.
 //!
 //! The enforcement plane's correctness depends on properties `rustc` cannot
-//! see: the shard mutex acquisition order, the confinement and
-//! justification of `unsafe`, the publish/consume protocol of each atomic
-//! field, and the fail-closed verdict posture.  Each is an invariant that
+//! see: the confinement and justification of `unsafe`, the
+//! publish/consume protocol of each atomic field, and the fail-closed
+//! verdict posture.  Each is an invariant that
 //! was bought with an incident or an audit; this crate turns them into
 //! machine-checked rules so they cannot silently rot.
 //!
 //! The analyzer is deliberately dependency-free — no `syn`, no filesystem
 //! walker crates — because it gates CI and must build from a cold cache in
 //! seconds.  It works from a line model (see [`lexer`]) rather than a full
-//! AST: precise enough for the four rules, simple enough to audit by
+//! AST: precise enough for the three rules, simple enough to audit by
 //! reading one file.
 //!
 //! Entry points: [`lint_workspace`] (what the CLI runs), [`lint_sources`]
@@ -26,8 +26,8 @@
 //! // bp-lint: allow(fail-closed) sanitizer mutates packets, never filters
 //! ```
 //!
-//! Lock-order and unsafe-boundary findings are not suppressible: the first
-//! is a deadlock, the second is the whole point of the allowlist.
+//! Unsafe-boundary and atomics-protocol findings are not suppressible:
+//! the allowlist and the manifest are where those exceptions are declared.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -41,13 +41,10 @@ use std::path::{Path, PathBuf};
 
 use lexer::SourceModel;
 use manifest::Manifest;
-use rules::lock_order::AcquisitionGraph;
 
 /// Identifies the rule that produced a finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuleId {
-    /// Shard lock acquisitions must follow the declared order.
-    LockOrder,
     /// `unsafe` confined to allowlisted modules, always justified.
     UnsafeHygiene,
     /// Named atomics carry declared protocols; `Relaxed` only where permitted.
@@ -60,7 +57,6 @@ impl RuleId {
     /// The stable machine-readable rule name.
     pub fn slug(self) -> &'static str {
         match self {
-            RuleId::LockOrder => "lock-order",
             RuleId::UnsafeHygiene => "unsafe-hygiene",
             RuleId::AtomicsProtocol => "atomics-protocol",
             RuleId::FailClosed => "fail-closed",
@@ -68,7 +64,7 @@ impl RuleId {
     }
 
     /// Severity of the rule's findings.  Every current rule guards a
-    /// deadlock, memory-safety or security posture, so all are errors; the
+    /// memory-safety, visibility or security posture, so all are errors; the
     /// field exists so the output format will not change if an advisory
     /// rule is ever added.
     pub fn severity(self) -> &'static str {
@@ -161,29 +157,14 @@ pub fn manifest_path(root: &Path) -> PathBuf {
 }
 
 /// Lint one file's text.  `rel_path` is the workspace-relative path used
-/// for scoping and reporting; held→acquired lock edges are merged into
-/// `graph` so the caller can run a cross-file cycle check afterwards.
-pub fn lint_file(
-    rel_path: &str,
-    text: &str,
-    manifest: &Manifest,
-    graph: &mut AcquisitionGraph,
-) -> Vec<Finding> {
-    lint_model(rel_path, &SourceModel::parse(text), manifest, graph)
+/// for scoping and reporting.
+pub fn lint_file(rel_path: &str, text: &str, manifest: &Manifest) -> Vec<Finding> {
+    lint_model(rel_path, &SourceModel::parse(text), manifest)
 }
 
 /// [`lint_file`] over an already-lexed file.
-fn lint_model(
-    rel_path: &str,
-    model: &SourceModel,
-    manifest: &Manifest,
-    graph: &mut AcquisitionGraph,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    if in_scope(rel_path, &manifest.lock_scope) {
-        findings.extend(rules::lock_order::scan(rel_path, model, manifest, graph));
-    }
-    findings.extend(rules::unsafe_hygiene::scan(rel_path, model, manifest));
+fn lint_model(rel_path: &str, model: &SourceModel, manifest: &Manifest) -> Vec<Finding> {
+    let mut findings = rules::unsafe_hygiene::scan(rel_path, model, manifest);
     if manifest
         .atomics_scopes
         .iter()
@@ -216,39 +197,24 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
 }
 
 /// Lint a whole tree given as `(workspace-relative path, text)` pairs: the
-/// per-file rules of [`lint_file`] plus the checks that need every file —
-/// cross-file lock cycles, and `[atomics]` manifest entries (reported at
-/// `manifest_rel_path`) whose atomic no longer exists.  Findings come back
-/// sorted by file then line.
+/// per-file rules of [`lint_file`] plus the check that needs every file —
+/// `[atomics]` manifest entries (reported at `manifest_rel_path`) whose
+/// atomic no longer exists.  Findings come back sorted by file then line.
 pub fn lint_sources(
     manifest_rel_path: &str,
     manifest: &Manifest,
     sources: &[(String, String)],
 ) -> Vec<Finding> {
-    let mut graph = AcquisitionGraph::default();
     let mut findings = Vec::new();
     let mut declared_atomics = Vec::new();
     for (rel, text) in sources {
         let model = SourceModel::parse(text);
-        findings.extend(lint_model(rel, &model, manifest, &mut graph));
+        findings.extend(lint_model(rel, &model, manifest));
         declared_atomics.extend(
             rules::atomics::declarations(&model)
                 .into_iter()
                 .map(|(_, name)| (rel.clone(), name)),
         );
-    }
-    // Cross-file cycles, minus sites already reported as in-function
-    // inversions (an inversion against the declared order is by definition
-    // also a cycle edge; one finding per site is enough).
-    for cycle in graph.cycle_findings() {
-        let already = findings.iter().any(|finding| {
-            finding.rule == RuleId::LockOrder
-                && finding.file == cycle.file
-                && finding.line == cycle.line
-        });
-        if !already {
-            findings.push(cycle);
-        }
     }
     findings.extend(rules::atomics::stale_entries(
         manifest_rel_path,
@@ -332,8 +298,7 @@ mod tests {
 
     fn manifest() -> Manifest {
         Manifest::parse(
-            "[lock-order]\nscope = crates/bp-core\norder = scratch drop_log flow\n\
-             [unsafe-allow]\ncrates/bp-core/src/runtime.rs\n\
+            "[unsafe-allow]\ncrates/bp-core/src/runtime.rs\n\
              [atomics]\nscope = crates/bp-core\n\
              head = publish=Release consume=Acquire relaxed=load -- index\n",
         )
@@ -341,15 +306,14 @@ mod tests {
     }
 
     fn lint(rel_path: &str, text: &str) -> Vec<Finding> {
-        let mut graph = AcquisitionGraph::default();
-        lint_file(rel_path, text, &manifest(), &mut graph)
+        lint_file(rel_path, text, &manifest())
     }
 
     #[test]
-    fn scoping_limits_lock_and_atomics_rules_to_bp_core() {
-        let text = "fn f() {\n    let f = s.flow.lock();\n    let c = s.scratch.lock();\n    x.head.store(1, Ordering::Relaxed);\n}\n";
+    fn scoping_limits_the_atomics_rule_to_bp_core() {
+        let text = "fn f() {\n    x.head.store(1, Ordering::Relaxed);\n}\n";
         let inside = lint("crates/bp-core/src/enforcer.rs", text);
-        assert_eq!(inside.len(), 2, "{inside:?}");
+        assert_eq!(inside.len(), 1, "{inside:?}");
         let outside = lint("crates/bp-cli/src/main.rs", text);
         assert!(outside.is_empty(), "{outside:?}");
     }
@@ -380,8 +344,8 @@ mod tests {
     }
 
     #[test]
-    fn lock_order_findings_are_not_suppressible() {
-        let text = "fn f() {\n    let f = s.flow.lock();\n    // bp-lint: allow(lock-order) please\n    let c = s.scratch.lock();\n}\n";
+    fn atomics_findings_are_not_suppressible() {
+        let text = "fn f() {\n    // bp-lint: allow(atomics-protocol) please\n    x.head.store(1, Ordering::Relaxed);\n}\n";
         assert_eq!(lint("crates/bp-core/src/enforcer.rs", text).len(), 1);
     }
 

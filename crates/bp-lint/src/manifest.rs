@@ -1,9 +1,8 @@
 //! The checked-in invariants manifest (`crates/bp-lint/invariants.manifest`).
 //!
 //! The manifest is the single declaration point for the invariants the
-//! rules enforce: the shard lock acquisition order, the modules allowed to
-//! contain `unsafe`, and the publish/consume protocol of every named atomic
-//! field.  It is a plain line-based format (`#` comments, `[section]`
+//! rules enforce: the modules allowed to contain `unsafe`, and the
+//! publish/consume protocol of every named atomic field.  It is a plain line-based format (`#` comments, `[section]`
 //! headers) so the linter stays dependency-free.
 
 use std::collections::BTreeMap;
@@ -99,11 +98,6 @@ pub struct AtomicProtocol {
 /// Parsed manifest contents.
 #[derive(Debug, Clone)]
 pub struct Manifest {
-    /// Path prefix (workspace-relative, `/`-separated) the lock-order rule
-    /// applies to.
-    pub lock_scope: String,
-    /// The documented lock acquisition order, outermost first.
-    pub lock_order: Vec<String>,
     /// Workspace-relative files allowed to contain `unsafe`.
     pub unsafe_allow: Vec<String>,
     /// Path prefixes the atomics rule applies to.  Multiple `scope =` lines
@@ -144,8 +138,6 @@ impl Manifest {
 
     /// Parse manifest text.
     pub fn parse(text: &str) -> Result<Manifest, ManifestError> {
-        let mut lock_scope = String::new();
-        let mut lock_order = Vec::new();
         let mut unsafe_allow = Vec::new();
         let mut atomics_scopes = Vec::new();
         let mut atomics = BTreeMap::new();
@@ -166,17 +158,6 @@ impl Manifest {
                 message,
             };
             match section.as_str() {
-                "lock-order" => {
-                    let (key, value) = split_assignment(line)
-                        .ok_or_else(|| fail(format!("expected `key = value`, got `{line}`")))?;
-                    match key {
-                        "scope" => lock_scope = value.to_string(),
-                        "order" => {
-                            lock_order = value.split_whitespace().map(str::to_string).collect();
-                        }
-                        other => return Err(fail(format!("unknown lock-order key `{other}`"))),
-                    }
-                }
                 "unsafe-allow" => unsafe_allow.push(line.to_string()),
                 "atomics" => {
                     let (key, value) = split_assignment(line).ok_or_else(|| {
@@ -203,24 +184,11 @@ impl Manifest {
                 }
             }
         }
-        if lock_order.is_empty() {
-            return Err(ManifestError {
-                line: 0,
-                message: "missing [lock-order] order declaration".into(),
-            });
-        }
         Ok(Manifest {
-            lock_scope,
-            lock_order,
             unsafe_allow,
             atomics_scopes,
             atomics,
         })
-    }
-
-    /// Position of `name` in the declared lock order, if declared.
-    pub fn lock_rank(&self, name: &str) -> Option<usize> {
-        self.lock_order.iter().position(|lock| lock == name)
     }
 
     /// Is the workspace-relative `path` allowed to contain `unsafe`?
@@ -302,10 +270,6 @@ mod tests {
 
     const SAMPLE: &str = "\
 # comment
-[lock-order]
-scope = crates/bp-core
-order = scratch drop_log flow
-
 [unsafe-allow]
 crates/bp-core/src/runtime.rs
 
@@ -318,8 +282,6 @@ pending = publish=AcqRel,Release consume=Acquire relaxed=none -- completion coun
     #[test]
     fn parses_sections_and_protocols() {
         let manifest = Manifest::parse(SAMPLE).unwrap();
-        assert_eq!(manifest.lock_order, ["scratch", "drop_log", "flow"]);
-        assert_eq!(manifest.lock_rank("drop_log"), Some(1));
         assert!(manifest.allows_unsafe("crates/bp-core/src/runtime.rs"));
         assert!(!manifest.allows_unsafe("crates/bp-core/src/enforcer.rs"));
         let head = &manifest.atomics["head"];
@@ -328,24 +290,33 @@ pending = publish=AcqRel,Release consume=Acquire relaxed=none -- completion coun
         assert!(!head.relaxed.permits(AtomicOpKind::Rmw));
         assert_eq!(manifest.atomics["pending"].publish, ["AcqRel", "Release"]);
         assert_eq!(head.scopes, ["crates/bp-core"]);
-        assert_eq!(head.line, 11);
+        assert_eq!(head.line, 7);
     }
 
     #[test]
     fn rejects_protocol_without_note() {
-        let text = "[lock-order]\norder = a b\n[atomics]\nx = publish=Release consume=Acquire relaxed=none\n";
+        let text = "[atomics]\nx = publish=Release consume=Acquire relaxed=none\n";
         let error = Manifest::parse(text).unwrap_err();
         assert!(error.message.contains("note"), "{error}");
     }
 
     #[test]
     fn rejects_unknown_ordering() {
-        let text = "[lock-order]\norder = a\n[atomics]\nx = publish=Sometimes consume=Acquire relaxed=none -- note\n";
+        let text = "[atomics]\nx = publish=Sometimes consume=Acquire relaxed=none -- note\n";
         assert!(Manifest::parse(text).is_err());
     }
 
     #[test]
     fn rejects_entries_outside_sections() {
         assert!(Manifest::parse("order = a b\n").is_err());
+    }
+
+    /// A manifest still carrying the section of a rule that no longer
+    /// exists fails loudly instead of being half-read.
+    #[test]
+    fn rejects_unknown_sections() {
+        let error = Manifest::parse("[retired-rule]\norder = a b\n").unwrap_err();
+        assert_eq!(error.line, 2);
+        assert!(error.message.contains("unknown section [retired-rule]"));
     }
 }

@@ -292,7 +292,7 @@ mod tests {
 
     fn manifest() -> Manifest {
         Manifest::parse(
-            "[lock-order]\norder = a\n[atomics]\nscope = .\n\
+            "[atomics]\nscope = .\n\
              head = publish=Release consume=Acquire relaxed=load -- producer-side index reads\n\
              pending = publish=AcqRel consume=Acquire relaxed=none -- completion countdown\n\
              hits = publish=Relaxed consume=Relaxed relaxed=all -- monotonic counter\n",

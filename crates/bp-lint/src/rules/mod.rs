@@ -2,5 +2,4 @@
 
 pub mod atomics;
 pub mod fail_closed;
-pub mod lock_order;
 pub mod unsafe_hygiene;

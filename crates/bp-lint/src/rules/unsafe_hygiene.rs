@@ -100,7 +100,7 @@ mod tests {
     use super::*;
 
     fn manifest() -> Manifest {
-        Manifest::parse("[lock-order]\norder = a\n[unsafe-allow]\nallowed.rs\n").unwrap()
+        Manifest::parse("[unsafe-allow]\nallowed.rs\n").unwrap()
     }
 
     fn run(path: &str, text: &str) -> Vec<Finding> {

@@ -1,12 +1,9 @@
 //! Rule self-tests: every rule catches its known-bad fixture and stays
-//! quiet on its known-good twin, the CLI exit codes match, and —
-//! the reason this crate exists — reintroducing the PR 5 lock-order
-//! inversion into the real `enforcer/sharded.rs` is caught.
+//! quiet on its known-good twin, and the CLI exit codes match.
 
 use std::path::{Path, PathBuf};
 
 use bp_lint::manifest::Manifest;
-use bp_lint::rules::lock_order::AcquisitionGraph;
 use bp_lint::{lint_file, lint_sources, Finding, RuleId};
 
 fn workspace_root() -> PathBuf {
@@ -23,23 +20,11 @@ fn lint_fixture(name: &str, as_path: &str) -> Vec<Finding> {
         .join("fixtures")
         .join(name);
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let mut graph = AcquisitionGraph::default();
-    lint_file(as_path, &text, &manifest(), &mut graph)
+    lint_file(as_path, &text, &manifest())
 }
 
 fn count(findings: &[Finding], rule: RuleId) -> usize {
     findings.iter().filter(|f| f.rule == rule).count()
-}
-
-#[test]
-fn lock_order_fixtures() {
-    let good = lint_fixture("lock_order_good.rs", "crates/bp-core/src/good.rs");
-    assert!(good.is_empty(), "{good:#?}");
-    let bad = lint_fixture("lock_order_bad.rs", "crates/bp-core/src/bad.rs");
-    // One inversion (flow held while scratch acquired) + one re-acquisition.
-    assert_eq!(count(&bad, RuleId::LockOrder), 2, "{bad:#?}");
-    assert!(bad.iter().any(|f| f.message.contains("holding `flow`")));
-    assert!(bad.iter().any(|f| f.message.contains("re-acquires")));
 }
 
 #[test]
@@ -102,7 +87,7 @@ fn seqlock_fixtures() {
 fn stale_manifest_entry_fixtures() {
     const MANIFEST: &str = "crates/bp-lint/invariants.manifest";
     let manifest = Manifest::parse(
-        "[lock-order]\norder = scratch drop_log flow\n[atomics]\nscope = crates/bp-core\n\
+        "[atomics]\nscope = crates/bp-core\n\
          head = publish=Release consume=Acquire relaxed=load -- ring index\n\
          retired_lane = publish=Relaxed consume=Relaxed relaxed=all -- stats counter\n",
     )
@@ -122,7 +107,7 @@ fn stale_manifest_entry_fixtures() {
 
     let bad = lint("manifest_stale_bad.rs", "crates/bp-core/src/stats.rs");
     assert_eq!(count(&bad, RuleId::AtomicsProtocol), 1, "{bad:#?}");
-    assert_eq!((bad[0].file.as_str(), bad[0].line), (MANIFEST, 6));
+    assert_eq!((bad[0].file.as_str(), bad[0].line), (MANIFEST, 4));
     assert!(bad[0].message.contains("`retired_lane`"), "{bad:#?}");
 
     let elsewhere = lint("manifest_stale_good.rs", "crates/bp-obs/src/collector.rs");
@@ -177,79 +162,12 @@ fn fault_path_fixtures() {
         .all(|f| f.message.contains("fault-path `catch_unwind`")));
 }
 
-/// Fixture rules are scoped: the same bad lock/atomics text outside
-/// `crates/bp-core` is not subject to those rules.
+/// Fixture rules are scoped: the same bad atomics text outside the
+/// manifest's `scope =` prefixes is not subject to the rule.
 #[test]
 fn core_scoped_rules_ignore_other_crates() {
-    let bad = lint_fixture("lock_order_bad.rs", "crates/bp-cli/src/main.rs");
-    assert_eq!(count(&bad, RuleId::LockOrder), 0, "{bad:#?}");
     let bad = lint_fixture("atomics_bad.rs", "crates/bp-cli/src/main.rs");
     assert_eq!(count(&bad, RuleId::AtomicsProtocol), 0, "{bad:#?}");
-}
-
-/// THE regression this tool was built for: swap the `scratch` / `flow`
-/// acquisition lines inside the real `EnforcerCore::inspect` (the PR 5
-/// deadlock, reintroduced) and the linter must catch it; the pristine file
-/// must stay clean.
-#[test]
-fn pr5_lock_inversion_in_real_enforcer_is_caught() {
-    const SHARDED: &str = "crates/bp-core/src/enforcer/sharded.rs";
-    let pristine =
-        std::fs::read_to_string(workspace_root().join(SHARDED)).expect("read enforcer/sharded.rs");
-
-    let mut graph = AcquisitionGraph::default();
-    let clean = lint_file(SHARDED, &pristine, &manifest(), &mut graph);
-    assert!(
-        clean.is_empty(),
-        "pristine enforcer/sharded.rs must lint clean: {clean:#?}"
-    );
-
-    const SCRATCH: &str = "let mut scratch = shard.scratch.lock();";
-    const FLOW: &str = "let mut flow = shard.flow.lock();";
-    assert!(
-        pristine.contains(SCRATCH) && pristine.contains(FLOW),
-        "the canonical acquisition sequence moved; update this regression test"
-    );
-    let inverted = pristine
-        .replace(SCRATCH, "\u{1}")
-        .replace(FLOW, SCRATCH)
-        .replace('\u{1}', FLOW);
-    assert_ne!(inverted, pristine);
-
-    let mut graph = AcquisitionGraph::default();
-    let findings = lint_file(SHARDED, &inverted, &manifest(), &mut graph);
-    assert!(
-        findings.iter().any(|f| f.rule == RuleId::LockOrder),
-        "the reintroduced PR 5 inversion must be flagged: {findings:#?}"
-    );
-}
-
-/// Same inversion applied to the worker path in `runtime.rs` (where
-/// `run_partition` now lives) is caught too.
-#[test]
-fn lock_inversion_in_runtime_worker_path_is_caught() {
-    let runtime = workspace_root().join("crates/bp-core/src/runtime.rs");
-    let pristine = std::fs::read_to_string(&runtime).expect("read runtime.rs");
-
-    const DROP_LOG: &str = "let mut drop_log = shard.drop_log.lock();";
-    const FLOW: &str = "let mut flow = shard.flow.lock();";
-    assert!(pristine.contains(DROP_LOG) && pristine.contains(FLOW));
-    let inverted = pristine
-        .replace(DROP_LOG, "\u{1}")
-        .replace(FLOW, DROP_LOG)
-        .replace('\u{1}', FLOW);
-
-    let mut graph = AcquisitionGraph::default();
-    let findings = lint_file(
-        "crates/bp-core/src/runtime.rs",
-        &inverted,
-        &manifest(),
-        &mut graph,
-    );
-    assert!(
-        findings.iter().any(|f| f.rule == RuleId::LockOrder),
-        "{findings:#?}"
-    );
 }
 
 /// CLI contract: exit 0 on a clean tree, 1 on a tree with a violation,
@@ -266,20 +184,20 @@ fn cli_exit_codes_follow_findings() {
     // checked-in one names atomics this tree does not declare.
     std::fs::write(
         bp_lint::manifest_path(&scratch),
-        "[lock-order]\nscope = crates/bp-core\norder = scratch drop_log flow\n",
+        "[unsafe-allow]\ncrates/bp-core/src/runtime.rs\n",
     )
     .unwrap();
 
-    let good = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/lock_order_good.rs");
-    std::fs::copy(&good, scratch.join("crates/bp-core/src/paths.rs")).unwrap();
+    let good = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/unsafe_good.rs");
+    std::fs::copy(&good, scratch.join("crates/bp-core/src/runtime.rs")).unwrap();
     let status = Command::new(env!("CARGO_BIN_EXE_bp-lint"))
         .arg(&scratch)
         .output()
         .expect("run bp-lint");
     assert_eq!(status.status.code(), Some(0), "{status:?}");
 
-    let bad = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/lock_order_bad.rs");
-    std::fs::copy(&bad, scratch.join("crates/bp-core/src/paths.rs")).unwrap();
+    let bad = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/unsafe_bad.rs");
+    std::fs::copy(&bad, scratch.join("crates/bp-core/src/runtime.rs")).unwrap();
     let output = Command::new(env!("CARGO_BIN_EXE_bp-lint"))
         .arg(&scratch)
         .arg("--json")
@@ -287,7 +205,7 @@ fn cli_exit_codes_follow_findings() {
         .expect("run bp-lint");
     assert_eq!(output.status.code(), Some(1), "{output:?}");
     let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("\"rule\":\"lock-order\""), "{stdout}");
+    assert!(stdout.contains("\"rule\":\"unsafe-hygiene\""), "{stdout}");
 
     let _ = std::fs::remove_dir_all(&scratch);
 }

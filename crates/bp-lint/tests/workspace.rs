@@ -1,6 +1,6 @@
 //! The gate CI enforces: the live workspace lints clean.  Any change that
-//! inverts a lock pair, spreads `unsafe`, weakens a declared atomic
-//! protocol or defaults a verdict to accept fails this test.
+//! spreads `unsafe`, weakens a declared atomic protocol or defaults a
+//! verdict to accept fails this test.
 
 use std::path::Path;
 

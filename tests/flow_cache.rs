@@ -6,7 +6,7 @@ use std::sync::Arc;
 use borderpatrol::core::control::{ControlPlane, EnforcementEndpoint};
 use borderpatrol::core::encoding::ContextEncoding;
 use borderpatrol::core::enforcer::{
-    AtomicEnforcerStats, DropLog, EnforcementTables, EnforcerConfig, EnforcerStats, PolicyEnforcer,
+    DropLog, EnforcementTables, EnforcerConfig, EnforcerCounters, EnforcerStats, PolicyEnforcer,
     ShardedEnforcer, DROP_LOG_CAPACITY,
 };
 use borderpatrol::core::flow::{FlowTable, FlowTableConfig};
@@ -400,7 +400,7 @@ proptest! {
         // A flow table smaller than the flow count, so inserts evict; the
         // memo and the flow entries live across every rebuild below.
         let mut flow = FlowTable::new(FlowTableConfig { capacity: 4, ttl: SimDuration::ZERO });
-        let (cached_stats, reference_stats) = (AtomicEnforcerStats::new(), AtomicEnforcerStats::new());
+        let (cached_stats, reference_stats) = (EnforcerCounters::new(), EnforcerCounters::new());
         let mut cached_log = DropLog::new(DROP_LOG_CAPACITY);
         let mut reference_log = DropLog::new(DROP_LOG_CAPACITY);
         let mut scratch = Vec::new();

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use borderpatrol::analysis::scenario::adversary::{AdversaryModel, AdversaryProfile};
 use borderpatrol::analysis::scenario::{PreparedScenario, ScenarioReport, ScenarioSpec};
 use borderpatrol::core::enforcer::{
-    AtomicEnforcerStats, EnforcerConfig, EnforcerStats, ShardedEnforcer,
+    EnforcerConfig, EnforcerCounters, EnforcerStats, ShardedEnforcer,
 };
 use borderpatrol::core::policy::PolicySet;
 use borderpatrol::core::wire::WireError;
@@ -54,8 +54,10 @@ proptest! {
 
     /// A reader hammering every shard's seqlock concurrently with batch
     /// inspection only ever observes internally consistent snapshots —
-    /// the sequence-odd/changed retry protocol works — and once the writer
-    /// is done, the per-shard snapshots sum exactly to the merged stats.
+    /// the sequence-odd/changed retry protocol works — and the live
+    /// counters it reads under each shard's lock conserve mid-batch too.
+    /// Once the writer is done, the per-shard snapshots sum exactly to the
+    /// merged stats.
     #[test]
     fn concurrent_polling_never_observes_a_torn_snapshot(
         flows in 1u16..10,
@@ -78,6 +80,13 @@ proptest! {
                         assert!(snapshot.consistent(), "inconsistent snapshot: {snapshot:?}");
                         reads += 1;
                     }
+                    for stats in enforcer.shard_stats() {
+                        assert_eq!(
+                            stats.packets_inspected,
+                            stats.packets_accepted + stats.total_dropped(),
+                            "live counters tore: {stats:?}"
+                        );
+                    }
                     // At least one full sweep happens even if the writer
                     // finishes before this thread is scheduled.
                     if done {
@@ -98,7 +107,7 @@ proptest! {
         prop_assert!(reads > 0, "reader never completed a snapshot read");
 
         // Quiescent now: per-shard published stats sum exactly to the
-        // merged atomic stats.
+        // merged live counters.
         let summed = enforcer
             .telemetry()
             .iter()
@@ -203,7 +212,7 @@ fn every_counter_survives_every_surface_derived_from_the_table() {
     }
 
     // Atomic lanes.
-    let atomic = AtomicEnforcerStats::new();
+    let atomic = EnforcerCounters::new();
     atomic.store(stats);
     assert_eq!(atomic.snapshot(), stats);
 

@@ -5,12 +5,15 @@
 //! and that an engine whose data plane has spawned workers shuts down
 //! cleanly.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 
 use borderpatrol::core::control::{ControlPlane, EnforcementEndpoint};
-use borderpatrol::core::enforcer::{EnforcementTables, EnforcerConfig, ShardedEnforcer};
+use borderpatrol::core::enforcer::{
+    EnforcementTables, EnforcerConfig, EnforcerStats, ShardedEnforcer,
+};
 use borderpatrol::core::policy::{Policy, PolicySet};
 use borderpatrol::netsim::addr::Endpoint;
 use borderpatrol::netsim::netfilter::Verdict;
@@ -127,11 +130,13 @@ proptest! {
     }
 }
 
-/// Deadlock regression: an inline `inspect` and a batch worker contend for
-/// the same shard's mutexes; they must acquire them in one global order
-/// (scratch → drop_log → flow).  Before that ordering was enforced, this
-/// interleaving wedged reliably within a few iterations — the test passing
-/// (i.e. terminating) is the assertion.
+/// Deadlock guard: an inline `inspect` and a batch worker contend for the
+/// same shards.  Each shard has one lock, so neither can hold part of a
+/// shard while waiting for the rest; the only other lock on the path is
+/// the pool's submission lock, which `inspect` never takes.  When a shard
+/// had three mutexes and one path took them in another order, this
+/// interleaving wedged within a few iterations — the test terminating is
+/// the assertion.
 #[test]
 fn inline_inspect_and_pool_batches_interleave_without_deadlock() {
     let (pool, _) = runtime_pair(4);
@@ -156,6 +161,48 @@ fn inline_inspect_and_pool_batches_interleave_without_deadlock() {
         400 * 64 + 400,
         "every inline and batched packet accounted"
     );
+}
+
+/// `reset_stats` against running batches: counters, drop log and published
+/// snapshot are zeroed together under the shard lock, so a reset lands
+/// between two partitions.  When the counters were zeroed before the lock
+/// was taken, a reset landing between a packet's `inspected` and `accepted`
+/// bumps left the shard with more verdicts than inspections.
+#[test]
+fn reset_stats_under_load_keeps_every_shard_conserving() {
+    let (pool, _) = runtime_pair(4);
+    let packets: Vec<Ipv4Packet> = (0..256u16)
+        .map(|i| shaped_packet(i, usize::from(i) % 4))
+        .collect();
+    let conserves = |stats: &EnforcerStats| {
+        stats.packets_inspected == stats.packets_accepted + stats.total_dropped()
+    };
+    let (resetting, done) = (Barrier::new(2), AtomicBool::new(false));
+    std::thread::scope(|scope| {
+        let resetter = scope.spawn(|| {
+            resetting.wait();
+            while !done.load(Ordering::Relaxed) {
+                pool.reset_stats();
+            }
+        });
+        // Batches start only once the resetter thread is running.
+        resetting.wait();
+        let mut verdicts = Vec::new();
+        for _ in 0..400 {
+            pool.inspect_batch_into(&packets, &mut verdicts);
+            for stats in pool.shard_stats() {
+                assert!(conserves(&stats), "reset tore a running shard: {stats:?}");
+            }
+        }
+        done.store(true, Ordering::Relaxed);
+        resetter.join().unwrap();
+    });
+    // Quiescent: whichever came last on a shard, a reset or a partition,
+    // its live counters and its published snapshot agree.
+    for (stats, snapshot) in pool.shard_stats().iter().zip(pool.telemetry()) {
+        assert!(conserves(stats), "{stats:?}");
+        assert_eq!(*stats, snapshot.stats);
+    }
 }
 
 /// Commit atomicity through the runtime: while a worker thread hammers

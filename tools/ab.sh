@@ -11,18 +11,29 @@
 # *own* `benchmark/run.sh --workload W --seed N --seconds S --trace 0` in
 # alternated pairs (a b, b a, a b, …), because on a shared host two runs
 # minutes apart differ by more than most changes do; only neighbours compare.
-# Prints, per end-to-end metric, both medians, the delta of b against a, and
-# in how many pairs b was the better side.
+# Prints, per end-to-end metric, a's median and quartiles, b's median, the
+# delta of b against a, in how many pairs b was the better side, and the
+# verdict the pipeline reaches from those (simplicity-review, "Benchmark
+# workloads"):
+#   better / worse  b (or a) wins at least 9 of every 10 pairs, ties counting
+#                   for neither, and the medians differ by more than a's
+#                   interquartile distance; `worse` says on which side of the
+#                   metric's BENCHMARK.json bound the regression falls
+#   within bound    not resolved either way; b's median is no worse than a's
+#                   by more than the bound, and a's interquartile distance is
+#                   no wider than the bound
+#   unresolved      anything else: the runs spread too widely to tell
+# and under each metric every run's value, a then b, in pair order.
 #
 # Environment: AB_SEED (default 1), AB_SECONDS (default: BENCHMARK.json's
 # run_seconds), AB_KEEP=1 to keep the temporary directory.
 set -euo pipefail
 
 if [ "$#" -lt 3 ] || [ "$#" -gt 4 ]; then
-    sed -n '2,18p' "$0" >&2
+    sed -n '2,29p' "$0" >&2
     exit 2
 fi
-rev_a="$1" rev_b="$2" workloads="${3//,/ }" pairs="${4:-5}"
+rev_a="$1" rev_b="$2" workloads="${3//,/ }" pairs="${4:-10}"
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 seed="${AB_SEED:-1}"
 seconds="${AB_SECONDS:-$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$repo/BENCHMARK.json")}"
@@ -58,14 +69,28 @@ for side, results in runs.items():
     if bad:
         sys.exit(f"ab: side {side} was incorrect or failed operations in pair(s) {bad}")
 print(f"{workload}: a = {rev_a}, b = {rev_b}, {pairs} alternated pairs, seed {seed}, {seconds} s per run")
-print(f"{'metric':<16} {'median a':>14} {'median b':>14} {'b vs a':>9}  b better in")
+print(f"{'metric':<16} {'median a':>13} {'a q1..q3':>25} {'median b':>13} {'b vs a':>8} {'b won':>6}  verdict")
 for metric in json.load(open(manifest))["end_to_end"]:
-    name, higher = metric["name"], metric["better"] == "higher"
+    name, higher, bound = metric["name"], metric["better"] == "higher", metric["bound"]
     a, b = ([r["metrics"][name]["value"] for r in runs[side]] for side in "ab")
     med_a, med_b = statistics.median(a), statistics.median(b)
-    wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
+    q1, _, q3 = statistics.quantiles(a, n=4, method="inclusive") if pairs > 1 else a * 3
+    # By how much b's median is the better one, in the metric's unit.
+    gain = med_b - med_a if higher else med_a - med_b
+    won = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
+    lost = sum((y < x) if higher else (y > x) for x, y in zip(a, b))
+    if 10 * won >= 9 * pairs and gain > q3 - q1:
+        verdict = "better"
+    elif 10 * lost >= 9 * pairs and -gain > q3 - q1:
+        verdict = f"worse ({'within' if -gain <= bound * med_a else 'BEYOND'} bound {bound:.0%})"
+    elif -gain <= bound * med_a and q3 - q1 <= bound * med_a:
+        verdict = "within bound"
+    else:
+        verdict = "unresolved"
     delta = f"{(med_b - med_a) / med_a:+.1%}" if med_a else "n/a"
-    print(f"{name:<16} {med_a:>14.4f} {med_b:>14.4f} {delta:>9}  {wins}/{pairs} ({metric['unit']}, {metric['better']} is better)")
+    print(f"{name:<16} {med_a:>13.4f} {f'{q1:.4f}..{q3:.4f}':>25} {med_b:>13.4f} {delta:>8} {f'{won}/{pairs}':>6}  {verdict} ({metric['unit']}, {metric['better']} is better)")
+    for side, values in (("a", a), ("b", b)):
+        print(f"    {side}: " + " ".join(f"{value:.4f}" for value in values))
 PY
 }
 
