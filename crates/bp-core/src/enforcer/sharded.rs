@@ -29,7 +29,7 @@ use crate::wire::{self, WireFrame};
 /// [`EnforcerShard`]'s one mutex, so whoever holds a `&mut ShardState` is
 /// the shard's owner for as long as the guard lives — the sole counter
 /// writer, the sole drop-log writer and the sole telemetry publisher.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct ShardState {
     pub(crate) counters: EnforcerCounters,
     pub(crate) drop_log: DropLog,
@@ -62,8 +62,10 @@ impl EnforcerShard {
     fn with_flow_config(config: FlowTableConfig) -> Self {
         EnforcerShard {
             state: Mutex::new(ShardState {
+                counters: EnforcerCounters::default(),
+                drop_log: DropLog::default(),
+                scratch: Vec::new(),
                 flow: FlowTable::new(config),
-                ..ShardState::default()
             }),
             telemetry: TelemetryCell::default(),
             health: ShardHealth::default(),

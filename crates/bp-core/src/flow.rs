@@ -30,13 +30,53 @@
 //!   fresh epoch regardless of how much compiled structure it reuses, so
 //!   reuse changes compile cost only, never cache-coherence semantics.
 //!
-//! Eviction is LRU (lazy, via a touch queue) bounded by
-//! [`FlowTableConfig::capacity`], plus TTL on the simulated clock: entries
-//! idle longer than [`FlowTableConfig::ttl`] are treated as dead flows.
+//! Eviction is exact LRU bounded by [`FlowTableConfig::capacity`], plus TTL
+//! on the simulated clock: entries idle longer than [`FlowTableConfig::ttl`]
+//! are treated as dead flows.
 //!
 //! Flow tables are *shard-local*. [`ShardedEnforcer`] partitions batches by
 //! flow, so a flow's packets always land on the same shard and the tables
 //! need no cross-shard synchronization.
+//!
+//! # Storage
+//!
+//! Three structures, none of which is ever swept:
+//!
+//! * a **slab** of entries, each carrying its own [`FlowKey`].  It grows by
+//!   `push` until it holds `capacity` entries and never past that; a slot
+//!   vacated by a stale entry goes on a free list and is the next one used;
+//! * an **open-addressed index** of `tag << 32 | slot` cells: the tag is the
+//!   high half of an Fx mix of the 5-tuple, its low bits name the home cell,
+//!   collisions probe linearly.  The index is at most half full — it doubles
+//!   (re-seated from the stored tags, no key is re-hashed) while the slab is
+//!   still growing, and a removal shifts the rest of its probe run back so no
+//!   run ever holds a tombstone;
+//! * a **recency list** threaded through the slab by two slot numbers per
+//!   entry, newest to oldest.  A hit unlinks the entry and relinks it at the
+//!   newest end (nothing, if it is already there); the eviction victim is the
+//!   oldest end.
+//!
+//! So a probe is one index walk, one key compare and one payload compare; an
+//! insert at capacity removes the oldest entry and reuses its slot.  Every
+//! operation is O(1) expected, and a table at capacity allocates nothing on
+//! probe, insert or eviction: recency is kept where the entry lies, so no
+//! batch pays for the hits of the batches before it.
+//!
+//! The LRU is *exact* — the victim is always the least recently touched live
+//! entry — rather than set-associative with per-set recency (the shape of
+//! the context memo below), because a fixed set overflows while the table
+//! still has room: 2 048 flows in 512 eight-way sets overflow about 2 % of
+//! the sets, and each overflow is a conflict miss on a flow an exact table
+//! of the same size serves from cache.  Exactness keeps `flow_hits`,
+//! `flow_misses` and `flow_evictions` a function of the traffic and the
+//! capacity alone.
+//!
+//! The Fx mix is unkeyed, so a sender who chooses its 5-tuples can aim many
+//! flows at one home cell, as it can collide any Fx-hashed map.  The tag
+//! compare keeps such a run off the slab (a cell is followed only when all
+//! 32 tag bits match), so its cost is a walk over adjacent 8-byte cells;
+//! bounding how many entries one device may hold is per-device admission's
+//! job, not the index's.
 //!
 //! # The context memo
 //!
@@ -72,8 +112,6 @@
 //! [`EnforcementTables`]: crate::enforcer::EnforcementTables
 //! [`ShardedEnforcer`]: crate::enforcer::ShardedEnforcer
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use bp_netsim::clock::SimDuration;
@@ -89,6 +127,15 @@ pub const DEFAULT_FLOW_TTL: SimDuration = SimDuration::from_millis(30_000);
 
 /// The Fx multiplier (a.k.a. the Firefox hasher constant).
 const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// One step of the Fx mix.  Flow keys and context payloads are already
+/// well-distributed address and index material, so a multiply-rotate per
+/// word is plenty and roughly an order of magnitude cheaper than SipHash —
+/// the probe *is* the hot path the flow table exists to shorten.  The
+/// multiply leaves its entropy in the high bits.
+fn fx_mix(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED)
+}
 
 /// Inline copy of a context-option payload.
 ///
@@ -123,49 +170,6 @@ impl PayloadBuf {
         &self.bytes[..usize::from(self.len)]
     }
 }
-
-/// Fx-style hasher for [`FlowKey`] map probes: the key is 13 bytes of
-/// already-well-distributed address material, so a multiply-rotate mix is
-/// plenty and roughly an order of magnitude cheaper than the default
-/// SipHash — the probe *is* the hot path the flow table exists to shorten.
-#[derive(Debug, Default)]
-pub struct FlowKeyHasher {
-    hash: u64,
-}
-
-impl Hasher for FlowKeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.hash = (self.hash.rotate_left(5) ^ u64::from(byte)).wrapping_mul(FX_SEED);
-        }
-    }
-
-    fn write_u32(&mut self, value: u32) {
-        self.hash = (self.hash.rotate_left(5) ^ u64::from(value)).wrapping_mul(FX_SEED);
-    }
-
-    fn write_u16(&mut self, value: u16) {
-        self.hash = (self.hash.rotate_left(5) ^ u64::from(value)).wrapping_mul(FX_SEED);
-    }
-
-    fn write_u8(&mut self, value: u8) {
-        self.hash = (self.hash.rotate_left(5) ^ u64::from(value)).wrapping_mul(FX_SEED);
-    }
-
-    fn write_u64(&mut self, value: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ value).wrapping_mul(FX_SEED);
-    }
-
-    fn write_usize(&mut self, value: usize) {
-        self.write_u64(value as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-type FlowMap = HashMap<FlowKey, FlowEntry, BuildHasherDefault<FlowKeyHasher>>;
 
 /// The cacheable outcome of evaluating one context payload against the
 /// compiled tables.
@@ -258,15 +262,41 @@ impl Default for FlowTableConfig {
     }
 }
 
+/// "No slot": ends the recency list and the free list.  Slot numbers are
+/// `u32`, and capacity is clamped so that no slot ever has this number.
+const NONE: u32 = u32::MAX;
+
+/// An empty index cell; no occupied cell names the slot [`NONE`].
+const EMPTY: u64 = u64::MAX;
+
+/// Flows a new table makes index room for before it has seen one.  Nothing
+/// else is sized up front, and nothing at all from a capacity beyond this:
+/// callers pass bounds they never expect to reach.
+const INITIAL_FLOWS: usize = 1_024;
+
+/// The index tag of `key`: the high half of the Fx mix of the 5-tuple packed
+/// into two words, the parts that vary between flows in the low bits, where
+/// the multiply spreads them furthest.
+fn tag_of(key: &FlowKey) -> u32 {
+    let addresses = u64::from(u32::from(key.dst_ip)) << 32 | u64::from(u32::from(key.src_ip));
+    let ports = u64::from(key.protocol.number()) << 32
+        | u64::from(key.dst_port) << 16
+        | u64::from(key.src_port);
+    (fx_mix(fx_mix(0, addresses), ports) >> 32) as u32
+}
+
 #[derive(Debug, Clone)]
 struct FlowEntry {
+    key: FlowKey,
     payload: PayloadBuf,
     epoch: u64,
     outcome: CachedOutcome,
     last_seen: SimDuration,
-    /// Tick of this entry's most recent touch; queue entries with an older
-    /// tick are stale and skipped during eviction.
-    tick: u64,
+    /// The entry touched next after this one; [`NONE`] on the newest.
+    newer: u32,
+    /// The entry touched last before this one, [`NONE`] on the oldest; on a
+    /// vacated slot, the next vacated slot.
+    older: u32,
 }
 
 /// Sets in the context memo; a power of two.
@@ -285,23 +315,25 @@ struct MemoEntry {
     outcome: CachedOutcome,
 }
 
-/// The memo set `payload` lives in: the Fx mix of [`FlowKeyHasher`] over the
-/// zero-padded bytes a word at a time (five multiplies, not 38).  The hash
+/// The memo set `payload` lives in: [`fx_mix`] over the zero-padded bytes a
+/// word at a time (five multiplies, not 38), then over the length.  The hash
 /// only picks the set — a match is decided by comparing the bytes.
 fn memo_set(payload: &PayloadBuf) -> usize {
-    let mut hasher = FlowKeyHasher::default();
-    for chunk in payload.bytes.chunks(8) {
+    let words = payload.bytes.chunks(8).fold(0, |hash, chunk| {
         let mut word = [0u8; 8];
         word[..chunk.len()].copy_from_slice(chunk);
-        hasher.write_u64(u64::from_le_bytes(word));
-    }
-    hasher.write_u8(payload.len);
-    // The multiply leaves its entropy in the high bits.
-    (hasher.finish() >> 32) as usize % MEMO_SETS
+        fx_mix(hash, u64::from_le_bytes(word))
+    });
+    (fx_mix(words, u64::from(payload.len)) >> 32) as usize % MEMO_SETS
 }
 
 /// A bounded per-shard flow table: [`FlowKey`] → cached verdict, versioned by
-/// exact payload bytes and tables epoch, with lazy-LRU + TTL eviction.
+/// exact payload bytes and tables epoch, with exact-LRU + TTL eviction.
+///
+/// Entries live in a slab that grows to `capacity` and no further, found
+/// through an open-addressed index and ordered by a recency list threaded
+/// through the slab (see the module documentation): probe, insert and
+/// eviction are O(1), and at capacity none of them allocates.
 ///
 /// # Examples
 ///
@@ -339,12 +371,19 @@ fn memo_set(payload: &PayloadBuf) -> usize {
 #[derive(Debug)]
 pub struct FlowTable {
     config: FlowTableConfig,
-    entries: FlowMap,
-    /// Lazy LRU order: every touch appends `(key, tick)`; entries whose tick
-    /// no longer matches the live entry are skipped (and compacted away once
-    /// the queue grows past a multiple of capacity).
-    order: VecDeque<(FlowKey, u64)>,
-    tick: u64,
+    /// Every entry, live or vacated, by slot number.
+    slab: Vec<FlowEntry>,
+    /// `tag << 32 | slot` per live entry, [`EMPTY`] elsewhere; a power of
+    /// two long and at most half full, so every probe run ends.
+    index: Vec<u64>,
+    /// Live entries: the slab's, minus the free list's.
+    len: usize,
+    /// Ends of the recency list through [`FlowEntry::newer`] and
+    /// [`FlowEntry::older`].
+    newest: u32,
+    oldest: u32,
+    /// Head of the vacated slots, linked through [`FlowEntry::older`].
+    free: u32,
     /// The context memo: `MEMO_SETS` sets of `MEMO_WAYS` slots, newest first
     /// within a set (see the module documentation).
     memo: Box<[Option<MemoEntry>]>,
@@ -357,20 +396,22 @@ impl Default for FlowTable {
 }
 
 impl FlowTable {
-    /// An empty table with the given bounds (capacity is clamped to ≥ 1).
+    /// An empty table with the given bounds (capacity is clamped to ≥ 1, and
+    /// to what a `u32` slot number can name).
     pub fn new(config: FlowTableConfig) -> Self {
         let config = FlowTableConfig {
-            capacity: config.capacity.max(1),
+            capacity: config.capacity.clamp(1, NONE as usize),
             ..config
         };
+        let cells = (2 * config.capacity.min(INITIAL_FLOWS)).next_power_of_two();
         FlowTable {
             config,
-            entries: FlowMap::with_capacity_and_hasher(
-                config.capacity.min(1_024),
-                BuildHasherDefault::default(),
-            ),
-            order: VecDeque::new(),
-            tick: 0,
+            slab: Vec::new(),
+            index: vec![EMPTY; cells],
+            len: 0,
+            newest: NONE,
+            oldest: NONE,
+            free: NONE,
             memo: vec![None; MEMO_SETS * MEMO_WAYS].into_boxed_slice(),
         }
     }
@@ -382,31 +423,110 @@ impl FlowTable {
 
     /// Number of flows currently tracked.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True if no flows are tracked.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Drop every tracked flow and every remembered context.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
+        self.slab.clear();
+        self.index.fill(EMPTY);
+        self.len = 0;
+        (self.newest, self.oldest, self.free) = (NONE, NONE, NONE);
         self.memo.fill(None);
     }
 
-    /// Bound the touch queue: stale touches accumulate one per hit, so
-    /// compact once the queue outgrows a small multiple of capacity.  Called
-    /// before the map is borrowed so hit probes can return a reference
-    /// without re-probing.
-    fn maybe_compact(&mut self) {
-        if self.order.len() > self.config.capacity.saturating_mul(4).max(64) {
-            let entries = &self.entries;
-            self.order
-                .retain(|(key, tick)| entries.get(key).is_some_and(|e| e.tick == *tick));
+    /// The index cell and slab slot of `key`, whose tag is `tag`, if it is
+    /// tracked.  Only a cell whose 32 tag bits match is followed to the slab.
+    fn find(&self, key: &FlowKey, tag: u32) -> Option<(usize, u32)> {
+        let mask = self.index.len() - 1;
+        let mut at = tag as usize & mask;
+        loop {
+            let cell = self.index[at];
+            if cell == EMPTY {
+                return None;
+            }
+            let slot = cell as u32;
+            if (cell >> 32) as u32 == tag && self.slab[slot as usize].key == *key {
+                return Some((at, slot));
+            }
+            at = (at + 1) & mask;
         }
+    }
+
+    /// Store `cell` in the first empty cell at or after its tag's home.
+    fn seat(&mut self, cell: u64) {
+        let mask = self.index.len() - 1;
+        let mut at = (cell >> 32) as usize & mask;
+        while self.index[at] != EMPTY {
+            at = (at + 1) & mask;
+        }
+        self.index[at] = cell;
+    }
+
+    /// Take `slot` out of the recency list.
+    fn unlink(&mut self, slot: u32) {
+        let entry = &self.slab[slot as usize];
+        let (newer, older) = (entry.newer, entry.older);
+        match newer {
+            NONE => self.newest = older,
+            newer => self.slab[newer as usize].older = older,
+        }
+        match older {
+            NONE => self.oldest = newer,
+            older => self.slab[older as usize].newer = newer,
+        }
+    }
+
+    /// Put `slot`, which is not in the recency list, at its newest end.
+    fn link_newest(&mut self, slot: u32) {
+        let entry = &mut self.slab[slot as usize];
+        (entry.newer, entry.older) = (NONE, self.newest);
+        match self.newest {
+            NONE => self.oldest = slot,
+            newest => self.slab[newest as usize].newer = slot,
+        }
+        self.newest = slot;
+    }
+
+    /// Make the live entry in `slot` the most recently touched.
+    fn touch(&mut self, slot: u32) {
+        if self.newest != slot {
+            self.unlink(slot);
+            self.link_newest(slot);
+        }
+    }
+
+    /// Remove the live entry in `slot`, which index cell `cell` names.
+    fn remove(&mut self, cell: usize, slot: u32) {
+        // Backward shift: close the hole with the cells of the run behind it,
+        // so that no probe run ever contains an empty cell or a tombstone.
+        let mask = self.index.len() - 1;
+        let (mut hole, mut at) = (cell, (cell + 1) & mask);
+        while self.index[at] != EMPTY {
+            let home = (self.index[at] >> 32) as usize & mask;
+            // A cell stays reachable from its home only if it is not moved
+            // to before it: it may fill the hole when its home is at least
+            // as far behind it (cyclically) as the hole is.
+            if at.wrapping_sub(home) & mask >= at.wrapping_sub(hole) & mask {
+                self.index[hole] = self.index[at];
+                hole = at;
+            }
+            at = (at + 1) & mask;
+        }
+        self.index[hole] = EMPTY;
+
+        self.unlink(slot);
+        let entry = &mut self.slab[slot as usize];
+        // A vacated slot keeps no reason text alive.
+        entry.outcome = CachedOutcome::Accept;
+        entry.older = self.free;
+        self.free = slot;
+        self.len -= 1;
     }
 
     /// Probe for a cached outcome: [`FlowProbe::Hit`] only when the flow is
@@ -415,8 +535,8 @@ impl FlowTable {
     /// the entry's LRU position and timestamp.  An entry cached under an
     /// older epoch or idle past the TTL is removed and reported as a
     /// [`FlowProbe::Miss`]; a *live* same-epoch entry whose payload differs
-    /// is reported as a [`FlowProbe::ContextSwitch`] and **kept** (see the
-    /// variant documentation for why).
+    /// is reported as a [`FlowProbe::ContextSwitch`] and **kept**, its LRU
+    /// position unchanged (see the variant documentation for why).
     pub fn probe(
         &mut self,
         key: &FlowKey,
@@ -424,36 +544,31 @@ impl FlowTable {
         epoch: u64,
         now: SimDuration,
     ) -> FlowProbe<'_> {
-        self.maybe_compact();
+        let Some((cell, slot)) = self.find(key, tag_of(key)) else {
+            return FlowProbe::Miss;
+        };
+        let entry = &self.slab[slot as usize];
         let ttl = self.config.ttl;
-        match self.entries.entry(*key) {
-            std::collections::hash_map::Entry::Vacant(_) => FlowProbe::Miss,
-            std::collections::hash_map::Entry::Occupied(occupied) => {
-                let entry = occupied.get();
-                if entry.epoch != epoch
-                    || (ttl > SimDuration::ZERO && now.saturating_sub(entry.last_seen) > ttl)
-                {
-                    occupied.remove();
-                    return FlowProbe::Miss;
-                }
-                if entry.payload.as_slice() != payload {
-                    return FlowProbe::ContextSwitch;
-                }
-                self.tick += 1;
-                let tick = self.tick;
-                self.order.push_back((*key, tick));
-                let entry = occupied.into_mut();
-                entry.last_seen = now;
-                entry.tick = tick;
-                FlowProbe::Hit(&entry.outcome)
-            }
+        if entry.epoch != epoch
+            || (ttl > SimDuration::ZERO && now.saturating_sub(entry.last_seen) > ttl)
+        {
+            self.remove(cell, slot);
+            return FlowProbe::Miss;
         }
+        if entry.payload.as_slice() != payload {
+            return FlowProbe::ContextSwitch;
+        }
+        self.touch(slot);
+        let entry = &mut self.slab[slot as usize];
+        entry.last_seen = now;
+        FlowProbe::Hit(&entry.outcome)
     }
 
-    /// Cache `outcome` for `key`, evicting least-recently-used entries if the
-    /// table is at capacity; returns how many entries were evicted.  Payloads
-    /// beyond the RFC 791 bound are not cached (no real options area can
-    /// produce them).
+    /// Cache `outcome` for `key`, evicting the least-recently-used entry if
+    /// the table is at capacity; returns how many entries were evicted.
+    /// Re-inserting a tracked flow overwrites and refreshes its entry and
+    /// evicts nothing.  Payloads beyond the RFC 791 bound are not cached (no
+    /// real options area can produce them).
     pub fn insert(
         &mut self,
         key: FlowKey,
@@ -465,31 +580,65 @@ impl FlowTable {
         let Some(payload) = PayloadBuf::new(payload) else {
             return 0;
         };
-        self.maybe_compact();
-        let mut evicted = 0;
-        if !self.entries.contains_key(&key) {
-            while self.entries.len() >= self.config.capacity {
-                if self.evict_lru() {
-                    evicted += 1;
-                } else {
-                    break;
+        let tag = tag_of(&key);
+        if let Some((_, slot)) = self.find(&key, tag) {
+            let entry = &mut self.slab[slot as usize];
+            entry.payload = payload;
+            entry.epoch = epoch;
+            entry.outcome = outcome;
+            entry.last_seen = now;
+            self.touch(slot);
+            return 0;
+        }
+
+        let evict = self.len == self.config.capacity;
+        if evict {
+            let victim = self.slab[self.oldest as usize].key;
+            let (cell, slot) = self
+                .find(&victim, tag_of(&victim))
+                .expect("a listed entry is indexed");
+            debug_assert_eq!(slot, self.oldest, "one cell per live entry");
+            self.remove(cell, slot);
+        }
+
+        let entry = FlowEntry {
+            key,
+            payload,
+            epoch,
+            outcome,
+            last_seen: now,
+            newer: NONE,
+            older: NONE,
+        };
+        let slot = match self.free {
+            NONE => {
+                if self.slab.len() == self.slab.capacity() {
+                    // Double as `push` would, but never past the bound.
+                    let room = self.config.capacity - self.slab.len();
+                    self.slab.reserve_exact(self.slab.len().max(4).min(room));
+                }
+                self.slab.push(entry);
+                (self.slab.len() - 1) as u32
+            }
+            slot => {
+                self.free = self.slab[slot as usize].older;
+                self.slab[slot as usize] = entry;
+                slot
+            }
+        };
+        self.len += 1;
+        if self.len * 2 > self.index.len() {
+            // Re-seat every cell by the tag it carries; the slab is not read.
+            let cells = self.index.len() * 2;
+            for cell in std::mem::replace(&mut self.index, vec![EMPTY; cells]) {
+                if cell != EMPTY {
+                    self.seat(cell);
                 }
             }
         }
-        self.tick += 1;
-        let tick = self.tick;
-        self.order.push_back((key, tick));
-        self.entries.insert(
-            key,
-            FlowEntry {
-                payload,
-                epoch,
-                outcome,
-                last_seen: now,
-                tick,
-            },
-        );
-        evicted
+        self.seat(u64::from(tag) << 32 | u64::from(slot));
+        self.link_newest(slot);
+        u64::from(evict)
     }
 
     /// The outcome of evaluating `payload` under `epoch`: the remembered one
@@ -530,28 +679,15 @@ impl FlowTable {
         });
         outcome
     }
-
-    /// Remove the least-recently-used live entry; returns false only if the
-    /// table is empty.
-    fn evict_lru(&mut self) -> bool {
-        while let Some((key, tick)) = self.order.pop_front() {
-            if self.entries.get(&key).is_some_and(|e| e.tick == tick) {
-                self.entries.remove(&key);
-                return true;
-            }
-        }
-        // The touch queue always contains a live touch for every entry, so
-        // reaching here means the table is empty.
-        debug_assert!(self.entries.is_empty());
-        false
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bp_netsim::addr::Endpoint;
-    use bp_netsim::packet::Ipv4Packet;
+    use bp_netsim::packet::{Ipv4Packet, Protocol};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn key(port: u16) -> FlowKey {
         Ipv4Packet::new(
@@ -564,6 +700,52 @@ mod tests {
 
     fn table(capacity: usize, ttl: SimDuration) -> FlowTable {
         FlowTable::new(FlowTableConfig { capacity, ttl })
+    }
+
+    /// A key that is a function of `n` alone, without building a packet.
+    fn nth_key(n: u32) -> FlowKey {
+        FlowKey {
+            src_ip: (0x0a00_0000 + (n >> 16)).into(),
+            src_port: n as u16,
+            dst_ip: [1, 1, 1, 1].into(),
+            dst_port: 443,
+            protocol: Protocol::Tcp,
+        }
+    }
+
+    impl FlowTable {
+        /// Panic unless slab, index, recency list and free list describe the
+        /// same `len` entries.
+        fn assert_consistent(&self) {
+            assert!(self.slab.len() <= self.config.capacity);
+            assert!(self.index.len().is_power_of_two());
+            assert!(self.len * 2 <= self.index.len(), "more than half full");
+            let occupied = self.index.iter().filter(|&&cell| cell != EMPTY).count();
+            assert_eq!(occupied, self.len, "one cell per live entry");
+
+            // Newest to oldest: links agree in both directions, and every
+            // entry is found from its home cell — so it is indexed (exactly
+            // once, by the count above) and no empty cell interrupts its run.
+            let (mut listed, mut newer, mut slot) = (0, NONE, self.newest);
+            while slot != NONE {
+                let entry = &self.slab[slot as usize];
+                assert_eq!(entry.newer, newer);
+                let found = self.find(&entry.key, tag_of(&entry.key));
+                assert_eq!(found.map(|(_, slot)| slot), Some(slot));
+                listed += 1;
+                assert!(listed <= self.len, "the recency list loops");
+                (newer, slot) = (slot, entry.older);
+            }
+            assert_eq!((listed, newer), (self.len, self.oldest));
+
+            let (mut vacated, mut slot) = (0, self.free);
+            while slot != NONE {
+                vacated += 1;
+                assert!(vacated <= self.slab.len(), "the free list loops");
+                slot = self.slab[slot as usize].older;
+            }
+            assert_eq!(listed + vacated, self.slab.len());
+        }
     }
 
     #[test]
@@ -685,16 +867,13 @@ mod tests {
                 assert!(t.probe(&key(p), b"ctx", 1, now).is_hit());
             }
         }
-        // Compaction triggers past max(4 * capacity, 64) touches; the queue
-        // never grows more than one touch beyond that threshold.
-        assert!(
-            t.order.len() <= t.config.capacity.saturating_mul(4).max(64) + 1,
-            "touch queue grew unboundedly: {}",
-            t.order.len()
-        );
-        // Eviction still works after heavy compaction.
-        t.insert(key(100), b"ctx", 1, CachedOutcome::Accept, now);
-        assert_eq!(t.len(), 4);
+        // Hits relink entries where they are: nothing grew.
+        assert_eq!((t.slab.len(), t.slab.capacity(), t.index.len()), (4, 4, 8));
+        t.assert_consistent();
+        // Eviction still works after 40 000 hits, and reuses the slot.
+        assert_eq!(t.insert(key(100), b"ctx", 1, CachedOutcome::Accept, now), 1);
+        assert_eq!((t.len(), t.slab.len()), (4, 4));
+        assert_eq!(t.probe(&key(0), b"ctx", 1, now), FlowProbe::Miss);
     }
 
     /// `remembered_or` with an evaluation that counts its calls.
@@ -781,5 +960,321 @@ mod tests {
             t.probe(&key(2), b"ctx", 1, SimDuration::ZERO),
             FlowProbe::Miss
         );
+    }
+
+    // --- the table against a model of its contract ---
+
+    struct ModelEntry {
+        key: FlowKey,
+        payload: Vec<u8>,
+        epoch: u64,
+        outcome: CachedOutcome,
+        last_seen: SimDuration,
+    }
+
+    /// The table's contract as the simplest thing that keeps it: live
+    /// entries in a `Vec`, least recently touched first.  O(n) per operation.
+    struct ModelTable {
+        config: FlowTableConfig,
+        entries: Vec<ModelEntry>,
+    }
+
+    impl ModelTable {
+        fn probe(
+            &mut self,
+            key: &FlowKey,
+            payload: &[u8],
+            epoch: u64,
+            now: SimDuration,
+        ) -> FlowProbe<'_> {
+            let Some(at) = self.entries.iter().position(|entry| entry.key == *key) else {
+                return FlowProbe::Miss;
+            };
+            let (entry, ttl) = (&self.entries[at], self.config.ttl);
+            if entry.epoch != epoch
+                || (ttl > SimDuration::ZERO && now.saturating_sub(entry.last_seen) > ttl)
+            {
+                self.entries.remove(at);
+                return FlowProbe::Miss;
+            }
+            if entry.payload != payload {
+                return FlowProbe::ContextSwitch;
+            }
+            let mut entry = self.entries.remove(at);
+            entry.last_seen = now;
+            self.entries.push(entry);
+            FlowProbe::Hit(&self.entries.last().expect("just pushed").outcome)
+        }
+
+        fn insert(
+            &mut self,
+            key: FlowKey,
+            payload: &[u8],
+            epoch: u64,
+            outcome: CachedOutcome,
+            now: SimDuration,
+        ) -> u64 {
+            if payload.len() > MAX_CONTEXT_PAYLOAD {
+                return 0;
+            }
+            let tracked = self.entries.iter().position(|entry| entry.key == key);
+            let evict = tracked.is_none() && self.entries.len() == self.config.capacity;
+            if let Some(at) = tracked.or(evict.then_some(0)) {
+                self.entries.remove(at);
+            }
+            self.entries.push(ModelEntry {
+                key,
+                payload: payload.to_vec(),
+                epoch,
+                outcome,
+                last_seen: now,
+            });
+            u64::from(evict)
+        }
+    }
+
+    /// A table and its model driven through the same operations, compared
+    /// after each one.
+    struct Twin {
+        table: FlowTable,
+        model: ModelTable,
+        epoch: u64,
+        now: SimDuration,
+        inserts: u64,
+        evictions: u64,
+        /// `assert_consistent` is O(capacity): run it every this many checks.
+        stride: u64,
+        checks: u64,
+    }
+
+    impl Twin {
+        fn new(capacity: usize, ttl: SimDuration, stride: u64) -> Self {
+            let config = FlowTableConfig { capacity, ttl };
+            Twin {
+                table: FlowTable::new(config),
+                model: ModelTable {
+                    config,
+                    entries: Vec::new(),
+                },
+                epoch: 1,
+                now: SimDuration::ZERO,
+                inserts: 0,
+                evictions: 0,
+                stride,
+                checks: 0,
+            }
+        }
+
+        fn check(&mut self) {
+            assert_eq!(self.table.len(), self.model.entries.len());
+            assert_eq!(self.table.is_empty(), self.model.entries.is_empty());
+            self.checks += 1;
+            if self.checks.is_multiple_of(self.stride) {
+                self.table.assert_consistent();
+            }
+        }
+
+        fn probe_under(&mut self, key: FlowKey, payload: &[u8], epoch: u64) {
+            assert_eq!(
+                self.table.probe(&key, payload, epoch, self.now),
+                self.model.probe(&key, payload, epoch, self.now),
+                "probe of {key:?} after {} inserts",
+                self.inserts
+            );
+            self.check();
+        }
+
+        fn probe(&mut self, key: FlowKey, payload: &[u8]) {
+            self.probe_under(key, payload, self.epoch);
+        }
+
+        /// Probe under a newer epoch: removes the entry if `key` is tracked.
+        fn expire(&mut self, key: FlowKey) {
+            self.probe_under(key, b"", self.epoch + 1);
+        }
+
+        fn insert(&mut self, key: FlowKey, payload: &[u8]) {
+            self.inserts += 1;
+            // An outcome no other insert cached, so a hit names its insert.
+            let outcome = CachedOutcome::Deny(self.inserts.to_string().into());
+            let evicted = self
+                .table
+                .insert(key, payload, self.epoch, outcome.clone(), self.now);
+            let expected = self
+                .model
+                .insert(key, payload, self.epoch, outcome, self.now);
+            assert_eq!(evicted, expected, "insert {} of {key:?}", self.inserts);
+            self.evictions += evicted;
+            self.check();
+        }
+
+        fn clear(&mut self) {
+            self.table.clear();
+            self.model.entries.clear();
+            self.check();
+        }
+
+        /// One generated operation over a small key universe: 14 in 32 are
+        /// probes, 12 inserts, 3 advance the clock, 2 bump the epoch (every
+        /// entry goes stale where it lies) and 1 clears.
+        fn step(&mut self, op: u8, key: u32, payload: u8) {
+            const PAYLOADS: [&[u8]; 4] = [b"ctx-a", b"ctx-b", b"", &[7; MAX_CONTEXT_PAYLOAD + 1]];
+            let (key, bytes) = (nth_key(key), PAYLOADS[usize::from(payload)]);
+            match op {
+                0..=13 => self.probe(key, bytes),
+                14..=25 => self.insert(key, bytes),
+                26..=28 => self.now += SimDuration::from_millis(u64::from(payload) + 1),
+                29..=30 => self.epoch += 1,
+                _ => self.clear(),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn table_matches_the_exact_lru_model(
+            capacity in 1usize..=8,
+            ttl_ms in prop::sample::select(vec![0u64, 4]),
+            ops in prop::collection::vec((0u8..32, 0u32..16, 0u8..4), 1..400),
+        ) {
+            let mut twin = Twin::new(capacity, SimDuration::from_millis(ttl_ms), 1);
+            for (op, key, payload) in ops {
+                twin.step(op, key, payload);
+            }
+        }
+    }
+
+    #[test]
+    fn table_matches_the_model_through_index_doublings_and_churn_at_capacity() {
+        let mut twin = Twin::new(5_000, SimDuration::from_millis(20), 61);
+        let cells = twin.table.index.len();
+        let mut rng = TestRng::deterministic("doublings and churn");
+        for n in 0..12_000u32 {
+            twin.insert(nth_key(n), b"ctx");
+            // A flow opened up to 6 000 inserts ago: still cached, evicted,
+            // expired below, or (past 5 120 inserts) idle beyond the TTL.
+            let earlier = nth_key(n - rng.below(u64::from(n.min(5_999)) + 1) as u32);
+            match rng.below(8) {
+                0 => twin.expire(earlier),
+                1 => twin.probe(earlier, b"another"),
+                _ => twin.probe(earlier, b"ctx"),
+            }
+            if n % 256 == 255 {
+                twin.now += SimDuration::from_millis(1);
+            }
+        }
+        twin.table.assert_consistent();
+        assert_eq!(twin.table.index.len(), cells * 8, "three doublings");
+        let slab = &twin.table.slab;
+        assert_eq!(
+            (slab.len(), slab.capacity()),
+            (5_000, 5_000),
+            "full, exactly"
+        );
+        assert!(twin.evictions > 2_000, "{} evictions", twin.evictions);
+    }
+
+    #[test]
+    fn backward_shift_keeps_clustered_runs_reachable_across_the_wrap() {
+        // 256 index cells from the start, and 96 entries never double them.
+        let mut twin = Twin::new(96, SimDuration::ZERO, 1);
+        let cells = twin.table.index.len();
+        assert_eq!(cells, 256);
+        let homed = |home: usize, count: usize| {
+            (0..)
+                .map(nth_key)
+                .filter(move |key| tag_of(key) as usize % cells == home)
+                .take(count)
+        };
+        // 64 keys homed on the last cell, and shorter runs that start just
+        // before it and inside its spill past cell 0: more than fit.
+        let mut keys: Vec<FlowKey> = homed(cells - 1, 64).collect();
+        for home in [cells - 3, cells - 2, 0, 2] {
+            keys.extend(homed(home, 16));
+        }
+        let mut rng = TestRng::deterministic("clustered runs");
+        let mut wrapped = false;
+        for _ in 0..4 {
+            for pass in 0..3 {
+                for n in (1..keys.len()).rev() {
+                    keys.swap(n, rng.below(n as u64 + 1) as usize);
+                }
+                for (n, &key) in keys.iter().enumerate() {
+                    match pass {
+                        // Insert, evicting once 96 are cached.
+                        0 => twin.insert(key, b"ctx"),
+                        // Remove every other one where it lies; touch the rest.
+                        1 if n % 2 == 0 => twin.expire(key),
+                        // Whatever the model still has must be found.
+                        _ => twin.probe(key, b"ctx"),
+                    }
+                    let index = &twin.table.index;
+                    wrapped |= index[cells - 1] != EMPTY && index[0] != EMPTY;
+                }
+            }
+        }
+        assert!(wrapped, "no probe run crossed the end of the index");
+        assert_eq!(twin.table.index.len(), cells);
+        assert!(twin.evictions > 0);
+    }
+
+    #[test]
+    fn flood_of_distinct_flows_never_reallocates() {
+        let mut t = table(64, SimDuration::ZERO);
+        let now = SimDuration::ZERO;
+        let storage = |t: &FlowTable| {
+            let (slab, index) = (&t.slab, &t.index);
+            (
+                slab.as_ptr(),
+                slab.len(),
+                slab.capacity(),
+                index.as_ptr(),
+                index.len(),
+            )
+        };
+        for n in 0..64 {
+            assert_eq!(
+                t.insert(nth_key(n), b"ctx", 1, CachedOutcome::Accept, now),
+                0
+            );
+        }
+        let full = storage(&t);
+        assert_eq!((full.1, full.2, full.4), (64, 64, 128));
+        for n in 64..100_000 {
+            assert_eq!(t.probe(&nth_key(n), b"ctx", 1, now), FlowProbe::Miss);
+            assert_eq!(
+                t.insert(nth_key(n), b"ctx", 1, CachedOutcome::Accept, now),
+                1
+            );
+        }
+        assert_eq!(storage(&t), full);
+        assert_eq!(t.len(), 64);
+        t.assert_consistent();
+        // The survivors are the last 64, exactly.
+        assert_eq!(t.probe(&nth_key(99_935), b"ctx", 1, now), FlowProbe::Miss);
+        assert!((99_936..100_000).all(|n| t.probe(&nth_key(n), b"ctx", 1, now).is_hit()));
+    }
+
+    #[test]
+    fn an_unreachable_capacity_costs_nothing_up_front() {
+        let mut t = table(usize::MAX, SimDuration::ZERO);
+        // Slot numbers are `u32`, and `NONE` is not one of them.
+        assert_eq!(t.config().capacity, NONE as usize);
+        assert_eq!((t.slab.capacity(), t.index.len()), (0, 2 * INITIAL_FLOWS));
+        for n in 0..3_000 {
+            t.insert(
+                nth_key(n),
+                b"ctx",
+                1,
+                CachedOutcome::Accept,
+                SimDuration::ZERO,
+            );
+        }
+        // Storage follows the flows seen, not the bound.
+        assert_eq!((t.len(), t.index.len()), (3_000, 8 * INITIAL_FLOWS));
+        assert!(t.slab.capacity() <= 4 * INITIAL_FLOWS);
+        t.assert_consistent();
     }
 }

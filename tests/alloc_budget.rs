@@ -69,8 +69,8 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 const BATCH: usize = 256;
 const MEASURED_BATCHES: usize = 64;
-/// Flows per shard: room for every flow below, small enough that warm-up
-/// soon carries each flow table past its first touch-queue compaction.
+/// Flows per shard: room for every cached flow below, small enough that the
+/// churn section's warm-up fills each flow table several times over.
 const FLOW_CAPACITY: usize = 512;
 
 /// Allocations a batch of 256 never-seen flows carrying 256 never-seen
@@ -78,9 +78,9 @@ const FLOW_CAPACITY: usize = 512;
 /// the context memo (same warm-up, same frames, measured with this file).
 const PARENT_MISS_BATCH_ALLOCATIONS: u64 = 3_076;
 
-/// Batches of never-seen flows that fill each shard's flow table and carry
-/// its map and touch queue past their last growth, and the batches counted
-/// after them.
+/// Batches of never-seen flows that fill each shard's flow table — its slab
+/// and index grow for the last time on the way to capacity — and the batches
+/// counted after them.
 const CHURN_WARM_BATCHES: usize = 48;
 const CHURN_MEASURED_BATCHES: usize = 16;
 
@@ -151,13 +151,11 @@ fn attack_batch() -> Vec<Vec<u8>> {
 }
 
 /// Has a shard nothing left to grow?  Its drop log, if it logs at all, is
-/// at `DROP_LOG_CAPACITY`, and its flow table's touch queue (one entry per
-/// hit, compacted past four times the table's capacity) has been through
-/// several compactions.
+/// at `DROP_LOG_CAPACITY`.  (Its flows are cached by the first batch, and a
+/// hit grows nothing: the flow table relinks the entry where it lies.)
 fn is_warm(shard: &EnforcerStats) -> bool {
-    let (dropped, hits) = (shard.total_dropped(), shard.flow_hits);
-    (dropped == 0 || dropped >= DROP_LOG_CAPACITY as u64)
-        && (hits == 0 || hits >= 16 * FLOW_CAPACITY as u64)
+    let dropped = shard.total_dropped();
+    dropped == 0 || dropped >= DROP_LOG_CAPACITY as u64
 }
 
 /// Drive `frames` through `engine` until nothing is left to grow — worker
