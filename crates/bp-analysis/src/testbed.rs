@@ -20,7 +20,7 @@ use bp_appsim::monkey::Monkey;
 use bp_baseline::{FlowSizeThreshold, IpBlocklist};
 use bp_core::context::{ContextManager, SharedContextManager};
 use bp_core::control::{ControlPlane, EnforcementEndpoint};
-use bp_core::enforcer::{EnforcerConfig, EnforcerStats, PolicyEnforcer};
+use bp_core::enforcer::{EnforcerConfig, EnforcerStats, ShardedEnforcer};
 use bp_core::offline::{OfflineAnalyzer, SignatureDatabase};
 use bp_core::policy::PolicySet;
 use bp_core::sanitizer::PacketSanitizer;
@@ -95,7 +95,7 @@ pub struct Testbed {
     pub device: Device,
     database: SignatureDatabase,
     context_manager: Option<Arc<Mutex<ContextManager>>>,
-    enforcer: Option<Arc<Mutex<PolicyEnforcer>>>,
+    enforcer: Option<Arc<Mutex<ShardedEnforcer>>>,
     /// Control plane owning the enforcer's authoritative state (BorderPatrol
     /// deployments only); every policy/database mutation is a transaction.
     control: Option<ControlPlane>,
@@ -150,14 +150,11 @@ impl Testbed {
                     .install_hook(Box::new(SharedContextManager(Arc::clone(&context))));
                 self.context_manager = Some(context);
 
-                // The control plane owns the authoritative state; registering
-                // the enforcer installs the initial generation into it.
+                // The control plane owns the authoritative state; the
+                // one-shard enforcer starts on its current build and follows
+                // every later commit as a registered endpoint.
                 let mut control = ControlPlane::new(SignatureDatabase::new(), policies, config);
-                let enforcer = Arc::new(Mutex::new(PolicyEnforcer::new(
-                    SignatureDatabase::new(),
-                    PolicySet::new(),
-                    config,
-                )));
+                let enforcer = Arc::new(Mutex::new(ShardedEnforcer::new(control.tables(), 1)));
                 control.register(Arc::clone(&enforcer) as Arc<dyn EnforcementEndpoint>);
                 self.control = Some(control);
                 let sanitizer = Arc::new(Mutex::new(PacketSanitizer::new()));

@@ -1,7 +1,7 @@
 //! Flow-table verdict caching on a repeated-flow workload: the cached accept
 //! path (one O(1) probe per packet after warm-up) vs the compiled uncached
-//! pipeline (full decode + resolve + evaluate per packet), single-shard and
-//! fanned across 1–8 shards.
+//! pipeline (full decode + resolve + evaluate per packet), inline on one
+//! shard and batched across 1–8 shards.
 //!
 //! The workload models what the enforcer actually sees on a busy perimeter:
 //! a modest number of long-lived flows, each re-sending the same connect-time
@@ -10,7 +10,9 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use bp_bench::{analyzed_solcalendar, blacklist_policies, case_study_policies};
-use bp_core::enforcer::{EnforcementTables, EnforcerConfig, PolicyEnforcer, ShardedEnforcer};
+use bp_core::enforcer::{
+    DropLog, EnforcementTables, EnforcerConfig, EnforcerCounters, ShardedEnforcer,
+};
 use bp_core::policy::PolicySet;
 use bp_netsim::addr::Endpoint;
 use bp_netsim::options::{IpOption, IpOptionKind};
@@ -39,34 +41,29 @@ fn repeated_flow_stream(login: &[u8]) -> Vec<Ipv4Packet> {
         .collect()
 }
 
-/// One policy-set scenario: uncached compiled baseline vs the flow-cached
-/// facade vs `inspect_batch` over 1/2/4/8 shards, all on the same stream.
+/// One policy-set scenario: uncached compiled baseline vs a one-shard
+/// enforcer's flow-cached `inspect` per packet vs `inspect_batch` over
+/// 1/2/4/8 shards, all on the same stream.
 fn bench_scenario(c: &mut Criterion, scenario: &str, policies: PolicySet) {
     let app = analyzed_solcalendar();
     let packets = repeated_flow_stream(&app.context_payload("fb-login"));
 
+    let tables = EnforcementTables::shared(&app.database, &policies, EnforcerConfig::default());
     let mut group = c.benchmark_group(format!("flow_cache/{scenario}"));
     group.throughput(Throughput::Elements(BATCH as u64));
 
     group.bench_function("uncached_compiled", |b| {
-        let mut enforcer = PolicyEnforcer::new(
-            app.database.clone(),
-            policies.clone(),
-            EnforcerConfig::default(),
-        );
+        let (counters, mut drop_log) = (EnforcerCounters::new(), DropLog::default());
+        let mut scratch = Vec::new();
         b.iter(|| {
             for packet in &packets {
-                black_box(enforcer.inspect_uncached(packet));
+                black_box(tables.inspect_packet(packet, &mut scratch, &counters, &mut drop_log));
             }
         })
     });
 
-    group.bench_function("cached_facade", |b| {
-        let mut enforcer = PolicyEnforcer::new(
-            app.database.clone(),
-            policies.clone(),
-            EnforcerConfig::default(),
-        );
+    group.bench_function("inline_inspect", |b| {
+        let enforcer = ShardedEnforcer::new(tables.clone(), 1);
         b.iter(|| {
             for packet in &packets {
                 black_box(enforcer.inspect(packet));
@@ -74,7 +71,6 @@ fn bench_scenario(c: &mut Criterion, scenario: &str, policies: PolicySet) {
         })
     });
 
-    let tables = EnforcementTables::shared(&app.database, &policies, EnforcerConfig::default());
     for shards in [1usize, 2, 4, 8] {
         let enforcer = ShardedEnforcer::new(tables.clone(), shards);
         group.bench_with_input(

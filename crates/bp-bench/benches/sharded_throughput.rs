@@ -1,6 +1,6 @@
 //! Batch throughput of the sharded Policy Enforcer: one compiled table set
 //! shared across N worker shards, inspecting a mixed multi-flow packet
-//! stream, vs the single-shard facade inspecting the same stream inline.
+//! stream, vs a one-shard enforcer inspecting the same stream inline.
 //!
 //! `--json` switches to the quick sweep (batch sizes 8/64/1024 × 1/2/4/8
 //! shards) that feeds `BENCH.json`; the 1-shard rows run entirely on the
@@ -11,7 +11,7 @@ use criterion::{black_box, criterion_group, BenchmarkId, Criterion, Throughput};
 
 use bp_bench::quick::{json_mode, QuickBench};
 use bp_bench::{analyzed_solcalendar, blacklist_policies, case_study_policies};
-use bp_core::enforcer::{EnforcementTables, EnforcerConfig, PolicyEnforcer, ShardedEnforcer};
+use bp_core::enforcer::{EnforcementTables, EnforcerConfig, ShardedEnforcer};
 use bp_core::policy::PolicySet;
 use bp_netsim::addr::Endpoint;
 use bp_netsim::options::{IpOption, IpOptionKind};
@@ -43,8 +43,8 @@ fn packet_stream(login: &[u8], analytics: &[u8], batch: usize) -> Vec<Ipv4Packet
         .collect()
 }
 
-/// One policy-set scenario: the single-shard facade inline vs `inspect_batch`
-/// fanned over 1/2/4/8 shards.
+/// One policy-set scenario: a one-shard enforcer's `inspect` per packet vs
+/// `inspect_batch` fanned over 1/2/4/8 shards.
 fn bench_scenario(c: &mut Criterion, scenario: &str, policies: PolicySet) {
     let app = analyzed_solcalendar();
     let packets = packet_stream(
@@ -53,15 +53,12 @@ fn bench_scenario(c: &mut Criterion, scenario: &str, policies: PolicySet) {
         BATCH,
     );
 
+    let tables = EnforcementTables::shared(&app.database, &policies, EnforcerConfig::default());
     let mut group = c.benchmark_group(format!("sharded_throughput/{scenario}"));
     group.throughput(Throughput::Elements(BATCH as u64));
 
-    group.bench_function("single_shard_facade", |b| {
-        let mut enforcer = PolicyEnforcer::new(
-            app.database.clone(),
-            policies.clone(),
-            EnforcerConfig::default(),
-        );
+    group.bench_function("inline_inspect", |b| {
+        let enforcer = ShardedEnforcer::new(tables.clone(), 1);
         b.iter(|| {
             for packet in &packets {
                 black_box(enforcer.inspect(packet));
@@ -69,7 +66,6 @@ fn bench_scenario(c: &mut Criterion, scenario: &str, policies: PolicySet) {
         })
     });
 
-    let tables = EnforcementTables::shared(&app.database, &policies, EnforcerConfig::default());
     for shards in [1usize, 2, 4, 8] {
         let enforcer = ShardedEnforcer::new(tables.clone(), shards);
         let mut verdicts = Vec::with_capacity(BATCH);

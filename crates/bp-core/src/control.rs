@@ -22,12 +22,12 @@
 //! [`Transaction::commit`] compiles one fresh [`EnforcementTables`] build —
 //! bumping the flow-cache epoch **exactly once** no matter how many pieces of
 //! state the transaction touches — and atomically hot-swaps every registered
-//! [`EnforcementEndpoint`] ([`ShardedEnforcer`] and
-//! `Mutex<`[`PolicyEnforcer`]`>` both implement it).  Each commit is retained
-//! as a [`GenerationRecord`]; [`ControlPlane::rollback`] re-installs a
-//! retained build **without recompiling**, so flow-table entries cached under
-//! that generation's epoch become servable again — rolling back is
-//! behaviourally equivalent to never having committed.
+//! [`EnforcementEndpoint`]: a [`ShardedEnforcer`], or a
+//! `Mutex<`[`ShardedEnforcer`]`>` where an NFQUEUE chain holds it.  Each
+//! commit is retained as a [`GenerationRecord`]; [`ControlPlane::rollback`]
+//! re-installs a retained build **without recompiling**, so flow-table
+//! entries cached under that generation's epoch become servable again —
+//! rolling back is behaviourally equivalent to never having committed.
 //!
 //! Transactions are the **only** mutation surface.  The legacy one-shot
 //! mutators (`set_policies` / `set_database` / `set_tables`) are gone: each
@@ -45,7 +45,7 @@ use parking_lot::Mutex;
 use bp_types::{AppTag, MethodSignature};
 
 use crate::enforcer::{
-    EnforcementTables, EnforcerConfig, PolicyDelta, PolicyEnforcer, PolicyReuse, ShardedEnforcer,
+    EnforcementTables, EnforcerConfig, PolicyDelta, PolicyReuse, ShardedEnforcer,
 };
 use crate::faults::FaultInjector;
 use crate::offline::{SignatureDatabase, TagCollision};
@@ -132,8 +132,9 @@ impl GenerationRecord {
 /// Implementations must adopt the new build **atomically with respect to
 /// their own inspection path**: once [`EnforcementEndpoint::install`]
 /// returns, every subsequently inspected packet must be evaluated under the
-/// installed generation (the sharded enforcer's generation counter and the
-/// single-shard facade's table swap both guarantee this).
+/// installed generation (the enforcer's table swap and generation counter
+/// guarantee this).  Only the compiled tables travel: no endpoint copies the
+/// interchange state.
 pub trait EnforcementEndpoint: Send + Sync {
     /// A short name for diagnostics.
     fn endpoint_name(&self) -> &str;
@@ -144,7 +145,7 @@ pub trait EnforcementEndpoint: Send + Sync {
 
 impl EnforcementEndpoint for ShardedEnforcer {
     fn endpoint_name(&self) -> &str {
-        "sharded-policy-enforcer"
+        "policy-enforcer"
     }
 
     fn install(&self, rollout: &GenerationRecord) {
@@ -152,17 +153,16 @@ impl EnforcementEndpoint for ShardedEnforcer {
     }
 }
 
-impl EnforcementEndpoint for Mutex<PolicyEnforcer> {
+/// The same enforcer behind the lock an NFQUEUE chain needs: the chain holds
+/// `Arc<Mutex<dyn QueueHandler>>`, and the orphan rule keeps `QueueHandler`
+/// off `Arc<ShardedEnforcer>`.
+impl EnforcementEndpoint for Mutex<ShardedEnforcer> {
     fn endpoint_name(&self) -> &str {
         "policy-enforcer"
     }
 
     fn install(&self, rollout: &GenerationRecord) {
-        self.lock().adopt(
-            rollout.database.clone(),
-            rollout.policies.clone(),
-            rollout.tables(),
-        );
+        self.lock().install_tables(rollout.tables());
     }
 }
 
@@ -1218,18 +1218,19 @@ mod tests {
         let mut control =
             ControlPlane::new(analyzed_db(), PolicySet::new(), EnforcerConfig::default());
         let sharded = Arc::new(ShardedEnforcer::new(control.tables(), 2));
-        let single = Arc::new(Mutex::new(PolicyEnforcer::new(
-            SignatureDatabase::new(),
-            PolicySet::new(),
+        // The locked endpoint starts on throwaway tables; registration
+        // replaces them with the control plane's current build.
+        let empty = EnforcementTables::shared(
+            &SignatureDatabase::new(),
+            &PolicySet::new(),
             EnforcerConfig::default(),
-        )));
+        );
+        let single = Arc::new(Mutex::new(ShardedEnforcer::new(empty, 1)));
         control.register(Arc::clone(&sharded) as Arc<dyn EnforcementEndpoint>);
         control.register(Arc::clone(&single) as Arc<dyn EnforcementEndpoint>);
         assert_eq!(control.endpoint_count(), 2);
-        // Registration installed the current build on the facade (its ctor
-        // build is replaced by the control plane's).
         assert_eq!(single.lock().tables().epoch(), control.tables().epoch());
-        assert_eq!(single.lock().database().len(), 1);
+        assert_eq!(single.lock().tables().database().len(), 1);
 
         let g1 = control.generation();
         control
@@ -1239,10 +1240,10 @@ mod tests {
             .unwrap();
         assert_eq!(sharded.tables().epoch(), control.tables().epoch());
         assert_eq!(single.lock().tables().epoch(), control.tables().epoch());
-        assert_eq!(single.lock().policies().len(), 1);
+        assert_eq!(single.lock().tables().policies().len(), 1);
 
         control.rollback(g1).unwrap();
         assert_eq!(sharded.tables().epoch(), control.tables().epoch());
-        assert!(single.lock().policies().is_empty());
+        assert!(single.lock().tables().policies().is_empty());
     }
 }

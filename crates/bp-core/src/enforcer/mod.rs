@@ -24,10 +24,13 @@
 //!   so there is no acquisition order between its parts and the counters
 //!   are plain words, not atomics.
 //!
-//! [`PolicyEnforcer`] is the single-shard facade with the historical API;
-//! [`ShardedEnforcer`] fans packet batches across N shards with merged
-//! statistics.  On the accept path the compiled plane performs no signature
-//! parsing and no `String` allocation.
+//! [`ShardedEnforcer`] is the one enforcer: it fans packet batches across N
+//! shards with merged statistics, and with one shard it is the single
+//! NFQUEUE consumer the paper describes (it never spawns a thread).
+//! [`inspect_legacy`] keeps the interpretive pipeline as a plain function —
+//! an oracle and a bench baseline, not a second data plane.  On the accept
+//! path the compiled plane performs no signature parsing and no `String`
+//! allocation.
 //!
 //! # Flow-aware enforcement
 //!
@@ -66,9 +69,8 @@
 //!   every `bp_core::enforcer::*` path stable.
 //! * `tables.rs` — [`EnforcementTables`]: the compiled half and the
 //!   extract → decode → evaluate → apply pipeline over it.
-//! * `single.rs` — [`PolicyEnforcer`], including the `inspect_legacy` /
-//!   `inspect_uncached` reference paths the benches and oracles compare
-//!   against.
+//! * `legacy.rs` — [`inspect_legacy`], the interpretive reference path the
+//!   oracles and benches compare the compiled plane against.
 //! * `sharded.rs` — the per-shard state and the one method that locks it,
 //!   the shared core the worker pool holds, and [`ShardedEnforcer`].
 //! * [`crate::stats`] — the counter table ([`EnforcerStats`], the live
@@ -81,15 +83,15 @@
 
 use serde::{Deserialize, Serialize};
 
+mod legacy;
 mod sharded;
-mod single;
 mod tables;
 #[cfg(test)]
 mod tests;
 
+pub use legacy::inspect_legacy;
 pub use sharded::ShardedEnforcer;
 pub(crate) use sharded::{unattributed_drop, EnforcerCore};
-pub use single::PolicyEnforcer;
 pub(crate) use tables::PacketView;
 pub use tables::{EnforcementTables, PolicyDelta, PolicyReuse, TableReuse};
 
@@ -123,10 +125,11 @@ pub struct EnforcerConfig {
     /// legitimately change their context: a mid-flow change is the signature
     /// of verbatim context **replay** or injection riding an established
     /// flow.  Detection requires connection tracking, so it fires only on
-    /// the flow-cached path ([`PolicyEnforcer::inspect`] /
-    /// [`ShardedEnforcer::inspect_batch`]); the uncached and legacy
-    /// baselines have no flow state and cannot observe switches.  Off by
-    /// default (a switch is then counted in
+    /// the flow-cached path ([`ShardedEnforcer::inspect`] /
+    /// [`ShardedEnforcer::inspect_batch`]); the uncached
+    /// ([`EnforcementTables::inspect_packet`]) and legacy
+    /// ([`inspect_legacy`]) baselines have no flow state and cannot observe
+    /// switches.  Off by default (a switch is then counted in
     /// [`EnforcerStats::flow_context_switches`] and re-evaluated); enabled
     /// in [`EnforcerConfig::strict`] deployments.
     #[serde(default)]

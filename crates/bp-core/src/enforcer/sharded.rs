@@ -199,8 +199,9 @@ pub(crate) fn unattributed_drop() -> Verdict {
     }
 }
 
-/// A sharded Policy Enforcer: one set of compiled [`EnforcementTables`]
-/// shared by `N` worker shards, each with private mutable state.
+/// The Policy Enforcer: one set of compiled [`EnforcementTables`] shared by
+/// `N` worker shards, each with private mutable state.  With one shard it is
+/// the single NFQUEUE consumer; there is no other enforcer type.
 ///
 /// [`ShardedEnforcer::inspect_batch`] partitions a batch by flow (source
 /// endpoint), inspects each partition on a worker owned by that shard and
@@ -601,7 +602,7 @@ impl ShardedEnforcer {
 
 impl QueueHandler for ShardedEnforcer {
     fn name(&self) -> &str {
-        "sharded-policy-enforcer"
+        "policy-enforcer"
     }
 
     fn handle(&mut self, packet: &mut Ipv4Packet) -> Verdict {
@@ -613,11 +614,5 @@ impl QueueHandler for ShardedEnforcer {
         // instead of collecting an intermediate `Vec<&Ipv4Packet>`.
         let shards = packets.iter().map(|packet| self.core.shard_for(packet));
         self.inspect_source_into(PacketSource::refs(packets), shards, verdicts);
-    }
-
-    fn handle_wire_batch(&mut self, frames: &[&[u8]], verdicts: &mut Vec<Verdict>) {
-        // Typed ingress: unlike the default trait impl this counts decode
-        // failures in `dropped_wire` and the drop log.
-        self.inspect_wire_batch_into(frames, verdicts);
     }
 }

@@ -133,7 +133,7 @@ pub enum PolicyDelta {
 
 /// The immutable, compiled half of the enforcement plane: compiled signature
 /// database + compiled policy set + configuration.  Built once from the
-/// interchange forms and shared (via [`Arc`]) by every shard and facade.
+/// interchange forms and shared (via [`Arc`]) by every shard.
 ///
 /// Both compiled halves are individually [`Arc`]-shared so a generation that
 /// changes only one of them (or neither — a config-only swap) can reuse the

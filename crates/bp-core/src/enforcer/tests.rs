@@ -4,8 +4,6 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use bp_netsim::netfilter::Verdict;
 use bp_netsim::options::IpOptionKind;
 use bp_netsim::packet::Ipv4Packet;
@@ -66,6 +64,39 @@ fn solcalendar_fixture() -> (SignatureDatabase, Vec<u8>, Vec<u8>) {
     (db, analytics, login)
 }
 
+/// [`inspect_legacy`] with its own counters and drop log, over one database,
+/// policy set and configuration.
+struct Legacy {
+    database: SignatureDatabase,
+    policies: PolicySet,
+    config: EnforcerConfig,
+    counters: EnforcerCounters,
+    drop_log: DropLog,
+}
+
+impl Legacy {
+    fn new(database: SignatureDatabase, policies: PolicySet, config: EnforcerConfig) -> Self {
+        Legacy {
+            database,
+            policies,
+            config,
+            counters: EnforcerCounters::new(),
+            drop_log: DropLog::default(),
+        }
+    }
+
+    fn inspect(&mut self, packet: &Ipv4Packet) -> Verdict {
+        inspect_legacy(
+            &self.database,
+            &self.policies,
+            self.config,
+            packet,
+            &self.counters,
+            &mut self.drop_log,
+        )
+    }
+}
+
 #[test]
 fn policy_violations_are_dropped_and_logged() {
     let (db, analytics_payload, login_payload) = solcalendar_fixture();
@@ -73,7 +104,7 @@ fn policy_violations_are_dropped_and_logged() {
         EnforcementLevel::Class,
         "com/facebook/appevents",
     )]);
-    let mut enforcer = PolicyEnforcer::new(db, policies, EnforcerConfig::default());
+    let enforcer = ShardedEnforcer::from_parts(&db, &policies, EnforcerConfig::default(), 1);
 
     let verdict = enforcer.inspect(&tagged_packet(analytics_payload));
     assert!(!verdict.is_accept());
@@ -91,12 +122,12 @@ fn policy_violations_are_dropped_and_logged() {
 #[test]
 fn untagged_packets_follow_configuration() {
     let (db, _, _) = solcalendar_fixture();
-    let mut permissive =
-        PolicyEnforcer::new(db.clone(), PolicySet::new(), EnforcerConfig::default());
+    let permissive =
+        ShardedEnforcer::from_parts(&db, &PolicySet::new(), EnforcerConfig::default(), 1);
     assert!(permissive.inspect(&untagged_packet()).is_accept());
     assert_eq!(permissive.stats().dropped_untagged, 0);
 
-    let mut strict = PolicyEnforcer::new(db, PolicySet::new(), EnforcerConfig::strict());
+    let strict = ShardedEnforcer::from_parts(&db, &PolicySet::new(), EnforcerConfig::strict(), 1);
     assert!(!strict.inspect(&untagged_packet()).is_accept());
     assert_eq!(strict.stats().dropped_untagged, 1);
 }
@@ -111,13 +142,14 @@ fn unknown_app_tags_follow_configuration() {
     )
     .unwrap();
 
-    let mut default = PolicyEnforcer::new(db.clone(), PolicySet::new(), EnforcerConfig::default());
+    let default = ShardedEnforcer::from_parts(&db, &PolicySet::new(), EnforcerConfig::default(), 1);
     assert!(!default
         .inspect(&tagged_packet(bogus_payload.clone()))
         .is_accept());
     assert_eq!(default.stats().dropped_unknown_app, 1);
 
-    let mut permissive = PolicyEnforcer::new(db, PolicySet::new(), EnforcerConfig::permissive());
+    let permissive =
+        ShardedEnforcer::from_parts(&db, &PolicySet::new(), EnforcerConfig::permissive(), 1);
     assert!(permissive
         .inspect(&tagged_packet(bogus_payload))
         .is_accept());
@@ -126,7 +158,8 @@ fn unknown_app_tags_follow_configuration() {
 #[test]
 fn malformed_context_is_dropped_by_default() {
     let (db, _, _) = solcalendar_fixture();
-    let mut enforcer = PolicyEnforcer::new(db, PolicySet::new(), EnforcerConfig::default());
+    let enforcer =
+        ShardedEnforcer::from_parts(&db, &PolicySet::new(), EnforcerConfig::default(), 1);
     // 3 bytes is shorter than the payload header.
     let verdict = enforcer.inspect(&tagged_packet(vec![1, 2, 3]));
     assert!(!verdict.is_accept());
@@ -142,7 +175,8 @@ fn dangling_index_counts_as_malformed_for_known_app() {
         .map(|(tag_hex, _)| bp_types::AppTag::from_hex(tag_hex).unwrap())
         .unwrap();
     let payload = ContextEncoding::encode(tag, &[60_000], false).unwrap();
-    let mut enforcer = PolicyEnforcer::new(db, PolicySet::new(), EnforcerConfig::default());
+    let enforcer =
+        ShardedEnforcer::from_parts(&db, &PolicySet::new(), EnforcerConfig::default(), 1);
     assert!(!enforcer.inspect(&tagged_packet(payload)).is_accept());
     assert_eq!(enforcer.stats().dropped_malformed, 1);
 }
@@ -152,14 +186,9 @@ fn reconfiguration_changes_behaviour_without_rebuilding() {
     let (db, analytics_payload, _) = solcalendar_fixture();
     let mut control =
         crate::control::ControlPlane::new(db.clone(), PolicySet::new(), EnforcerConfig::default());
-    let enforcer = Arc::new(Mutex::new(PolicyEnforcer::new(
-        db,
-        PolicySet::new(),
-        EnforcerConfig::default(),
-    )));
+    let enforcer = Arc::new(ShardedEnforcer::new(control.tables(), 1));
     control.register(Arc::clone(&enforcer) as _);
     assert!(enforcer
-        .lock()
         .inspect(&tagged_packet(analytics_payload.clone()))
         .is_accept());
 
@@ -172,12 +201,11 @@ fn reconfiguration_changes_behaviour_without_rebuilding() {
         .commit()
         .unwrap();
     assert!(!enforcer
-        .lock()
         .inspect(&tagged_packet(analytics_payload))
         .is_accept());
-    enforcer.lock().reset_stats();
-    assert_eq!(enforcer.lock().stats().packets_inspected, 0);
-    assert!(enforcer.lock().drop_log().is_empty());
+    enforcer.reset_stats();
+    assert_eq!(enforcer.stats().packets_inspected, 0);
+    assert!(enforcer.drop_log().is_empty());
 }
 
 #[test]
@@ -187,32 +215,31 @@ fn legacy_and_compiled_paths_agree_on_the_fixture() {
         Policy::deny(EnforcementLevel::Class, "com/facebook/appevents"),
         Policy::deny(EnforcementLevel::Library, "com/flurry"),
     ]);
-    let mut compiled = PolicyEnforcer::new(db.clone(), policies.clone(), EnforcerConfig::default());
-    let mut legacy = PolicyEnforcer::new(db, policies, EnforcerConfig::default());
+    let compiled = ShardedEnforcer::from_parts(&db, &policies, EnforcerConfig::default(), 1);
+    let mut legacy = Legacy::new(db, policies, EnforcerConfig::default());
 
     for payload in [analytics_payload, login_payload, vec![1, 2, 3]] {
         let packet = tagged_packet(payload);
-        assert_eq!(compiled.inspect(&packet), legacy.inspect_legacy(&packet));
+        assert_eq!(compiled.inspect(&packet), legacy.inspect(&packet));
     }
     let untagged = untagged_packet();
-    assert_eq!(
-        compiled.inspect(&untagged),
-        legacy.inspect_legacy(&untagged)
-    );
+    assert_eq!(compiled.inspect(&untagged), legacy.inspect(&untagged));
     // Outcome counters must agree; the legacy pipeline has no flow cache,
     // so the hit/miss bookkeeping is excluded from the comparison.
+    let legacy_stats = legacy.counters.snapshot();
     assert_eq!(
         compiled.stats().without_flow_counters(),
-        legacy.stats().without_flow_counters()
+        legacy_stats.without_flow_counters()
     );
-    assert_eq!(legacy.stats().flow_misses, 0);
-    assert_eq!(compiled.drop_log(), legacy.drop_log());
+    assert_eq!(legacy_stats.flow_misses, 0);
+    assert_eq!(compiled.drop_log(), legacy.drop_log.to_vec());
 }
 
 #[test]
 fn mid_flow_context_switch_is_counted_and_reevaluated_by_default() {
     let (db, analytics_payload, login_payload) = solcalendar_fixture();
-    let mut enforcer = PolicyEnforcer::new(db, PolicySet::new(), EnforcerConfig::default());
+    let enforcer =
+        ShardedEnforcer::from_parts(&db, &PolicySet::new(), EnforcerConfig::default(), 1);
 
     // Same 5-tuple, two different payloads: the second is flagged as a
     // mid-flow switch but — with the knob off — still re-evaluated.
@@ -240,7 +267,7 @@ fn context_switch_drop_keeps_the_original_flow_entry() {
         drop_context_switch: true,
         ..EnforcerConfig::default()
     };
-    let mut enforcer = PolicyEnforcer::new(db, PolicySet::new(), config);
+    let enforcer = ShardedEnforcer::from_parts(&db, &PolicySet::new(), config, 1);
 
     assert!(enforcer
         .inspect(&tagged_packet(analytics_payload.clone()))
@@ -286,7 +313,7 @@ fn drop_log_ring_buffer_evicts_oldest_in_order() {
 #[test]
 fn drop_log_stays_bounded_under_sustained_drops() {
     let (db, _, _) = solcalendar_fixture();
-    let mut enforcer = PolicyEnforcer::new(db, PolicySet::new(), EnforcerConfig::strict());
+    let enforcer = ShardedEnforcer::from_parts(&db, &PolicySet::new(), EnforcerConfig::strict(), 1);
     for _ in 0..(DROP_LOG_CAPACITY + 50) {
         enforcer.inspect(&untagged_packet());
     }
@@ -329,7 +356,7 @@ fn sharded_enforcer_matches_single_shard_on_a_packet_stream() {
         packets.push(packet);
     }
 
-    let mut single = PolicyEnforcer::new(db.clone(), policies.clone(), EnforcerConfig::default());
+    let single = ShardedEnforcer::from_parts(&db, &policies, EnforcerConfig::default(), 1);
     let expected: Vec<Verdict> = packets.iter().map(|p| single.inspect(p)).collect();
 
     let sharded = ShardedEnforcer::from_parts(&db, &policies, EnforcerConfig::default(), 4);
@@ -367,13 +394,14 @@ fn duplicate_context_options_are_dropped_as_spoofing() {
         .push(IpOption::new(IpOptionKind::BorderPatrolContext, analytics_payload).unwrap())
         .unwrap();
 
-    let mut enforcer = PolicyEnforcer::new(
-        db.clone(),
-        PolicySet::from_policies(vec![Policy::deny(
+    let enforcer = ShardedEnforcer::from_parts(
+        &db,
+        &PolicySet::from_policies(vec![Policy::deny(
             EnforcementLevel::Class,
             "com/facebook/appevents",
         )]),
         EnforcerConfig::default(),
+        1,
     );
     let verdict = enforcer.inspect(&packet);
     assert!(!verdict.is_accept());
@@ -386,21 +414,23 @@ fn duplicate_context_options_are_dropped_as_spoofing() {
     assert!(enforcer.drop_log()[0].contains("duplicate"));
 
     // The legacy pipeline agrees.
-    let mut legacy = PolicyEnforcer::new(db.clone(), PolicySet::new(), EnforcerConfig::default());
-    assert_eq!(legacy.inspect_legacy(&packet), verdict);
-    assert_eq!(legacy.stats().dropped_duplicate_context, 1);
+    let mut legacy = Legacy::new(db.clone(), PolicySet::new(), EnforcerConfig::default());
+    assert_eq!(legacy.inspect(&packet), verdict);
+    assert_eq!(legacy.counters.snapshot().dropped_duplicate_context, 1);
 
     // The drop is unconditional: even permissive deployments (which
     // still apply deny policies) must not enforce on only the first
     // option — that would reopen the bypass for them.
-    let mut permissive =
-        PolicyEnforcer::new(db.clone(), PolicySet::new(), EnforcerConfig::permissive());
+    let permissive =
+        ShardedEnforcer::from_parts(&db, &PolicySet::new(), EnforcerConfig::permissive(), 1);
     assert!(!permissive.inspect(&packet).is_accept());
     assert_eq!(permissive.stats().dropped_duplicate_context, 1);
-    assert!(!permissive.inspect_legacy(&packet).is_accept());
+    let mut permissive_legacy =
+        Legacy::new(db.clone(), PolicySet::new(), EnforcerConfig::permissive());
+    assert!(!permissive_legacy.inspect(&packet).is_accept());
 
     // A single context option (the same first one) still passes.
-    let mut single = PolicyEnforcer::new(db, PolicySet::new(), EnforcerConfig::default());
+    let single = ShardedEnforcer::from_parts(&db, &PolicySet::new(), EnforcerConfig::default(), 1);
     assert!(single.inspect(&tagged_packet(login_payload)).is_accept());
 }
 
@@ -418,17 +448,19 @@ fn trailing_covert_data_is_dropped_as_nonconforming() {
     assert!(options.has_trailing_data());
     *packet.options_mut() = options;
 
-    let mut enforcer = PolicyEnforcer::new(db.clone(), PolicySet::new(), EnforcerConfig::default());
+    let enforcer =
+        ShardedEnforcer::from_parts(&db, &PolicySet::new(), EnforcerConfig::default(), 1);
     assert!(!enforcer.inspect(&packet).is_accept());
     assert_eq!(enforcer.stats().dropped_malformed, 1);
     assert!(enforcer.drop_log()[0].contains("end-of-options-list"));
 
-    let mut legacy = PolicyEnforcer::new(db.clone(), PolicySet::new(), EnforcerConfig::default());
-    assert!(!legacy.inspect_legacy(&packet).is_accept());
+    let mut legacy = Legacy::new(db.clone(), PolicySet::new(), EnforcerConfig::default());
+    assert!(!legacy.inspect(&packet).is_accept());
 
     // Permissive deployments (drop_malformed_context = false) still
     // evaluate the context instead of dropping.
-    let mut permissive = PolicyEnforcer::new(db, PolicySet::new(), EnforcerConfig::permissive());
+    let permissive =
+        ShardedEnforcer::from_parts(&db, &PolicySet::new(), EnforcerConfig::permissive(), 1);
     assert!(permissive.inspect(&packet).is_accept());
     assert_eq!(permissive.stats().dropped_malformed, 0);
 }
@@ -440,28 +472,27 @@ fn flow_cache_replays_verdicts_and_counts_hits() {
         EnforcementLevel::Class,
         "com/facebook/appevents",
     )]);
-    let mut cached = PolicyEnforcer::new(db.clone(), policies.clone(), EnforcerConfig::default());
-    let mut uncached = PolicyEnforcer::new(db, policies, EnforcerConfig::default());
+    let tables = EnforcementTables::shared(&db, &policies, EnforcerConfig::default());
+    let cached = ShardedEnforcer::new(Arc::clone(&tables), 1);
+    let (uncached_stats, mut uncached_log) = (EnforcerCounters::new(), DropLog::default());
+    let mut scratch = Vec::new();
+    let mut uncached = |packet: &Ipv4Packet| {
+        tables.inspect_packet(packet, &mut scratch, &uncached_stats, &mut uncached_log)
+    };
 
     let accept_packet = tagged_packet(login_payload);
     let deny_packet = tagged_packet(analytics_payload);
     for _ in 0..5 {
-        assert_eq!(
-            cached.inspect(&accept_packet),
-            uncached.inspect_uncached(&accept_packet)
-        );
-        assert_eq!(
-            cached.inspect(&deny_packet),
-            uncached.inspect_uncached(&deny_packet)
-        );
+        assert_eq!(cached.inspect(&accept_packet), uncached(&accept_packet));
+        assert_eq!(cached.inspect(&deny_packet), uncached(&deny_packet));
     }
 
     // Identical outcome counters and drop logs, hit-accelerated.
     assert_eq!(
         cached.stats().without_flow_counters(),
-        uncached.stats().without_flow_counters()
+        uncached_stats.snapshot().without_flow_counters()
     );
-    assert_eq!(cached.drop_log(), uncached.drop_log());
+    assert_eq!(cached.drop_log(), uncached_log.to_vec());
     let stats = cached.stats();
     // Both packets share one flow (same 5-tuple) but alternate payloads,
     // so every probe after the first is a payload mismatch: the
@@ -523,18 +554,14 @@ fn policy_swap_bumps_epoch_and_invalidates_cached_verdicts() {
     let (db, analytics_payload, _) = solcalendar_fixture();
     let mut control =
         crate::control::ControlPlane::new(db.clone(), PolicySet::new(), EnforcerConfig::default());
-    let enforcer = Arc::new(Mutex::new(PolicyEnforcer::new(
-        db,
-        PolicySet::new(),
-        EnforcerConfig::default(),
-    )));
+    let enforcer = Arc::new(ShardedEnforcer::new(control.tables(), 1));
     control.register(Arc::clone(&enforcer) as _);
     let packet = tagged_packet(analytics_payload);
 
-    let epoch_before = enforcer.lock().tables().epoch();
-    assert!(enforcer.lock().inspect(&packet).is_accept());
-    assert!(enforcer.lock().inspect(&packet).is_accept());
-    assert_eq!(enforcer.lock().stats().flow_hits, 1);
+    let epoch_before = enforcer.tables().epoch();
+    assert!(enforcer.inspect(&packet).is_accept());
+    assert!(enforcer.inspect(&packet).is_accept());
+    assert_eq!(enforcer.stats().flow_hits, 1);
 
     control
         .begin()
@@ -544,12 +571,12 @@ fn policy_swap_bumps_epoch_and_invalidates_cached_verdicts() {
         )]))
         .commit()
         .unwrap();
-    assert!(enforcer.lock().tables().epoch() > epoch_before);
+    assert!(enforcer.tables().epoch() > epoch_before);
 
     // The cached accept was computed under the old epoch: it must not be
     // served.  The probe misses, re-evaluates and drops.
-    assert!(!enforcer.lock().inspect(&packet).is_accept());
-    let stats = enforcer.lock().stats();
+    assert!(!enforcer.inspect(&packet).is_accept());
+    let stats = enforcer.stats();
     assert_eq!(stats.flow_hits, 1);
     assert_eq!(stats.flow_misses, 2);
     assert_eq!(stats.dropped_by_policy, 1);
@@ -558,10 +585,9 @@ fn policy_swap_bumps_epoch_and_invalidates_cached_verdicts() {
 #[test]
 fn flow_cache_evictions_are_counted_and_bounded() {
     let (db, analytics_payload, _) = solcalendar_fixture();
-    let mut enforcer = PolicyEnforcer::with_flow_config(
-        db,
-        PolicySet::new(),
-        EnforcerConfig::default(),
+    let enforcer = ShardedEnforcer::with_flow_config(
+        EnforcementTables::shared(&db, &PolicySet::new(), EnforcerConfig::default()),
+        1,
         crate::flow::FlowTableConfig {
             capacity: 8,
             ttl: bp_netsim::clock::SimDuration::ZERO,
@@ -780,7 +806,7 @@ fn drop_log_text_is_byte_identical_to_the_string_log() {
         drop_context_switch: true,
         ..EnforcerConfig::default()
     };
-    let mut enforcer = PolicyEnforcer::new(db, policies, config);
+    let enforcer = ShardedEnforcer::from_parts(&db, &policies, config, 1);
 
     // One distinct flow per case so the flow cache never reroutes a
     // later case into a mid-flow context switch.

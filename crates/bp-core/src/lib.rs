@@ -96,8 +96,8 @@ pub use encoding::{ContextEncoding, DecodedHeader, EncodedContext, MAX_CONTEXT_P
 // for the frozen `benchmark/` package.
 pub use enforcer::{
     AtomicEnforcerStats, DropLog, DropReason, EnforcementTables, EnforcerConfig, EnforcerCounters,
-    EnforcerStats, PolicyDelta, PolicyEnforcer, PolicyReuse, ShardedEnforcer, TableReuse,
-    WireDropStats, OVERLOAD_DROP_REASON, RUNTIME_FAULT_DROP_REASON,
+    EnforcerStats, PolicyDelta, PolicyReuse, ShardedEnforcer, TableReuse, WireDropStats,
+    OVERLOAD_DROP_REASON, RUNTIME_FAULT_DROP_REASON,
 };
 pub use faults::{
     FaultInjector, FaultPlan, HealthState, ShardHealthSnapshot, WorkerPanic, WorkerStall,

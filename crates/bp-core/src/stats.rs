@@ -381,8 +381,8 @@ impl EnforcerStats {
 /// [`EnforcerStats::to_words`] word, recorded through `&self`.
 ///
 /// The words are [`Cell`]s, so the type is `Send` but **not** `Sync`: a
-/// shard's counters live inside the state its one lock guards (a
-/// [`PolicyEnforcer`](crate::enforcer::PolicyEnforcer) owns its own
+/// shard's counters live inside the state its one lock guards (an oracle
+/// driving [`inspect_legacy`](crate::enforcer::inspect_legacy) owns its own
 /// outright), every read and write happens on the thread that owns them at
 /// that moment, and [`EnforcerCounters::snapshot`] is therefore exact —
 /// `inspected == accepted + dropped` holds on every one.  Counters shared

@@ -163,6 +163,11 @@ impl fmt::Display for Verdict {
 
 /// A user-space consumer attached to an NFQUEUE: it inspects (and may modify)
 /// each packet and returns a [`Verdict`].
+///
+/// Handlers see decoded packets only.  Raw wire frames have one entry point,
+/// the Policy Enforcer's own byte ingress (`bp_core`'s
+/// `ShardedEnforcer::inspect_wire_batch_into`), which inspects frames in
+/// place and charges each decode failure to a typed, counted drop.
 pub trait QueueHandler: Send {
     /// Short name used in chain diagnostics (e.g. `policy-enforcer`).
     fn name(&self) -> &str;
@@ -186,26 +191,6 @@ pub trait QueueHandler: Send {
         verdicts.reserve(packets.len());
         for packet in packets.iter_mut() {
             verdicts.push(self.handle(packet));
-        }
-    }
-
-    /// Inspect a batch of raw wire frames, writing one verdict per frame
-    /// (input order) into `verdicts`, which is cleared first.
-    ///
-    /// The default decodes each frame with [`Ipv4Packet::parse`] and hands
-    /// the packet to [`QueueHandler::handle`]; a frame that fails to decode
-    /// is **dropped** with the parse diagnostic as its reason — the
-    /// fail-closed posture every verdict producer in this workspace keeps.
-    /// The sharded Policy Enforcer overrides this with its typed-error wire
-    /// decoder (attributed `WireError` drops counted in its statistics).
-    fn handle_wire_batch(&mut self, frames: &[&[u8]], verdicts: &mut Vec<Verdict>) {
-        verdicts.clear();
-        verdicts.reserve(frames.len());
-        for frame in frames {
-            verdicts.push(match Ipv4Packet::parse(frame) {
-                Ok(mut packet) => self.handle(&mut packet),
-                Err(e) => Verdict::drop(format!("wire: {e}")),
-            });
         }
     }
 }

@@ -4,11 +4,10 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use borderpatrol::core::control::{ControlPlane, EnforcementEndpoint, RolloutError};
-use borderpatrol::core::enforcer::{EnforcerConfig, PolicyEnforcer, ShardedEnforcer};
+use borderpatrol::core::enforcer::{EnforcerConfig, ShardedEnforcer};
 use borderpatrol::core::offline::SignatureDatabase;
 use borderpatrol::core::policy::{Policy, PolicySet};
 use borderpatrol::types::EnforcementLevel;
@@ -306,12 +305,7 @@ proptest! {
                 PolicySet::new(),
                 EnforcerConfig::default(),
             );
-            // Constructed empty: registration installs the control build.
-            let enforcer = Arc::new(Mutex::new(PolicyEnforcer::new(
-                SignatureDatabase::new(),
-                PolicySet::new(),
-                EnforcerConfig::default(),
-            )));
+            let enforcer = Arc::new(ShardedEnforcer::new(control.tables(), 1));
             control.register(Arc::clone(&enforcer) as Arc<dyn EnforcementEndpoint>);
             (control, enforcer)
         };
@@ -322,8 +316,8 @@ proptest! {
             for &(flow, use_login) in steps {
                 let payload = if use_login { login } else { analytics };
                 let packet = tagged_packet(flow, payload);
-                let a = rolled_enforcer.lock().inspect(&packet);
-                let b = untouched_enforcer.lock().inspect(&packet);
+                let a = rolled_enforcer.inspect(&packet);
+                let b = untouched_enforcer.inspect(&packet);
                 assert_eq!(a, b);
             }
         };
@@ -342,8 +336,7 @@ proptest! {
 
         drive(&after);
 
-        let a = rolled_enforcer.lock();
-        let b = untouched_enforcer.lock();
+        let (a, b) = (&rolled_enforcer, &untouched_enforcer);
         // Full equivalence — flow bookkeeping included: the rolled-back
         // epoch is the original one, so the cache pattern is identical.
         prop_assert_eq!(a.stats(), b.stats());

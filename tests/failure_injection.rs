@@ -150,10 +150,11 @@ fn unknown_app_traffic_is_dropped_by_default_config() {
     // The testbed's context manager is private, so emulate by running the
     // *known* app but with an enforcer database lacking its entry is not
     // reachable from here; instead assert the enforcer's behaviour directly.
-    let mut enforcer = borderpatrol::core::enforcer::PolicyEnforcer::new(
-        borderpatrol::core::offline::SignatureDatabase::new(),
-        PolicySet::new(),
+    let enforcer = borderpatrol::core::enforcer::ShardedEnforcer::from_parts(
+        &borderpatrol::core::offline::SignatureDatabase::new(),
+        &PolicySet::new(),
         EnforcerConfig::default(),
+        1,
     );
     let tag = apk.hash().tag();
     let payload =

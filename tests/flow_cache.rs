@@ -6,8 +6,8 @@ use std::sync::Arc;
 use borderpatrol::core::control::{ControlPlane, EnforcementEndpoint};
 use borderpatrol::core::encoding::ContextEncoding;
 use borderpatrol::core::enforcer::{
-    DropLog, EnforcementTables, EnforcerConfig, EnforcerCounters, EnforcerStats, PolicyEnforcer,
-    ShardedEnforcer, DROP_LOG_CAPACITY,
+    DropLog, EnforcementTables, EnforcerConfig, EnforcerCounters, EnforcerStats, ShardedEnforcer,
+    DROP_LOG_CAPACITY,
 };
 use borderpatrol::core::flow::{FlowTable, FlowTableConfig};
 use borderpatrol::core::offline::SignatureDatabase;
@@ -18,7 +18,6 @@ use borderpatrol::netsim::options::{IpOption, IpOptionKind};
 use borderpatrol::netsim::packet::Ipv4Packet;
 use borderpatrol::types::{ApkHash, EnforcementLevel};
 use borderpatrol::Engine;
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 mod common;
@@ -119,34 +118,31 @@ fn facade_policy_swap_is_equivalent_to_a_fresh_enforcer() {
     // The warmed enforcer is a registered endpoint of a control plane; the
     // swap is a committed transaction.
     let mut control = ControlPlane::new(db.clone(), PolicySet::new(), EnforcerConfig::default());
-    // Constructed empty: registration installs the control plane's build.
-    let swapped = Arc::new(Mutex::new(PolicyEnforcer::new(
-        SignatureDatabase::new(),
-        PolicySet::new(),
-        EnforcerConfig::default(),
-    )));
+    let swapped = Arc::new(ShardedEnforcer::new(control.tables(), 1));
     control.register(Arc::clone(&swapped) as Arc<dyn EnforcementEndpoint>);
     let packets = stream(16, 3, &payload);
     for packet in &packets {
-        assert!(swapped.lock().inspect(packet).is_accept());
+        assert!(swapped.inspect(packet).is_accept());
     }
 
-    // Swap policies on the warmed enforcer; a fresh enforcer compiled with
-    // the same policies is the ground truth.
+    // Swap policies on the warmed enforcer; tables freshly compiled with the
+    // same policies, inspected without a flow table, are the ground truth.
     control
         .begin()
         .replace_policies(deny.clone())
         .commit()
         .expect("policy swap commit");
-    let mut fresh = PolicyEnforcer::new(db, deny, EnforcerConfig::default());
+    let fresh = EnforcementTables::build(&db, &deny, EnforcerConfig::default());
+    let (fresh_stats, mut fresh_log) = (EnforcerCounters::new(), DropLog::default());
+    let mut scratch = Vec::new();
     for packet in &packets {
         assert_eq!(
-            swapped.lock().inspect(packet),
-            fresh.inspect_uncached(packet)
+            swapped.inspect(packet),
+            fresh.inspect_packet(packet, &mut scratch, &fresh_stats, &mut fresh_log)
         );
     }
     // Post-swap traffic re-evaluated (one miss per flow) then re-cached.
-    let stats = swapped.lock().stats();
+    let stats = swapped.stats();
     assert_eq!(stats.dropped_by_policy, packets.len() as u64);
 }
 
@@ -193,10 +189,13 @@ fn interleaved_replays_and_fresh_evaluations_keep_drop_log_order_and_stats_parit
     let cached = ShardedEnforcer::new(Arc::clone(&tables), 1);
     let cached_verdicts = cached.inspect_batch(&packets);
 
-    let mut uncached = PolicyEnforcer::new(db, deny, EnforcerConfig::default());
+    let (uncached_stats, mut uncached_log) = (EnforcerCounters::new(), DropLog::default());
+    let mut scratch = Vec::new();
     let uncached_verdicts: Vec<_> = packets
         .iter()
-        .map(|packet| uncached.inspect_uncached(packet))
+        .map(|packet| {
+            tables.inspect_packet(packet, &mut scratch, &uncached_stats, &mut uncached_log)
+        })
         .collect();
 
     assert_eq!(cached_verdicts, uncached_verdicts);
@@ -207,7 +206,7 @@ fn interleaved_replays_and_fresh_evaluations_keep_drop_log_order_and_stats_parit
     let cached_stats = cached.stats();
     assert_eq!(
         cached_stats.without_flow_counters(),
-        uncached.stats().without_flow_counters()
+        uncached_stats.snapshot().without_flow_counters()
     );
     assert!(cached_stats.flow_hits > 0);
     assert_eq!(
@@ -217,7 +216,7 @@ fn interleaved_replays_and_fresh_evaluations_keep_drop_log_order_and_stats_parit
 
     // Drop-log parity: same lines, same order — replayed verdicts append
     // their drop reasons exactly where a fresh evaluation would have.
-    assert_eq!(cached.drop_log(), uncached.drop_log());
+    assert_eq!(cached.drop_log(), uncached_log.to_vec());
     assert_eq!(cached.drop_log().len(), packets.len());
 }
 
@@ -226,11 +225,10 @@ fn flow_ttl_expires_on_the_sim_clock() {
     use borderpatrol::netsim::clock::SimDuration;
 
     let (db, payload) = fixture();
-    let mut enforcer = PolicyEnforcer::with_flow_config(
-        db,
-        PolicySet::new(),
-        EnforcerConfig::default(),
-        borderpatrol::core::flow::FlowTableConfig {
+    let enforcer = ShardedEnforcer::with_flow_config(
+        EnforcementTables::shared(&db, &PolicySet::new(), EnforcerConfig::default()),
+        1,
+        FlowTableConfig {
             capacity: 64,
             ttl: SimDuration::from_millis(5),
         },

@@ -2,12 +2,13 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use borderpatrol::core::control::{ControlPlane, EnforcementEndpoint};
 use borderpatrol::core::encoding::ContextEncoding;
-use borderpatrol::core::enforcer::{EnforcerConfig, PolicyEnforcer};
+use borderpatrol::core::enforcer::{
+    inspect_legacy, DropLog, EnforcerConfig, EnforcerCounters, EnforcerStats, ShardedEnforcer,
+};
 
 mod common;
 use borderpatrol::core::offline::SignatureDatabase;
@@ -15,11 +16,53 @@ use borderpatrol::core::policy::{Policy, PolicyAction, PolicySet};
 use borderpatrol::core::sanitizer::PacketSanitizer;
 use borderpatrol::dex::{DexBuilder, DexFile, MethodTable};
 use borderpatrol::netsim::addr::Endpoint;
+use borderpatrol::netsim::netfilter::Verdict;
 use borderpatrol::netsim::options::{IpOption, IpOptionKind, IpOptions, MAX_OPTIONS_LEN};
 use borderpatrol::netsim::packet::Ipv4Packet;
 use borderpatrol::types::{ApkHash, AppTag, EnforcementLevel, MethodSignature};
 use common::solcalendar_fixture as enforcement_fixture;
 use common::tagged_packet;
+
+/// The two memo-free references a registered enforcer is checked against,
+/// each with its own counters and drop log: the control plane's current
+/// compiled tables without a flow table, and the interpretive pipeline over
+/// its current interchange state.
+#[derive(Default)]
+struct References {
+    scratch: Vec<u32>,
+    compiled: (EnforcerCounters, DropLog),
+    legacy: (EnforcerCounters, DropLog),
+}
+
+impl References {
+    /// Both references' verdicts on `packet` under `control`'s current
+    /// generation.
+    fn inspect(&mut self, control: &ControlPlane, packet: &Ipv4Packet) -> [Verdict; 2] {
+        let (stats, log) = &mut self.compiled;
+        let compiled = control
+            .tables()
+            .inspect_packet(packet, &mut self.scratch, stats, log);
+        let (stats, log) = &mut self.legacy;
+        let (database, policies) = (control.database(), control.policies());
+        let legacy = inspect_legacy(database, policies, control.config(), packet, stats, log);
+        [compiled, legacy]
+    }
+
+    /// Both references' outcome counters and drop logs.
+    fn outcomes(&self) -> [(EnforcerStats, Vec<String>); 2] {
+        [&self.compiled, &self.legacy]
+            .map(|(stats, log)| (stats.snapshot().without_flow_counters(), log.to_vec()))
+    }
+}
+
+/// The enforcer's outcome counters and drop log, comparable with
+/// [`References::outcomes`].
+fn outcomes(enforcer: &ShardedEnforcer) -> (EnforcerStats, Vec<String>) {
+    (
+        enforcer.stats().without_flow_counters(),
+        enforcer.drop_log(),
+    )
+}
 
 fn identifier() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9]{0,8}".prop_map(|s| s)
@@ -382,28 +425,17 @@ proptest! {
             )]),
             PolicySet::from_policies(vec![Policy::deny(EnforcementLevel::Library, "com/facebook")]),
         ];
-        // One control plane drives both enforcers: a committed transaction
-        // must leave every registered endpoint on the same generation.
+        // A registered one-shard enforcer follows the control plane through
+        // every commit; the references read the control plane's current
+        // tables and interchange state directly.
         let mut control = ControlPlane::new(
             db.clone(),
             policy_sets[0].clone(),
             EnforcerConfig::default(),
         );
-        // Endpoints start empty: registration installs the control plane's
-        // current build, so seeding them with real state would only compile
-        // throwaway tables.
-        let cached = Arc::new(Mutex::new(PolicyEnforcer::new(
-            SignatureDatabase::new(),
-            PolicySet::new(),
-            EnforcerConfig::default(),
-        )));
-        let uncached = Arc::new(Mutex::new(PolicyEnforcer::new(
-            SignatureDatabase::new(),
-            PolicySet::new(),
-            EnforcerConfig::default(),
-        )));
+        let cached = Arc::new(ShardedEnforcer::new(control.tables(), 1));
         control.register(Arc::clone(&cached) as Arc<dyn EnforcementEndpoint>);
-        control.register(Arc::clone(&uncached) as Arc<dyn EnforcementEndpoint>);
+        let mut references = References::default();
         let mut database_installed = true;
 
         for (flow, payload_choice, swap) in steps {
@@ -446,20 +478,19 @@ proptest! {
                 .unwrap();
 
             // No stale verdict: after any swap above, the very next packet
-            // (and all later ones) must match a cache-free evaluation.
-            prop_assert_eq!(
-                cached.lock().inspect(&packet),
-                uncached.lock().inspect_uncached(&packet)
-            );
+            // (and all later ones) must match both cache-free evaluations —
+            // the compiled pipeline and the interpretive one.
+            let verdict = cached.inspect(&packet);
+            for reference in references.inspect(&control, &packet) {
+                prop_assert_eq!(&verdict, &reference);
+            }
         }
 
         // Outcome counters and drop logs agree exactly; only the flow
         // bookkeeping (hits/misses/evictions) differs between the paths.
-        prop_assert_eq!(
-            cached.lock().stats().without_flow_counters(),
-            uncached.lock().stats().without_flow_counters()
-        );
-        prop_assert_eq!(cached.lock().drop_log(), uncached.lock().drop_log());
+        for reference in references.outcomes() {
+            prop_assert_eq!(&outcomes(&cached), &reference);
+        }
     }
 
     #[test]
@@ -583,35 +614,28 @@ fn flow_cache_parity_across_large_rule_set_commits() {
         PolicySet::from_policies(rules),
         EnforcerConfig::default(),
     );
-    let cached = Arc::new(Mutex::new(PolicyEnforcer::new(
-        SignatureDatabase::new(),
-        PolicySet::new(),
-        EnforcerConfig::default(),
-    )));
-    let uncached = Arc::new(Mutex::new(PolicyEnforcer::new(
-        SignatureDatabase::new(),
-        PolicySet::new(),
-        EnforcerConfig::default(),
-    )));
+    let cached = Arc::new(ShardedEnforcer::new(control.tables(), 1));
     control.register(Arc::clone(&cached) as Arc<dyn EnforcementEndpoint>);
-    control.register(Arc::clone(&uncached) as Arc<dyn EnforcementEndpoint>);
+    let mut references = References::default();
 
-    let check = |label: &str| {
+    let mut check = |control: &ControlPlane, label: &str| {
         for flow in 0..4u16 {
             for payload in [analytics.as_slice(), login.as_slice()] {
                 // Twice per flow: the second inspect is a cache hit.
                 for _ in 0..2 {
                     let packet = tagged_packet(flow, payload);
-                    assert_eq!(
-                        cached.lock().inspect(&packet),
-                        uncached.lock().inspect_uncached(&packet),
-                        "cached/uncached divergence after {label}",
-                    );
+                    let verdict = cached.inspect(&packet);
+                    for reference in references.inspect(control, &packet) {
+                        assert_eq!(verdict, reference, "divergence after {label}");
+                    }
                 }
             }
         }
+        for reference in references.outcomes() {
+            assert_eq!(outcomes(&cached), reference, "after {label}");
+        }
     };
-    check("initial compile");
+    check(&control, "initial compile");
 
     // Append-only delta: extends the previous generation's index instead of
     // rebuilding it, yet cached verdicts must still be invalidated.
@@ -621,7 +645,7 @@ fn flow_cache_parity_across_large_rule_set_commits() {
         .commit()
         .unwrap();
     assert_eq!(control.policy_index_reuses(), 1);
-    check("incremental commit");
+    check(&control, "incremental commit");
 
     // Removal of a mid-set rule cannot be expressed as an append: this
     // commit recompiles the whole set from scratch.
@@ -631,5 +655,5 @@ fn flow_cache_parity_across_large_rule_set_commits() {
         .commit()
         .unwrap();
     assert_eq!(control.policy_index_reuses(), 1);
-    check("full recompilation");
+    check(&control, "full recompilation");
 }
