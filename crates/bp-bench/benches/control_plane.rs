@@ -12,9 +12,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use criterion::{black_box, criterion_group, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use bp_bench::quick::{json_mode, QuickBench};
 use bp_bench::{analyzed_solcalendar, blacklist_policies, case_study_policies};
 use bp_core::control::{ControlPlane, EnforcementEndpoint};
 use bp_core::enforcer::{EnforcerConfig, ShardedEnforcer};
@@ -175,68 +174,5 @@ fn benches_all(c: &mut Criterion) {
     bench_throughput_under_storm(c);
 }
 
-/// `--json` quick sweep, merged into `BENCH.json`: commit/rollback
-/// latencies (batch = policy count, elements = commits) plus the quiet
-/// data-plane batch throughput.
-fn json_sweep() {
-    let app = analyzed_solcalendar();
-    let mut quick = QuickBench::new("control_plane");
-
-    for (case, policy_sets) in [
-        (
-            "commit_3_policies",
-            [case_study_policies(), PolicySet::new()],
-        ),
-        (
-            "commit_1050_policies",
-            [blacklist_policies(), PolicySet::new()],
-        ),
-    ] {
-        let mut control = ControlPlane::new(
-            app.database.clone(),
-            PolicySet::new(),
-            EnforcerConfig::default(),
-        );
-        let enforcer = Arc::new(ShardedEnforcer::new(control.tables(), SHARDS));
-        control.register(Arc::clone(&enforcer) as Arc<dyn EnforcementEndpoint>);
-        let mut flip = 0usize;
-        let rules = policy_sets[0].len();
-        // Commit rows measure the control plane: "pkts_per_sec" carries
-        // commits/sec (elements = 1 commit).
-        quick.measure(case, SHARDS, rules, 1, || {
-            flip ^= 1;
-            criterion::black_box(
-                control
-                    .begin()
-                    .replace_policies(policy_sets[flip].clone())
-                    .commit()
-                    .unwrap(),
-            );
-        });
-    }
-
-    let packets = repeated_flow_stream(&app.context_payload("fb-login"));
-    let mut control = ControlPlane::new(
-        app.database.clone(),
-        case_study_policies(),
-        EnforcerConfig::default(),
-    );
-    let enforcer = Arc::new(ShardedEnforcer::new(control.tables(), SHARDS));
-    control.register(Arc::clone(&enforcer) as Arc<dyn EnforcementEndpoint>);
-    let mut verdicts = Vec::with_capacity(BATCH);
-    quick.measure("inspect_batch_quiet", SHARDS, BATCH, BATCH as u64, || {
-        enforcer.inspect_batch_into(&packets, &mut verdicts);
-        criterion::black_box(verdicts.len());
-    });
-    quick.finish();
-}
-
 criterion_group!(benches, benches_all);
-
-fn main() {
-    if json_mode() {
-        json_sweep();
-    } else {
-        benches();
-    }
-}
+criterion_main!(benches);

@@ -3,15 +3,12 @@
 //!
 //! Frames are the realistic tagged shape — base header, one BorderPatrol
 //! context option, abbreviated transport ports, payload — plus the
-//! trailing-data variant the sanitizer exists to catch.  `--json` emits the
-//! quick rows merged into `BENCH.json`; for this bench `elements` is the
-//! total *byte* count an iteration decodes, so the throughput column reads
+//! trailing-data variant the sanitizer exists to catch.  Throughput reads
 //! as bytes/second (the wire codec's natural unit), not packets/second.
 
-use criterion::{black_box, criterion_group, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use bp_bench::analyzed_dropbox;
-use bp_bench::quick::{json_mode, QuickBench};
 use bp_core::wire::{self, WireDecoder};
 use bp_netsim::addr::Endpoint;
 use bp_netsim::options::{IpOption, IpOptionKind};
@@ -83,34 +80,5 @@ fn bench_wire_decode(c: &mut Criterion) {
     group.finish();
 }
 
-/// `--json` quick sweep, merged into `BENCH.json`.  `elements` is bytes
-/// decoded per iteration, so `pkts_per_sec` reads as **bytes/sec** here.
-fn json_sweep() {
-    let mut quick = QuickBench::new("wire_decode");
-    for (label, payload_bytes, trailing) in [
-        ("tagged_64B_bytes", 64usize, false),
-        ("tagged_256B_bytes", 256, false),
-        ("trailing_256B_bytes", 256, true),
-    ] {
-        let encoded = frames(payload_bytes, trailing);
-        let refs: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
-        let bytes = total_bytes(&encoded);
-        let mut decoder = WireDecoder::default();
-        quick.measure(label, 1, BATCH, bytes, || {
-            let (packets, failures) = decoder.decode_batch(black_box(&refs));
-            assert_eq!(packets.len(), BATCH);
-            assert!(failures.is_empty());
-        });
-    }
-    quick.finish();
-}
-
 criterion_group!(benches, bench_wire_decode);
-
-fn main() {
-    if json_mode() {
-        json_sweep();
-    } else {
-        benches();
-    }
-}
+criterion_main!(benches);

@@ -103,7 +103,29 @@ impl AnalyzedApp {
     }
 }
 
-pub mod quick;
+/// A mixed multi-flow stream of `batch` packets on distinct source
+/// endpoints: every fifth carries the `analytics` context, the rest
+/// `login` — mostly conforming traffic with policy violations sprinkled in.
+pub fn mixed_stream(login: &[u8], analytics: &[u8], batch: usize) -> Vec<Ipv4Packet> {
+    (0..batch as u16)
+        .map(|i| {
+            let mut packet = Ipv4Packet::new(
+                Endpoint::new([10, 0, (i >> 8) as u8, i as u8], 40_000 + i),
+                Endpoint::new([31, 13, 71, 36], 443),
+                vec![0xA5; 256],
+            );
+            let payload = if i % 5 == 0 { analytics } else { login };
+            packet
+                .options_mut()
+                .push(
+                    IpOption::new(IpOptionKind::BorderPatrolContext, payload.to_vec())
+                        .expect("fixture option fits"),
+                )
+                .expect("fixture option fits packet");
+            packet
+        })
+        .collect()
+}
 
 /// The validation blacklist (one library-level deny per exfiltrating library).
 pub fn blacklist_policies() -> PolicySet {

@@ -98,7 +98,7 @@ pub(crate) struct EnforcerCore {
     /// hot-swap policies (a control-plane commit installing a new
     /// generation) while workers are mid-batch.  Workers do **not** take
     /// this lock per packet: they cache the `Arc` and revalidate it against
-    /// `tables_generation` (one relaxed load of a rarely-written line per
+    /// `tables_generation` (one Acquire load of a rarely-written line per
     /// packet), re-reading the lock only when a swap actually happened — so
     /// every packet inspected after the installation returns uses the new
     /// tables and the new epoch, without cross-shard lock or refcount
