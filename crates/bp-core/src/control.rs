@@ -94,7 +94,8 @@ impl fmt::Display for GenerationId {
 pub struct GenerationRecord {
     id: GenerationId,
     tables: Arc<EnforcementTables>,
-    database: SignatureDatabase,
+    /// Shared with every generation that did not swap the database.
+    database: Arc<SignatureDatabase>,
     policies: PolicySet,
 }
 
@@ -429,7 +430,7 @@ impl ControlPlane {
         let current = Arc::new(GenerationRecord {
             id: GenerationId(1),
             tables,
-            database,
+            database: Arc::new(database),
             policies,
         });
         ControlPlane {
@@ -570,7 +571,7 @@ impl ControlPlane {
     /// permits (see [`EnforcementTables::next_generation`]).
     fn commit_state(
         &mut self,
-        database: SignatureDatabase,
+        database: Arc<SignatureDatabase>,
         database_changed: bool,
         policies: PolicySet,
         delta: PolicyDelta,
@@ -797,8 +798,15 @@ impl Transaction<'_> {
     /// so a reorder is a real (rebuilding) change.
     fn stages_a_change(&self, policies: &PolicySet) -> bool {
         *policies != *self.plane.policies()
-            || *self.staged_database() != *self.plane.database()
+            || self.database_changed()
             || self.staged_config() != self.plane.config()
+    }
+
+    /// Whether the staged database differs from the current one.  Unless a
+    /// swap is staged the two are the same object, and no field is compared.
+    fn database_changed(&self) -> bool {
+        let (staged, current) = (self.staged_database(), self.plane.database());
+        !std::ptr::eq(staged, current) && *staged != *current
     }
 
     /// The typed dry-run plan: what the commit would add, remove and change,
@@ -869,18 +877,14 @@ impl Transaction<'_> {
             Some(split) => PolicyDelta::Appended { split },
             None => PolicyDelta::Changed,
         };
-        let database_changed = self
-            .database
-            .as_ref()
-            .is_some_and(|db| *db != *self.plane.database());
+        let database_changed = self.database_changed();
         let config = self.staged_config();
-        // The transaction owns a staged database: move it instead of
-        // deep-cloning the whole thing (fall back to cloning the current one
-        // only when the transaction never swapped it).
-        let database = self
-            .database
-            .take()
-            .unwrap_or_else(|| self.plane.database().clone());
+        // A changed database moves out of the transaction; otherwise the new
+        // generation shares the current one's.
+        let database = match self.database.take() {
+            Some(staged) if database_changed => Arc::new(staged),
+            _ => Arc::clone(&self.plane.current.database),
+        };
         Ok(self
             .plane
             .commit_state(database, database_changed, policies, delta, config))
@@ -968,6 +972,39 @@ mod tests {
             vec![GenerationId(1)],
             "the previous generation is retained for rollback"
         );
+    }
+
+    #[test]
+    fn commits_that_keep_the_database_share_it() {
+        let mut control =
+            ControlPlane::new(analyzed_db(), PolicySet::new(), EnforcerConfig::default());
+        let first = Arc::clone(&control.current.database);
+        control
+            .begin()
+            .add_policy(Policy::deny(EnforcementLevel::Library, "com/facebook"))
+            .commit()
+            .unwrap();
+        assert!(Arc::ptr_eq(&first, &control.current.database));
+
+        // Swapping in an equal copy is no database change either.
+        let copy = control.database().clone();
+        control
+            .begin()
+            .swap_database(copy)
+            .add_policy(Policy::deny(EnforcementLevel::Library, "com/flurry"))
+            .commit()
+            .unwrap();
+        assert!(Arc::ptr_eq(&first, &control.current.database));
+        assert_eq!(control.database_reuses(), 2);
+
+        control
+            .begin()
+            .swap_database(SignatureDatabase::new())
+            .commit()
+            .unwrap();
+        assert!(!Arc::ptr_eq(&first, &control.current.database));
+        assert_eq!(control.database().len(), 0);
+        assert_eq!(control.retained_generations().len(), 3);
     }
 
     #[test]

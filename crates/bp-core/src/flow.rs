@@ -652,6 +652,11 @@ impl FlowTable {
     /// most `MEMO_WAYS` byte comparisons, and on a first sighting one store
     /// that shifts the set's entries down and drops its oldest.  Oversized
     /// payloads are evaluated and not remembered.
+    // `#[inline]` keeps this inside `EnforcementTables::inspect_view`, its one
+    // caller, whatever codegen units the rest of the crate is split into: an
+    // edit confined to the policy compiler once pushed it out of line
+    // (`tools/symdiff.sh` shows it).
+    #[inline]
     pub(crate) fn remembered_or(
         &mut self,
         payload: &[u8],

@@ -241,9 +241,11 @@ impl<T> Default for Chunked<T> {
 }
 
 impl<T> Chunked<T> {
-    pub(crate) fn from_vec(items: Vec<T>) -> Self {
+    /// Storage whose base chunk is `base` (a `Vec`, or an `Arc<[T]>` that is
+    /// taken as it is) and whose tail is empty.
+    pub(crate) fn new(base: impl Into<Arc<[T]>>) -> Self {
         Chunked {
-            base: items.into(),
+            base: base.into(),
             tail: Vec::new(),
         }
     }
@@ -264,12 +266,12 @@ impl<T> Chunked<T> {
         }
     }
 
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> + Clone {
         self.base.iter().chain(self.tail.iter())
     }
 
     /// Iterate items from position `start` on.
-    pub(crate) fn iter_from(&self, start: usize) -> impl Iterator<Item = &T> {
+    pub(crate) fn iter_from(&self, start: usize) -> impl Iterator<Item = &T> + Clone {
         let b = start.min(self.base.len());
         let t = (start - b).min(self.tail.len());
         self.base[b..].iter().chain(self.tail[t..].iter())
@@ -288,7 +290,7 @@ impl<T> Chunked<T> {
         if self.tail.is_empty() {
             self.clone()
         } else {
-            Chunked::from_vec(self.iter().cloned().collect())
+            Chunked::new(self.iter().cloned().collect::<Arc<[T]>>())
         }
     }
 }
@@ -313,7 +315,7 @@ impl PolicySet {
     /// Build a set from a list of policies.
     pub fn from_policies(policies: Vec<Policy>) -> Self {
         PolicySet {
-            policies: Chunked::from_vec(policies),
+            policies: Chunked::new(policies),
         }
     }
 
@@ -370,7 +372,7 @@ impl PolicySet {
     }
 
     /// Iterate over the policies.
-    pub fn iter(&self) -> impl Iterator<Item = &Policy> {
+    pub fn iter(&self) -> impl Iterator<Item = &Policy> + Clone {
         self.policies.iter()
     }
 
@@ -408,7 +410,7 @@ impl PolicySet {
     }
 
     /// Iterate policies from position `start` on.
-    pub(crate) fn iter_from(&self, start: usize) -> impl Iterator<Item = &Policy> {
+    pub(crate) fn iter_from(&self, start: usize) -> impl Iterator<Item = &Policy> + Clone {
         self.policies.iter_from(start)
     }
 
@@ -542,60 +544,96 @@ impl Deserialize for PolicySet {
 // cannot drift apart.
 use bp_types::signature::{normalize_package, segment_prefix};
 
+/// A byte range of one policy's target.  Compiled matchers hold spans, not
+/// copies: the [`CompiledPolicySet`] keeps the [`PolicySet`] it was compiled
+/// from, whose shared chunk owns every target's bytes, so compiling a rule
+/// allocates nothing.  Target normalization and descriptor splitting only
+/// ever take substrings, which is what makes a span enough.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    /// Where `part`, a substring of `target`, lies within it.
+    fn of(target: &str, part: &str) -> Span {
+        let start = part.as_ptr() as usize - target.as_ptr() as usize;
+        debug_assert!(start + part.len() <= target.len(), "part outside target");
+        Span {
+            start: u32::try_from(start).expect("policy target fits u32"),
+            len: u32::try_from(part.len()).expect("policy target fits u32"),
+        }
+    }
+
+    /// The spanned text of `target` (the target this span was taken from).
+    pub(crate) fn get(self, target: &str) -> &str {
+        &target[self.start as usize..(self.start + self.len) as usize]
+    }
+
+    pub(crate) fn len(self) -> usize {
+        self.len as usize
+    }
+
+    pub(crate) fn is_empty(self) -> bool {
+        self.len == 0
+    }
+}
+
 /// A policy target pre-split into the comparisons `evaluate` performs, so the
 /// per-packet work is slice/prefix comparisons with no string building.
-/// Crate-visible so [`crate::policy_index`] can lower matchers into its
-/// flat tables.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Every string is a [`Span`] of the policy's target.  Crate-visible so
+/// [`crate::policy_index`] can lower matchers into its flat tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CompiledMatcher {
     /// Hash-level rule: the target's first 16 hex characters, pre-decoded to
     /// tag bytes.  `None` when the target can never match any tag.
     Hash(Option<AppTag>),
     /// Library-level rule: pre-normalized package prefix.
-    Library(String),
+    Library(Span),
     /// Class-level rule: pre-normalized class path (or package prefix).
-    Class(String),
+    Class(Span),
     /// Method-level rule pre-split into descriptor components.  `params:
     /// None` means the target omitted the parameter list entirely; `ret:
     /// None` means it omitted the return type.
     Method {
-        class_path: String,
-        method: String,
-        params: Option<String>,
-        ret: Option<String>,
+        class_path: Span,
+        method: Span,
+        params: Option<Span>,
+        ret: Option<Span>,
     },
     /// Fallback for method targets whose shape does not decompose cleanly:
     /// replicates the interpretive string comparisons verbatim.
-    MethodVerbatim(String),
+    MethodVerbatim(Span),
     /// A target that can never match (e.g. empty after trimming).
     Never,
 }
 
 impl CompiledMatcher {
-    fn compile(level: EnforcementLevel, target: &str) -> CompiledMatcher {
+    pub(crate) fn compile(level: EnforcementLevel, target: &str) -> CompiledMatcher {
         if level == EnforcementLevel::Hash {
             // `Policy::matches_tag` compares the *untrimmed* lowercased
             // target; a tag matches iff the target's first 16 characters are
-            // its hex form.
-            let lowered = target.to_ascii_lowercase();
-            return CompiledMatcher::Hash(lowered.get(..16).and_then(AppTag::from_hex));
+            // its hex form.  Lowercasing keeps byte offsets and `from_hex`
+            // takes either case, so the prefix decodes in place.
+            return CompiledMatcher::Hash(target.get(..16).and_then(AppTag::from_hex));
         }
         // `MethodSignature::matches_target` trims and rejects empty targets.
         let raw = target.trim();
         if raw.is_empty() {
             return CompiledMatcher::Never;
         }
+        let span = |part: &str| Span::of(target, part);
         match level {
             EnforcementLevel::Hash => unreachable!("handled above"),
-            EnforcementLevel::Library => CompiledMatcher::Library(normalize_package(raw)),
-            EnforcementLevel::Class => CompiledMatcher::Class(normalize_package(raw)),
-            EnforcementLevel::Method => Self::compile_method(raw),
+            EnforcementLevel::Library => CompiledMatcher::Library(span(normalize_package(raw))),
+            EnforcementLevel::Class => CompiledMatcher::Class(span(normalize_package(raw))),
+            EnforcementLevel::Method => Self::compile_method(raw, span),
         }
     }
 
     /// Split a method target of the form `L<class>;-><method>[(<params>)[<ret>]]`.
-    fn compile_method(raw: &str) -> CompiledMatcher {
-        let verbatim = || CompiledMatcher::MethodVerbatim(raw.to_string());
+    fn compile_method(raw: &str, span: impl Fn(&str) -> Span) -> CompiledMatcher {
         let Some(body) = raw.strip_prefix('L') else {
             // None of the three descriptor forms can start without `L`.
             return CompiledMatcher::Never;
@@ -605,26 +643,28 @@ impl CompiledMatcher {
         };
         match rest.split_once('(') {
             None => CompiledMatcher::Method {
-                class_path: class_path.to_string(),
-                method: rest.to_string(),
+                class_path: span(class_path),
+                method: span(rest),
                 params: None,
                 ret: None,
             },
             Some((method, after)) => {
                 // The descriptor forms close the parameter list with the
-                // first `)`; anything trailing is the return type.
+                // first `)`; anything trailing is the return type.  `(`
+                // without `)`, or a second `(`/`)`, defers to the verbatim
+                // comparisons.
+                let verbatim = CompiledMatcher::MethodVerbatim(span(raw));
                 let Some((params, ret)) = after.split_once(')') else {
-                    // `(` without `)` — defer to the verbatim comparisons.
-                    return verbatim();
+                    return verbatim;
                 };
                 if params.contains('(') || params.contains(')') {
-                    return verbatim();
+                    return verbatim;
                 }
                 CompiledMatcher::Method {
-                    class_path: class_path.to_string(),
-                    method: method.to_string(),
-                    params: Some(params.to_string()),
-                    ret: (!ret.is_empty()).then(|| ret.to_string()),
+                    class_path: span(class_path),
+                    method: span(method),
+                    params: Some(span(params)),
+                    ret: (!ret.is_empty()).then(|| span(ret)),
                 }
             }
         }
@@ -635,31 +675,37 @@ impl CompiledMatcher {
         matches!(self, CompiledMatcher::Hash(Some(t)) if *t == tag)
     }
 
-    /// Whether a signature-level matcher matches `signature`.
-    fn matches_signature(&self, signature: &MethodSignature) -> bool {
-        match self {
+    /// Whether a signature-level matcher, compiled from `target`, matches
+    /// `signature`.
+    fn matches_signature(&self, target: &str, signature: &MethodSignature) -> bool {
+        match *self {
             CompiledMatcher::Hash(_) | CompiledMatcher::Never => false,
-            CompiledMatcher::Library(prefix) => segment_prefix(signature.package(), prefix),
-            CompiledMatcher::Class(path) => class_matches(signature, path),
+            CompiledMatcher::Library(prefix) => {
+                segment_prefix(signature.package(), prefix.get(target))
+            }
+            CompiledMatcher::Class(path) => class_matches(signature, path.get(target)),
             CompiledMatcher::Method {
                 class_path,
                 method,
                 params,
                 ret,
             } => {
-                if signature.method_name() != method
-                    || !qualified_class_equals(signature, class_path)
+                if signature.method_name() != method.get(target)
+                    || !qualified_class_equals(signature, class_path.get(target))
                 {
                     return false;
                 }
                 match (params, ret) {
                     (None, _) => true,
-                    (Some(p), None) => signature.params() == p,
-                    (Some(p), Some(r)) => signature.params() == p && signature.return_type() == r,
+                    (Some(p), None) => signature.params() == p.get(target),
+                    (Some(p), Some(r)) => {
+                        signature.params() == p.get(target)
+                            && signature.return_type() == r.get(target)
+                    }
                 }
             }
-            CompiledMatcher::MethodVerbatim(target) => {
-                signature.matches_target(EnforcementLevel::Method, target)
+            CompiledMatcher::MethodVerbatim(raw) => {
+                signature.matches_target(EnforcementLevel::Method, raw.get(target))
             }
         }
     }
@@ -705,8 +751,9 @@ fn class_matches(signature: &MethodSignature, target: &str) -> bool {
 
 /// A compiled rule kept in policy order: the pre-split target plus the two
 /// classification bits evaluation branches on.  The rule's position *is* the
-/// policy index, so no per-rule attribution field is needed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// policy index, so no per-rule attribution field is needed, and its spans
+/// resolve against the policy at that same position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LinearRule {
     action: PolicyAction,
     /// Hash-level rules match the app tag; all other levels match frames.
@@ -844,17 +891,19 @@ impl CompiledPolicySet {
             "policy set too large to index"
         );
         let policies = set.compacted();
-        let rules: Vec<LinearRule> = policies.iter().map(LinearRule::compile).collect();
+        // Collected straight into the shared chunk: one allocation, no copy.
+        let rules: Arc<[LinearRule]> = policies.iter().map(LinearRule::compile).collect();
         let index = PolicyIndex::build(
             rules
                 .iter()
+                .zip(policies.iter())
                 .enumerate()
-                .map(|(i, r)| (i as u32, r.action, &r.matcher)),
+                .map(|(i, (r, p))| (i as u32, r.action, r.matcher, p.target())),
         );
         let base_len = rules.len();
         CompiledPolicySet {
             policies,
-            rules: Chunked::from_vec(rules),
+            rules: Chunked::new(rules),
             index,
             base_len,
             reused: 0,
@@ -883,17 +932,17 @@ impl CompiledPolicySet {
         if accumulated > 256.max(prev.base_len / 8) {
             return None;
         }
-        let appended: Vec<LinearRule> = set.iter_from(split).map(LinearRule::compile).collect();
-        let index = prev.index.extend(
-            appended
-                .iter()
-                .enumerate()
-                .map(|(k, r)| ((split + k) as u32, r.action, &r.matcher)),
-        );
         let mut rules = prev.rules.clone();
-        for rule in appended {
-            rules.push(rule);
+        for policy in set.iter_from(split) {
+            rules.push(LinearRule::compile(policy));
         }
+        let index = prev.index.extend(
+            rules
+                .iter_from(split)
+                .zip(set.iter_from(split))
+                .enumerate()
+                .map(|(k, (r, p))| ((split + k) as u32, r.action, r.matcher, p.target())),
+        );
         Some(CompiledPolicySet {
             policies: set.clone(),
             rules,
@@ -1014,7 +1063,7 @@ impl CompiledPolicySet {
         F: Fn(usize) -> &'s MethodSignature,
     {
         // 1. Deny rules: ∃ matching rule ⇒ drop (tag bucket first).
-        for (i, rule) in self.rules.iter().enumerate() {
+        for (i, (rule, _)) in self.linear_rules().enumerate() {
             if rule.action == PolicyAction::Deny
                 && rule.tag_level
                 && rule.matcher.matches_tag(app_tag)
@@ -1025,10 +1074,10 @@ impl CompiledPolicySet {
                 };
             }
         }
-        for (i, rule) in self.rules.iter().enumerate() {
+        for (i, (rule, target)) in self.linear_rules().enumerate() {
             if rule.action == PolicyAction::Deny && !rule.tag_level {
                 if let Some(hit) =
-                    (0..frame_count).find(|&f| rule.matcher.matches_signature(frame(f)))
+                    (0..frame_count).find(|&f| rule.matcher.matches_signature(target, frame(f)))
                 {
                     return CompiledVerdict::Deny {
                         policy: Some(i),
@@ -1064,11 +1113,19 @@ impl CompiledPolicySet {
     where
         F: Fn(usize) -> &'s MethodSignature,
     {
-        self.rules.iter().any(|rule| {
+        self.linear_rules().any(|(rule, target)| {
             rule.action == PolicyAction::Allow
                 && !rule.tag_level
-                && (0..frame_count).all(|f| rule.matcher.matches_signature(frame(f)))
+                && (0..frame_count).all(|f| rule.matcher.matches_signature(target, frame(f)))
         })
+    }
+
+    /// Every compiled rule in policy order beside the target its spans
+    /// resolve against.
+    fn linear_rules(&self) -> impl Iterator<Item = (&LinearRule, &str)> {
+        self.rules
+            .iter()
+            .zip(self.policies.iter().map(Policy::target))
     }
 
     /// Evaluate a decoded stack slice; same semantics as
@@ -1111,6 +1168,7 @@ impl From<&PolicySet> for CompiledPolicySet {
 mod tests {
     use super::*;
     use bp_types::ApkHash;
+    use proptest::prelude::*;
 
     fn sig(s: &str) -> MethodSignature {
         s.parse().unwrap()
@@ -1442,6 +1500,43 @@ mod tests {
             let set = PolicySet::from_policies(vec![Policy::deny(EnforcementLevel::Hash, target)]);
             assert!(set.compile().evaluate(the_tag, &[]).is_allow());
             assert!(set.evaluate(the_tag, &[]).is_allow());
+        }
+    }
+
+    /// The hex decoder hash targets were compiled with before it decoded in
+    /// place: collect the digits, then the bytes.
+    fn collecting_from_hex(s: &str) -> Option<AppTag> {
+        if s.len() % 2 != 0 {
+            return None;
+        }
+        let digits: Vec<u32> = s.chars().map(|c| c.to_digit(16)).collect::<Option<_>>()?;
+        let bytes: Vec<u8> = digits
+            .chunks(2)
+            .map(|p| ((p[0] << 4) | p[1]) as u8)
+            .collect();
+        Some(AppTag::from_bytes(bytes.try_into().ok()?))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The hash matcher decodes the target's first 16 bytes in place, in
+        /// either case; it must accept exactly the targets whose lowercased
+        /// first 16 characters decoded, to the same tag.
+        #[test]
+        fn hash_matcher_decodes_like_the_lowercased_prefix(
+            hex in "[0-9a-fA-F]{0,20}",
+            rest in "[0-9a-zA-Z/ éß日]{0,20}",
+        ) {
+            let target = hex + &rest;
+            let oracle = target
+                .to_ascii_lowercase()
+                .get(..16)
+                .and_then(collecting_from_hex);
+            prop_assert_eq!(
+                CompiledMatcher::compile(EnforcementLevel::Hash, &target),
+                CompiledMatcher::Hash(oracle)
+            );
         }
     }
 

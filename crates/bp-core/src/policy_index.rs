@@ -44,9 +44,7 @@
 //! bumps — the property [`PolicyIndex::extend`] exploits to make a one-rule
 //! delta commit near-constant-time on a 100k-rule set.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bp_types::{EnforcementLevel, MethodSignature};
@@ -124,39 +122,6 @@ impl KeyStore {
         KeyRef {
             a: u32::MAX,
             b: index,
-        }
-    }
-
-    fn spill_opt(&mut self, s: Option<&str>) -> KeyRef {
-        s.map_or(KeyRef::NONE, |s| self.spill(s))
-    }
-}
-
-/// Builder-side interner for the blob constructed by a full compilation.
-#[derive(Default)]
-struct BlobBuilder {
-    blob: String,
-}
-
-impl BlobBuilder {
-    fn intern(&mut self, s: &str) -> KeyRef {
-        let a = self.blob.len() as u32;
-        self.blob.push_str(s);
-        debug_assert!(self.blob.len() < u32::MAX as usize, "key blob overflow");
-        KeyRef {
-            a,
-            b: s.len() as u32,
-        }
-    }
-
-    fn intern_opt(&mut self, s: Option<&str>) -> KeyRef {
-        s.map_or(KeyRef::NONE, |s| self.intern(s))
-    }
-
-    fn finish(self) -> KeyStore {
-        KeyStore {
-            blob: Arc::from(self.blob.as_str()),
-            spill: Vec::new(),
         }
     }
 }
@@ -358,6 +323,18 @@ impl RootFilter {
 }
 
 impl TagTable {
+    /// An empty table that holds `len` tags at load factor ≤ 1/2 without
+    /// growing.
+    fn with_capacity(len: usize) -> Self {
+        if len == 0 {
+            return TagTable::default();
+        }
+        TagTable {
+            slots: vec![EMPTY_SLOT; (len * 2).next_power_of_two().max(8)],
+            used: 0,
+        }
+    }
+
     /// `(minimum-index deny rule or NO_RULE, any allow rule)` for `tag`.
     fn lookup(&self, tag: u64) -> (u32, bool) {
         if self.slots.is_empty() {
@@ -598,85 +575,86 @@ fn vbytes_eq(a: &VBytes<'_>, b: &VBytes<'_>) -> bool {
 // Rule classification (shared by build and extend)
 // ---------------------------------------------------------------------------
 
-/// Per-key aggregation used by build and extend.
-struct KeyAgg<'m> {
-    deny_lib: u32,
-    deny_class: u32,
-    allow_lib: bool,
-    allow_class: bool,
-    methods: Vec<MethodAgg<'m>>,
+/// One rule as the index builders consume it: `(rule index, action, matcher,
+/// the target the matcher's spans resolve against)`.
+pub(crate) type IndexedRule<'m> = (u32, PolicyAction, CompiledMatcher, &'m str);
+
+/// The role a stack-level rule gives its key.
+#[derive(Clone, Copy)]
+enum KeyRole {
+    Library,
+    Class,
+    /// A descriptor-level rule whose key is its `class/method` head.
+    Method {
+        class_len: u32,
+        params: KeyRef,
+        ret: KeyRef,
+    },
 }
 
-struct MethodAgg<'m> {
+/// One stack-level rule, its key copied into the classifier's blob.
+#[derive(Clone, Copy)]
+struct KeyedRule {
+    key: KeyRef,
+    /// FNV-1a hash of the key bytes, taken while they are hot.
+    hash: u64,
     policy: u32,
     allow: bool,
-    class_len: u32,
-    params: Option<&'m str>,
-    ret: Option<&'m str>,
-}
-
-impl KeyAgg<'_> {
-    fn empty() -> Self {
-        KeyAgg {
-            deny_lib: NO_RULE,
-            deny_class: NO_RULE,
-            allow_lib: false,
-            allow_class: false,
-            methods: Vec::new(),
-        }
-    }
+    role: KeyRole,
 }
 
 /// The classified rule stream both [`PolicyIndex::build`] and
-/// [`PolicyIndex::extend`] aggregate from.  Keys borrow from the matchers
-/// where possible; descriptor heads are built (`class/method`) and owned.
-struct Classified<'m> {
-    map: BTreeMap<Cow<'m, str>, KeyAgg<'m>>,
+/// [`PolicyIndex::extend`] aggregate from.  Every string the tables need —
+/// keys, `class/method` heads, parameter and return constraints, verbatim
+/// targets — is copied once into `blob`, which is sized up front, and the
+/// keyed rules are sorted by key bytes so the rules of one key lie side by
+/// side, in policy order (the sort is stable).
+struct Classified {
+    blob: String,
+    keyed: Vec<KeyedRule>,
     tags: Vec<(u64, u32, bool)>,
-    verbatim: Vec<(u32, bool, &'m str)>,
+    verbatim: Vec<VerbatimRule>,
     class_empty_deny: u32,
     class_empty_allow: bool,
     allow_rules: u32,
 }
 
-impl<'m> Classified<'m> {
-    fn from_rules(
-        rules: impl IntoIterator<Item = (u32, PolicyAction, &'m CompiledMatcher)>,
-    ) -> Self {
+impl Classified {
+    fn from_rules<'m>(rules: impl Iterator<Item = IndexedRule<'m>> + Clone) -> Self {
+        // One pass over the targets sizes every buffer — no string the
+        // blob takes is longer than the target it came from — so classifying
+        // allocates a fixed handful of times whatever the rule count.
+        let (count, bytes) = rules.clone().fold((0, 0), |(count, bytes), (.., target)| {
+            (count + 1, bytes + target.len())
+        });
         let mut c = Classified {
-            map: BTreeMap::new(),
-            tags: Vec::new(),
+            blob: String::with_capacity(bytes),
+            keyed: Vec::with_capacity(count),
+            tags: Vec::with_capacity(count),
             verbatim: Vec::new(),
             class_empty_deny: NO_RULE,
             class_empty_allow: false,
             allow_rules: 0,
         };
-        for (policy, action, matcher) in rules {
+        for (policy, action, matcher, target) in rules {
             let allow = action == PolicyAction::Allow;
             if allow {
                 // Every allow rule — even an unmatchable one — switches the
                 // set into whitelist mode, exactly like the linear buckets.
                 c.allow_rules += 1;
             }
-            match matcher {
+            let (key, role) = match matcher {
                 CompiledMatcher::Hash(Some(tag)) => {
                     c.tags.push((tag.as_u64(), policy, allow));
+                    continue;
                 }
-                CompiledMatcher::Hash(None) | CompiledMatcher::Never => {}
+                CompiledMatcher::Hash(None) | CompiledMatcher::Never => continue,
                 CompiledMatcher::Library(prefix) => {
                     if prefix.is_empty() {
                         // `segment_prefix` rejects empty prefixes: unmatchable.
                         continue;
                     }
-                    let agg = c
-                        .map
-                        .entry(Cow::Borrowed(prefix.as_str()))
-                        .or_insert_with(KeyAgg::empty);
-                    if allow {
-                        agg.allow_lib = true;
-                    } else {
-                        agg.deny_lib = agg.deny_lib.min(policy);
-                    }
+                    (c.intern(&[prefix.get(target)]), KeyRole::Library)
                 }
                 CompiledMatcher::Class(path) => {
                     if path.is_empty() {
@@ -689,15 +667,7 @@ impl<'m> Classified<'m> {
                         }
                         continue;
                     }
-                    let agg = c
-                        .map
-                        .entry(Cow::Borrowed(path.as_str()))
-                        .or_insert_with(KeyAgg::empty);
-                    if allow {
-                        agg.allow_class = true;
-                    } else {
-                        agg.deny_class = agg.deny_class.min(policy);
-                    }
+                    (c.intern(&[path.get(target)]), KeyRole::Class)
                 }
                 CompiledMatcher::Method {
                     class_path,
@@ -705,52 +675,136 @@ impl<'m> Classified<'m> {
                     params,
                     ret,
                 } => {
-                    let agg = c
-                        .map
-                        .entry(Cow::Owned(format!("{class_path}/{method}")))
-                        .or_insert_with(KeyAgg::empty);
-                    agg.methods.push(MethodAgg {
-                        policy,
-                        allow,
+                    let key = c.intern(&[class_path.get(target), "/", method.get(target)]);
+                    let role = KeyRole::Method {
                         class_len: class_path.len() as u32,
-                        params: params.as_deref(),
-                        ret: ret.as_deref(),
+                        params: params.map_or(KeyRef::NONE, |p| c.intern(&[p.get(target)])),
+                        ret: ret.map_or(KeyRef::NONE, |r| c.intern(&[r.get(target)])),
+                    };
+                    (key, role)
+                }
+                CompiledMatcher::MethodVerbatim(raw) => {
+                    let target = c.intern(&[raw.get(target)]);
+                    c.verbatim.push(VerbatimRule {
+                        policy,
+                        target,
+                        allow,
                     });
+                    continue;
                 }
-                CompiledMatcher::MethodVerbatim(target) => {
-                    c.verbatim.push((policy, allow, target));
-                }
-            }
+            };
+            c.keyed.push(KeyedRule {
+                key,
+                hash: hash_bytes(key_bytes(c.blob.as_bytes(), key)),
+                policy,
+                allow,
+                role,
+            });
         }
+        let blob = c.blob.as_bytes();
+        c.keyed
+            .sort_by(|a, b| key_bytes(blob, a.key).cmp(key_bytes(blob, b.key)));
         c
+    }
+
+    /// Append the concatenation of `parts` to the blob.
+    fn intern(&mut self, parts: &[&str]) -> KeyRef {
+        let a = self.blob.len() as u32;
+        for part in parts {
+            self.blob.push_str(part);
+        }
+        debug_assert!(self.blob.len() < u32::MAX as usize, "key blob overflow");
+        KeyRef {
+            a,
+            b: self.blob.len() as u32 - a,
+        }
+    }
+
+    fn resolve(&self, r: KeyRef) -> &str {
+        &self.blob[r.a as usize..(r.a + r.b) as usize]
+    }
+
+    /// The keyed rules grouped by key, in key order.
+    fn groups(&self) -> impl Iterator<Item = (&str, &[KeyedRule])> {
+        let blob = self.blob.as_bytes();
+        self.keyed
+            .chunk_by(move |a, b| {
+                a.hash == b.hash && key_bytes(blob, a.key) == key_bytes(blob, b.key)
+            })
+            .map(|group| (self.resolve(group[0].key), group))
     }
 }
 
-/// Append `aggs` onto a method-rule chain headed at `head`; returns the new
-/// head.  Chain order is irrelevant: deny attribution takes the chain
-/// minimum and allow checks accept any match.
-fn push_chain(
-    methods: &mut Vec<MethodRule>,
-    mut head: u32,
-    aggs: &[MethodAgg<'_>],
-    mut intern_opt: impl FnMut(Option<&str>) -> KeyRef,
-) -> u32 {
-    for agg in aggs {
-        let params = intern_opt(agg.params);
-        let ret = intern_opt(agg.ret);
-        let index = methods.len() as u32;
-        debug_assert!(index != u32::MAX, "method arena full");
-        methods.push(MethodRule {
-            policy: agg.policy,
-            class_len: agg.class_len,
-            params,
-            ret,
-            next: head,
-            allow: agg.allow,
-        });
-        head = index;
+/// The bytes of a blob reference.
+fn key_bytes(blob: &[u8], r: KeyRef) -> &[u8] {
+    &blob[r.a as usize..(r.a + r.b) as usize]
+}
+
+impl PrefixEntry {
+    /// A row for `key` with no role yet.
+    fn new(key: KeyRef, hash: u64) -> Self {
+        PrefixEntry {
+            key,
+            hash,
+            deny_lib: NO_RULE,
+            deny_class: NO_RULE,
+            method_head: NO_RULE,
+            allow_lib: false,
+            allow_class: false,
+        }
     }
-    head
+
+    /// Fold one key's rules into the row: deny roles keep their minimum rule
+    /// index (first match in insertion order), allow roles a flag, and every
+    /// descriptor-level rule goes onto the row's method chain, its present
+    /// string constraints mapped into the index's key store by `keep`.
+    /// Chain order is irrelevant: deny attribution takes the chain minimum
+    /// and allow checks accept any match.
+    fn absorb(
+        &mut self,
+        group: &[KeyedRule],
+        methods: &mut Vec<MethodRule>,
+        mut keep: impl FnMut(KeyRef) -> KeyRef,
+    ) {
+        let mut keep_opt = |r: KeyRef| if r.is_none() { r } else { keep(r) };
+        for rule in group {
+            match rule.role {
+                KeyRole::Library if rule.allow => self.allow_lib = true,
+                KeyRole::Library => self.deny_lib = self.deny_lib.min(rule.policy),
+                KeyRole::Class if rule.allow => self.allow_class = true,
+                KeyRole::Class => self.deny_class = self.deny_class.min(rule.policy),
+                KeyRole::Method {
+                    class_len,
+                    params,
+                    ret,
+                } => {
+                    let index = methods.len() as u32;
+                    debug_assert!(index != u32::MAX, "method arena full");
+                    methods.push(MethodRule {
+                        policy: rule.policy,
+                        class_len,
+                        params: keep_opt(params),
+                        ret: keep_opt(ret),
+                        next: self.method_head,
+                        allow: rule.allow,
+                    });
+                    self.method_head = index;
+                }
+            }
+        }
+    }
+}
+
+impl KeyLookup {
+    /// The accelerator over `rows`, addressing each by its array position
+    /// (hash-free: the rows carry their key hashes).
+    fn over(rows: &[PrefixEntry]) -> Self {
+        let mut lookup = KeyLookup::with_capacity(rows.len());
+        for (i, row) in rows.iter().enumerate() {
+            lookup.insert(row.hash, i as u32);
+        }
+        lookup
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -763,7 +817,9 @@ fn push_chain(
 #[derive(Debug, Clone)]
 pub(crate) struct PolicyIndex {
     keys: KeyStore,
-    tags: TagTable,
+    /// Shared with the generations [`PolicyIndex::extend`] derives, until a
+    /// delta adds a hash-level rule.
+    tags: Arc<TagTable>,
     /// Sorted by key bytes.  Probes go through `lookup`; the sort order
     /// drives the incremental merge in [`PolicyIndex::extend`] and the
     /// debug-assertion binary-search oracle in [`PolicyIndex::probe`].
@@ -773,7 +829,8 @@ pub(crate) struct PolicyIndex {
     /// First-segment filter over `prefixes` keys (whole-frame probe skip).
     roots: RootFilter,
     methods: Vec<MethodRule>,
-    verbatim: Vec<VerbatimRule>,
+    /// Shared like `tags`, until a delta adds a verbatim rule.
+    verbatim: Arc<[VerbatimRule]>,
     /// Minimum-index deny `class` rule whose normalized target is empty
     /// (matches only frames with an empty package *and* class).
     class_empty_deny: u32,
@@ -787,12 +844,12 @@ impl Default for PolicyIndex {
     fn default() -> Self {
         PolicyIndex {
             keys: KeyStore::default(),
-            tags: TagTable::default(),
+            tags: Arc::default(),
             prefixes: Vec::new(),
             lookup: KeyLookup::default(),
             roots: RootFilter::default(),
             methods: Vec::new(),
-            verbatim: Vec::new(),
+            verbatim: Arc::new([]),
             class_empty_deny: NO_RULE,
             class_empty_allow: false,
             allow_rules: 0,
@@ -801,57 +858,41 @@ impl Default for PolicyIndex {
 }
 
 impl PolicyIndex {
-    /// Build the tables from scratch.  `rules` yields `(rule index, action,
-    /// matcher)` in policy order; indexes must fit `u32`.
-    pub(crate) fn build<'m>(
-        rules: impl IntoIterator<Item = (u32, PolicyAction, &'m CompiledMatcher)>,
-    ) -> Self {
+    /// Build the tables from scratch.  `rules` yields the rules in policy
+    /// order; indexes must fit `u32`.  The classifier's blob becomes the key
+    /// store, so its references carry over unchanged.
+    pub(crate) fn build<'m>(rules: impl Iterator<Item = IndexedRule<'m>> + Clone) -> Self {
         let c = Classified::from_rules(rules);
 
-        let mut blob = BlobBuilder::default();
-        let mut methods: Vec<MethodRule> = Vec::new();
-        let mut prefixes: Vec<PrefixEntry> = Vec::with_capacity(c.map.len());
-        // BTreeMap iteration order is byte-lexicographic — exactly the sort
-        // order the merge and the debug binary-search oracle expect.
-        let mut lookup = KeyLookup::with_capacity(c.map.len());
-        let mut roots = RootFilter::default();
-        for (key, agg) in &c.map {
-            let key_ref = blob.intern(key);
-            let hash = hash_bytes(key.as_bytes());
-            let head = push_chain(&mut methods, NO_RULE, &agg.methods, |s| blob.intern_opt(s));
-            lookup.insert(hash, prefixes.len() as u32);
-            roots.insert_root_of(key);
-            prefixes.push(PrefixEntry {
-                key: key_ref,
-                hash,
-                deny_lib: agg.deny_lib,
-                deny_class: agg.deny_class,
-                method_head: head,
-                allow_lib: agg.allow_lib,
-                allow_class: agg.allow_class,
-            });
-        }
-        let verbatim = c
-            .verbatim
+        let method_count = c
+            .keyed
             .iter()
-            .map(|&(policy, allow, target)| VerbatimRule {
-                policy,
-                target: blob.intern(target),
-                allow,
-            })
-            .collect();
-        let mut tags = TagTable::default();
+            .filter(|rule| matches!(rule.role, KeyRole::Method { .. }))
+            .count();
+        let mut methods: Vec<MethodRule> = Vec::with_capacity(method_count);
+        let mut prefixes: Vec<PrefixEntry> = Vec::with_capacity(c.keyed.len());
+        let mut roots = RootFilter::default();
+        for (key, group) in c.groups() {
+            let mut row = PrefixEntry::new(group[0].key, group[0].hash);
+            row.absorb(group, &mut methods, |r| r);
+            roots.insert_root_of(key);
+            prefixes.push(row);
+        }
+        let mut tags = TagTable::with_capacity(c.tags.len());
         for &(tag, policy, allow) in &c.tags {
             tags.insert(tag, if allow { NO_RULE } else { policy }, allow);
         }
         PolicyIndex {
-            keys: blob.finish(),
-            tags,
+            keys: KeyStore {
+                blob: Arc::from(c.blob.as_str()),
+                spill: Vec::new(),
+            },
+            tags: Arc::new(tags),
+            lookup: KeyLookup::over(&prefixes),
             prefixes,
-            lookup,
             roots,
             methods,
-            verbatim,
+            verbatim: Arc::from(c.verbatim.as_slice()),
             class_empty_deny: c.class_empty_deny,
             class_empty_allow: c.class_empty_allow,
             allow_rules: c.allow_rules,
@@ -860,97 +901,74 @@ impl PolicyIndex {
 
     /// Clone the tables and fold in `rules` (appended policies, so every
     /// rule index exceeds all existing ones).  Cost is proportional to the
-    /// table *sizes* (POD row copies + `Arc` bumps), not to recompiling the
-    /// rules they encode; new keys land in the spill list and are merged
-    /// into the sorted array in one pass.
-    pub(crate) fn extend<'m>(
-        &self,
-        rules: impl IntoIterator<Item = (u32, PolicyAction, &'m CompiledMatcher)>,
-    ) -> Self {
+    /// prefix table's size (POD row copies + `Arc` bumps), not to
+    /// recompiling the rules it encodes; the tag table and the verbatim
+    /// residue are shared unless the delta adds to them.  New keys land in
+    /// the spill list and are merged into the sorted array in one pass.
+    pub(crate) fn extend<'m>(&self, rules: impl Iterator<Item = IndexedRule<'m>> + Clone) -> Self {
         let c = Classified::from_rules(rules);
 
         let mut keys = self.keys.clone();
         let mut methods = self.methods.clone();
-        let mut tags = self.tags.clone();
-        let mut verbatim = self.verbatim.clone();
 
-        for &(tag, policy, allow) in &c.tags {
-            tags.insert(tag, if allow { NO_RULE } else { policy }, allow);
-        }
-        for &(policy, allow, target) in &c.verbatim {
-            let target = keys.spill(target);
-            verbatim.push(VerbatimRule {
-                policy,
-                target,
-                allow,
-            });
-        }
-
-        // Single merge pass over (sorted base array, sorted delta map).
-        let mut merged: Vec<PrefixEntry> = Vec::with_capacity(self.prefixes.len() + c.map.len());
-        let mut base = self.prefixes.iter().peekable();
-        let mut delta = c.map.iter().peekable();
-        loop {
-            let order = match (base.peek(), delta.peek()) {
-                (None, None) => break,
-                (Some(_), None) => Ordering::Less,
-                (None, Some(_)) => Ordering::Greater,
-                (Some(b), Some((k, _))) => self.keys.resolve(b.key).as_bytes().cmp(k.as_bytes()),
-            };
-            match order {
-                Ordering::Less => merged.push(*base.next().expect("peeked")),
-                Ordering::Greater => {
-                    let (key, agg) = delta.next().expect("peeked");
-                    let key_ref = keys.spill(key);
-                    let head =
-                        push_chain(&mut methods, NO_RULE, &agg.methods, |s| keys.spill_opt(s));
-                    merged.push(PrefixEntry {
-                        key: key_ref,
-                        hash: hash_bytes(key.as_bytes()),
-                        deny_lib: agg.deny_lib,
-                        deny_class: agg.deny_class,
-                        method_head: head,
-                        allow_lib: agg.allow_lib,
-                        allow_class: agg.allow_class,
-                    });
-                }
-                Ordering::Equal => {
-                    let mut row = *base.next().expect("peeked");
-                    let (_, agg) = delta.next().expect("peeked");
-                    // Appended rule indexes all exceed existing ones, so the
-                    // existing minima win ties by construction; `min` keeps
-                    // that explicit.
-                    row.deny_lib = row.deny_lib.min(agg.deny_lib);
-                    row.deny_class = row.deny_class.min(agg.deny_class);
-                    row.allow_lib |= agg.allow_lib;
-                    row.allow_class |= agg.allow_class;
-                    row.method_head =
-                        push_chain(&mut methods, row.method_head, &agg.methods, |s| {
-                            keys.spill_opt(s)
-                        });
-                    merged.push(row);
-                }
+        let tags = if c.tags.is_empty() {
+            Arc::clone(&self.tags)
+        } else {
+            let mut tags = TagTable::clone(&self.tags);
+            for &(tag, policy, allow) in &c.tags {
+                tags.insert(tag, if allow { NO_RULE } else { policy }, allow);
             }
+            Arc::new(tags)
+        };
+        let verbatim = if c.verbatim.is_empty() {
+            Arc::clone(&self.verbatim)
+        } else {
+            let mut verbatim = self.verbatim.to_vec();
+            for rule in &c.verbatim {
+                verbatim.push(VerbatimRule {
+                    target: keys.spill(c.resolve(rule.target)),
+                    ..*rule
+                });
+            }
+            Arc::from(verbatim)
+        };
+
+        // Merge the sorted delta groups into the sorted base rows: each group
+        // binary-searches its place in what is left of the base, and the
+        // rows in between are copied as one block, so the base keys compared
+        // are O(groups × log rows), not O(rows).
+        let mut merged: Vec<PrefixEntry> = Vec::with_capacity(self.prefixes.len() + c.keyed.len());
+        let mut roots = self.roots.clone();
+        let mut rest = self.prefixes.as_slice();
+        for (key, group) in c.groups() {
+            let at = rest.partition_point(|row| self.keys.resolve(row.key) < key);
+            merged.extend_from_slice(&rest[..at]);
+            rest = &rest[at..];
+            // Appended rule indexes all exceed existing ones, so an existing
+            // row's minima win ties by construction; `absorb`'s `min` keeps
+            // that explicit.
+            let mut row = match rest.split_first() {
+                Some((row, after)) if self.keys.resolve(row.key) == key => {
+                    rest = after;
+                    *row
+                }
+                _ => {
+                    roots.insert_root_of(key);
+                    PrefixEntry::new(keys.spill(key), group[0].hash)
+                }
+            };
+            row.absorb(group, &mut methods, |r| keys.spill(c.resolve(r)));
+            merged.push(row);
         }
+        merged.extend_from_slice(rest);
 
         // The accelerator addresses rows by array position, which the merge
-        // shifted; rebuilding it is hash-free row inserts (the rows carry
-        // their key hashes), same O(keys) order as the merge itself.  The
-        // root filter only grows: clone and fold in the delta's roots.
-        let mut lookup = KeyLookup::with_capacity(merged.len());
-        for (i, row) in merged.iter().enumerate() {
-            lookup.insert(row.hash, i as u32);
-        }
-        let mut roots = self.roots.clone();
-        for key in c.map.keys() {
-            roots.insert_root_of(key);
-        }
-
+        // shifted: rebuild it, same O(keys) order as the merge itself.
         PolicyIndex {
             keys,
             tags,
+            lookup: KeyLookup::over(&merged),
             prefixes: merged,
-            lookup,
             roots,
             methods,
             verbatim,
@@ -1055,7 +1073,7 @@ impl PolicyIndex {
         if pb.is_empty() && class.is_empty() {
             best = best.min(self.class_empty_deny);
         }
-        for rule in &self.verbatim {
+        for rule in self.verbatim.iter() {
             if !rule.allow
                 && rule.policy < best
                 && sig.matches_target(EnforcementLevel::Method, self.keys.resolve(rule.target))
@@ -1288,6 +1306,7 @@ fn common_boundary_v(a: &VBytes<'_>, upto: usize, b: &VBytes<'_>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::Policy;
 
     #[test]
     fn tag_table_takes_minimum_on_duplicate_insert() {
@@ -1309,6 +1328,64 @@ mod tests {
             assert_eq!(table.lookup(tag), (tag as u32, tag % 3 == 0));
         }
         assert_eq!(table.lookup(1000), (NO_RULE, false));
+    }
+
+    #[test]
+    fn a_presized_tag_table_never_grows() {
+        let mut table = TagTable::with_capacity(1000);
+        let slots = table.slots.len();
+        assert_eq!(slots, 2048);
+        for tag in 0..1000u64 {
+            table.insert(tag, tag as u32, false);
+        }
+        assert_eq!(table.slots.len(), slots);
+        assert_eq!(table.lookup(999), (999, false));
+        assert!(TagTable::with_capacity(0).slots.is_empty());
+    }
+
+    /// `policies` as the index builders consume them, numbered from `first`.
+    fn indexed(policies: &[Policy], first: u32) -> Vec<IndexedRule<'_>> {
+        policies
+            .iter()
+            .zip(first..)
+            .map(|(p, i)| {
+                let matcher = CompiledMatcher::compile(p.level(), p.target());
+                (i, p.action(), matcher, p.target())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn extend_shares_the_tables_its_delta_does_not_touch() {
+        let base = [
+            Policy::deny(EnforcementLevel::Hash, "0011223344556677"),
+            // An unbalanced parameter list: a verbatim rule.
+            Policy::deny(EnforcementLevel::Method, "Lcom/x/Y;->z(()"),
+            Policy::deny(EnforcementLevel::Library, "com/flurry"),
+        ];
+        let index = PolicyIndex::build(indexed(&base, 0).into_iter());
+        assert_eq!(index.verbatim.len(), 1);
+
+        let stack = [Policy::deny(
+            EnforcementLevel::Class,
+            "com/facebook/appevents",
+        )];
+        let next = index.extend(indexed(&stack, 3).into_iter());
+        assert!(Arc::ptr_eq(&index.tags, &next.tags));
+        assert!(Arc::ptr_eq(&index.verbatim, &next.verbatim));
+        assert_eq!(next.prefixes.len(), 2);
+
+        let tagged = [
+            Policy::deny(EnforcementLevel::Hash, "8899aabbccddeeff"),
+            Policy::deny(EnforcementLevel::Method, "Lcom/x/Y;->w(()"),
+        ];
+        let last = next.extend(indexed(&tagged, 4).into_iter());
+        assert!(!Arc::ptr_eq(&next.tags, &last.tags));
+        assert!(!Arc::ptr_eq(&next.verbatim, &last.verbatim));
+        assert_eq!(last.tag_lookup(0x8899_aabb_ccdd_eeff), (4, false));
+        assert_eq!(last.tag_lookup(0x0011_2233_4455_6677), (0, false));
+        assert_eq!(next.tag_lookup(0x8899_aabb_ccdd_eeff), (NO_RULE, false));
+        assert_eq!(last.verbatim.len(), 2);
     }
 
     #[test]

@@ -62,13 +62,7 @@ impl ApkHash {
     ///
     /// Returns `None` if the input is not exactly 32 hex characters.
     pub fn from_hex(s: &str) -> Option<Self> {
-        let bytes = from_hex(s)?;
-        if bytes.len() != 16 {
-            return None;
-        }
-        let mut out = [0u8; 16];
-        out.copy_from_slice(&bytes);
-        Some(ApkHash(out))
+        from_hex(s).map(ApkHash)
     }
 }
 
@@ -125,13 +119,7 @@ impl AppTag {
 
     /// Parse from a 16-character hexadecimal string.
     pub fn from_hex(s: &str) -> Option<Self> {
-        let bytes = from_hex(s)?;
-        if bytes.len() != APP_TAG_LEN {
-            return None;
-        }
-        let mut out = [0u8; APP_TAG_LEN];
-        out.copy_from_slice(&bytes);
-        Some(AppTag(out))
+        from_hex(s).map(AppTag)
     }
 }
 
@@ -162,17 +150,35 @@ fn to_hex(bytes: &[u8]) -> String {
     s
 }
 
-fn from_hex(s: &str) -> Option<Vec<u8>> {
-    if s.len() % 2 != 0 {
+/// The value of every ASCII hex digit (either case); `0xff` for every other
+/// byte.
+const HEX_VALUE: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[b"0123456789abcdef"[i] as usize] = i as u8;
+        table[b"0123456789ABCDEF"[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Decode exactly `2 * N` hex digits (either case) into `N` bytes, in place:
+/// any other length, or any byte that is not an ASCII hex digit, is `None`.
+fn from_hex<const N: usize>(s: &str) -> Option<[u8; N]> {
+    let digits = s.as_bytes();
+    if digits.len() != 2 * N {
         return None;
     }
-    let chars: Vec<u32> = s.chars().map(|c| c.to_digit(16)).collect::<Option<_>>()?;
-    Some(
-        chars
-            .chunks(2)
-            .map(|p| ((p[0] << 4) | p[1]) as u8)
-            .collect(),
-    )
+    let mut out = [0u8; N];
+    // A non-digit's `0xff` survives into `invalid`'s high nibble.
+    let mut invalid = 0u8;
+    for (byte, pair) in out.iter_mut().zip(digits.chunks_exact(2)) {
+        let (high, low) = (HEX_VALUE[pair[0] as usize], HEX_VALUE[pair[1] as usize]);
+        invalid |= high | low;
+        *byte = (high << 4) | low;
+    }
+    (invalid < 0x10).then_some(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -304,6 +310,16 @@ mod tests {
         assert!(ApkHash::from_hex("zz").is_none());
         assert!(ApkHash::from_hex("abcd").is_none());
         assert!(ApkHash::from_hex(&"a".repeat(33)).is_none());
+        assert!(AppTag::from_hex("0011223344556677").is_some());
+        assert!(AppTag::from_hex("001122334455667").is_none(), "odd length");
+        assert!(AppTag::from_hex("00112233445566778").is_none());
+        assert!(AppTag::from_hex("00112233445566g7").is_none());
+        // Two-byte characters: 16 bytes, but not 16 hex digits.
+        assert!(AppTag::from_hex("éé112233445566").is_none());
+        assert_eq!(
+            AppTag::from_hex("DA6880AB1F991974"),
+            AppTag::from_hex("da6880ab1f991974")
+        );
     }
 
     #[test]

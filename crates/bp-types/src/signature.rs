@@ -193,11 +193,11 @@ impl MethodSignature {
         }
         match level {
             EnforcementLevel::Hash => false,
-            EnforcementLevel::Library => segment_prefix(&self.package, &normalize_package(target)),
+            EnforcementLevel::Library => segment_prefix(&self.package, normalize_package(target)),
             EnforcementLevel::Class => {
                 let qc = self.qualified_class();
                 let t = normalize_package(target);
-                qc == t || segment_prefix(&qc, &t)
+                qc == t || segment_prefix(&qc, t)
             }
             EnforcementLevel::Method => {
                 let full = self.to_descriptor();
@@ -244,11 +244,12 @@ impl MethodSignature {
 /// as `com/google/gms` or `Lcom/google/gms;`.
 ///
 /// Exported so compiled policy evaluators can pre-normalize targets with the
-/// exact same rules [`MethodSignature::matches_target`] applies per call.
-pub fn normalize_package(target: &str) -> String {
+/// exact same rules [`MethodSignature::matches_target`] applies per call.  The
+/// result is always a substring of `target`, so it borrows.
+pub fn normalize_package(target: &str) -> &str {
     let t = target.strip_prefix('L').unwrap_or(target);
     let t = t.strip_suffix(';').unwrap_or(t);
-    t.trim_matches('/').to_string()
+    t.trim_matches('/')
 }
 
 /// True if `prefix` equals `path` or is a prefix of it ending at a `/` boundary.

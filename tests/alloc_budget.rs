@@ -12,6 +12,10 @@
 //! first sighting of a context is the slow path and may allocate (it
 //! renders the deny reason once); it is held to the parent's count.
 //!
+//! The control plane's compiler is held to a budget too: a full
+//! `PolicySet::compile` allocates a fixed handful of buffers, sized up front,
+//! however many rules it compiles.
+//!
 //! One `#[test]`, on purpose: the counter is process-wide, and a second
 //! test running (or being spawned by the harness) beside a measured window
 //! would be counted into it.
@@ -28,7 +32,7 @@ use borderpatrol::core::policy::{Policy, PolicySet};
 use borderpatrol::core::wire::{self, WireError};
 use borderpatrol::netsim::netfilter::Verdict;
 use borderpatrol::netsim::options::{IpOption, IpOptionKind};
-use borderpatrol::types::EnforcementLevel;
+use borderpatrol::types::{ApkHash, EnforcementLevel};
 use borderpatrol::Engine;
 
 mod common;
@@ -83,6 +87,33 @@ const PARENT_MISS_BATCH_ALLOCATIONS: u64 = 3_076;
 /// counted after them.
 const CHURN_WARM_BATCHES: usize = 48;
 const CHURN_MEASURED_BATCHES: usize = 16;
+
+/// Rule counts of the synthetic sets the compile section builds; the same
+/// allocation count at both means it does not grow with the rule count.
+const COMPILE_SCALES: [usize; 2] = [1_000, 10_000];
+/// Allocations one full compilation of such a set may make.
+const COMPILE_ALLOCATIONS: u64 = 64;
+
+/// A synthetic `n`-rule set of hash, library, class and method rules in
+/// turn, every target distinct, held in one shared chunk (no appended tail).
+fn mixed_rule_set(n: usize) -> PolicySet {
+    PolicySet::from_policies(
+        (0..n)
+            .map(|i| match i % 4 {
+                0 => Policy::deny(
+                    EnforcementLevel::Hash,
+                    ApkHash::digest(&(i as u64).to_le_bytes()).tag().to_hex(),
+                ),
+                1 => Policy::deny(EnforcementLevel::Library, format!("gen/v{i:06}")),
+                2 => Policy::deny(EnforcementLevel::Class, format!("gen/v{i:06}/Widget")),
+                _ => Policy::deny(
+                    EnforcementLevel::Method,
+                    format!("Lgen/v{i:06}/Widget;->run()V"),
+                ),
+            })
+            .collect(),
+    )
+}
 
 fn engine(shards: usize) -> Engine {
     let (db, _, _) = solcalendar_fixture();
@@ -180,6 +211,26 @@ fn steady_state_allocations(engine: &Engine, frames: &[Vec<u8>]) -> u64 {
 
 #[test]
 fn byte_ingress_stays_within_its_allocation_budget() {
+    // First, before any engine starts a worker: a full compilation allocates
+    // no string per rule, no tree node per key and no table regrowth.
+    let compile_allocations = COMPILE_SCALES.map(|n| {
+        let set = mixed_rule_set(n);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let compiled = set.compile();
+        let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(compiled.len(), n);
+        allocated
+    });
+    assert_eq!(
+        compile_allocations[0], compile_allocations[1],
+        "compiling {COMPILE_SCALES:?} rules allocated {compile_allocations:?} times"
+    );
+    assert!(
+        compile_allocations[1] <= COMPILE_ALLOCATIONS,
+        "a full compilation allocated {} times, the budget is {COMPILE_ALLOCATIONS}",
+        compile_allocations[1]
+    );
+
     let (_, analytics, login) = solcalendar_fixture();
     let accepts = batch_of(|flow| wire::encode(&tagged_packet(flow, login)));
     let denies = batch_of(|flow| wire::encode(&tagged_packet(flow, analytics)));

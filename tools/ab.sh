@@ -42,19 +42,8 @@ tmp="$(mktemp -d "${TMPDIR:-/tmp}/bp-ab.XXXXXX")"
 cleanup() { [ -n "${AB_KEEP:-}" ] || rm -rf "$tmp"; }
 trap cleanup EXIT
 
-# Unpack one side into $tmp/<name> and build its benchmark once.
-prepare() {
-    local name="$1" rev="$2" dir="$tmp/$1"
-    mkdir -p "$dir"
-    if [ -d "$rev" ]; then
-        (cd "$rev" && git ls-files -z --cached --others --exclude-standard |
-            tar --null --files-from=- --ignore-failed-read -cf -) | tar -xf - -C "$dir"
-    else
-        git -C "$repo" archive "$rev" | tar -xf - -C "$dir"
-    fi
-    echo "ab: building $name ($rev)" >&2
-    cargo build --release --quiet --manifest-path "$dir/benchmark/Cargo.toml"
-}
+# shellcheck source=tools/unpack.sh
+. "$repo/tools/unpack.sh"
 prepare a "$rev_a"
 prepare b "$rev_b"
 
