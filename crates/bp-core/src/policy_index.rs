@@ -77,6 +77,11 @@ impl KeyRef {
     fn is_none(self) -> bool {
         self == KeyRef::NONE
     }
+
+    /// The text of a blob reference.
+    fn in_blob(self, blob: &str) -> &str {
+        &blob[self.a as usize..(self.a + self.b) as usize]
+    }
 }
 
 /// Interned string storage: a single `Arc` blob built at full compilation
@@ -102,7 +107,7 @@ impl KeyStore {
         if r.a == u32::MAX {
             &self.spill[r.b as usize]
         } else {
-            &self.blob[r.a as usize..(r.a + r.b) as usize]
+            r.in_blob(&self.blob)
         }
     }
 
@@ -695,15 +700,15 @@ impl Classified {
             };
             c.keyed.push(KeyedRule {
                 key,
-                hash: hash_bytes(key_bytes(c.blob.as_bytes(), key)),
+                hash: hash_bytes(key.in_blob(&c.blob).as_bytes()),
                 policy,
                 allow,
                 role,
             });
         }
-        let blob = c.blob.as_bytes();
+        let blob = c.blob.as_str();
         c.keyed
-            .sort_by(|a, b| key_bytes(blob, a.key).cmp(key_bytes(blob, b.key)));
+            .sort_by(|a, b| a.key.in_blob(blob).cmp(b.key.in_blob(blob)));
         c
     }
 
@@ -721,23 +726,15 @@ impl Classified {
     }
 
     fn resolve(&self, r: KeyRef) -> &str {
-        &self.blob[r.a as usize..(r.a + r.b) as usize]
+        r.in_blob(&self.blob)
     }
 
     /// The keyed rules grouped by key, in key order.
     fn groups(&self) -> impl Iterator<Item = (&str, &[KeyedRule])> {
-        let blob = self.blob.as_bytes();
         self.keyed
-            .chunk_by(move |a, b| {
-                a.hash == b.hash && key_bytes(blob, a.key) == key_bytes(blob, b.key)
-            })
+            .chunk_by(|a, b| a.hash == b.hash && self.resolve(a.key) == self.resolve(b.key))
             .map(|group| (self.resolve(group[0].key), group))
     }
-}
-
-/// The bytes of a blob reference.
-fn key_bytes(blob: &[u8], r: KeyRef) -> &[u8] {
-    &blob[r.a as usize..(r.a + r.b) as usize]
 }
 
 impl PrefixEntry {
@@ -870,7 +867,7 @@ impl PolicyIndex {
             .filter(|rule| matches!(rule.role, KeyRole::Method { .. }))
             .count();
         let mut methods: Vec<MethodRule> = Vec::with_capacity(method_count);
-        let mut prefixes: Vec<PrefixEntry> = Vec::with_capacity(c.keyed.len());
+        let mut prefixes: Vec<PrefixEntry> = Vec::with_capacity(c.groups().count());
         let mut roots = RootFilter::default();
         for (key, group) in c.groups() {
             let mut row = PrefixEntry::new(group[0].key, group[0].hash);

@@ -38,10 +38,6 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 seed="${AB_SEED:-1}"
 seconds="${AB_SECONDS:-$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$repo/BENCHMARK.json")}"
 
-tmp="$(mktemp -d "${TMPDIR:-/tmp}/bp-ab.XXXXXX")"
-cleanup() { [ -n "${AB_KEEP:-}" ] || rm -rf "$tmp"; }
-trap cleanup EXIT
-
 # shellcheck source=tools/unpack.sh
 . "$repo/tools/unpack.sh"
 prepare a "$rev_a"

@@ -13,7 +13,7 @@
 # functions with several instances are summed, their count in parentheses.
 # Rows are sorted by name; the last column is b's size minus a's.
 #
-# Environment: SYMDIFF_KEEP=1 keeps the temporary directory.
+# Environment: AB_KEEP=1 keeps the temporary directory, as for tools/ab.sh.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -22,10 +22,6 @@ if [ "$#" -ne 2 ]; then
 fi
 rev_a="$1" rev_b="$2"
 repo="$(cd "$(dirname "$0")/.." && pwd)"
-
-tmp="$(mktemp -d "${TMPDIR:-/tmp}/bp-symdiff.XXXXXX")"
-cleanup() { [ -n "${SYMDIFF_KEEP:-}" ] || rm -rf "$tmp"; }
-trap cleanup EXIT
 
 # shellcheck source=tools/unpack.sh
 . "$repo/tools/unpack.sh"

@@ -1,5 +1,6 @@
 # Sourced by tools/ab.sh and tools/symdiff.sh, after they set `repo` (the
-# checkout the tools live in) and `tmp` (a scratch directory).
+# checkout the tools live in).  Makes the scratch directory `tmp` (under
+# $TMPDIR) and removes it on exit, unless AB_KEEP is set.
 #
 #   prepare <name> <rev>
 #
@@ -8,6 +9,10 @@
 # holding a checkout (its tracked and unignored files are copied, so an
 # uncommitted tree can be a side).  The binary lands in
 # $tmp/<name>/benchmark/target/release/bp-benchmark.
+tmp="$(mktemp -d "${TMPDIR:-/tmp}/bp-${0##*/}.XXXXXX")"
+cleanup() { [ -n "${AB_KEEP:-}" ] || rm -rf "$tmp"; }
+trap cleanup EXIT
+
 prepare() {
     local name="$1" rev="$2" dir="$tmp/$1"
     mkdir -p "$dir"
