@@ -8,6 +8,8 @@
 //! method-level deny per app blocks exactly the upload functionality and
 //! leaves authentication, browsing and download intact.
 
+use std::io::Write;
+
 use serde::{Deserialize, Serialize};
 
 use bp_appsim::generator::CorpusGenerator;
@@ -219,6 +221,37 @@ pub fn run() -> Result<Vec<CloudCaseResult>, Error> {
         run_for(&CorpusGenerator::dropbox())?,
         run_for(&CorpusGenerator::box_app())?,
     ])
+}
+
+/// Print the case study as `examples/cloud_storage.rs` does: per app, the
+/// comparison table and the verdict line.
+///
+/// # Errors
+///
+/// Propagates testbed failures and errors writing to `out`.
+///
+/// # Panics
+///
+/// If BorderPatrol blocks more or less than the upload of either app.
+pub fn transcript(out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
+    for result in run()? {
+        writeln!(out, "{}", result.to_table())?;
+
+        let borderpatrol = result
+            .outcome(Mechanism::BorderPatrol)
+            .expect("BorderPatrol outcome present");
+        assert!(
+            borderpatrol.upload_blocked_everything_else_intact(),
+            "BorderPatrol must block only the upload for {}",
+            result.app
+        );
+        writeln!(
+            out,
+            "{}: BorderPatrol blocked the upload and preserved auth/browse/download.\n",
+            result.app
+        )?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

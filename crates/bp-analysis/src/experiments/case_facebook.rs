@@ -7,6 +7,8 @@
 //! `AppEventsLogger` analytics path vs the `LoginManager` path) and drops only
 //! the analytics packets.
 
+use std::io::Write;
+
 use serde::{Deserialize, Serialize};
 
 use bp_appsim::generator::CorpusGenerator;
@@ -151,6 +153,40 @@ pub fn run() -> Result<FacebookCaseResult, Error> {
         borderpatrol_sync_works: bp_sync.fully_delivered(),
         extracted_policies: extracted.len(),
     })
+}
+
+/// Print the case study as `examples/facebook_login.rs` does: the
+/// extracted policy, the comparison table and the verdict line.
+///
+/// # Errors
+///
+/// Propagates testbed failures and errors writing to `out`.
+///
+/// # Panics
+///
+/// If BorderPatrol does not win the case study.
+pub fn transcript(out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
+    let extracted = extract_analytics_policy();
+    writeln!(
+        out,
+        "Policy Extractor derived {} policy rule(s):",
+        extracted.len()
+    )?;
+    for policy in extracted.iter() {
+        writeln!(out, "  {policy}")?;
+    }
+    writeln!(out)?;
+
+    let result = run()?;
+    writeln!(out, "{}", result.to_table())?;
+
+    assert!(result.borderpatrol_wins());
+    writeln!(
+        out,
+        "BorderPatrol preserved \"Login with Facebook\" and calendar sync while dropping the analytics beacons;\n\
+         the endpoint-blocking baseline broke authentication."
+    )?;
+    Ok(())
 }
 
 #[cfg(test)]

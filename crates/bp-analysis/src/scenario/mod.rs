@@ -714,9 +714,11 @@ impl PreparedScenario {
     /// plane, hot-swap schedule and virtual clock as a live run, but every
     /// packet arrives as raw wire bytes instead of a synthesized struct.
     ///
-    /// Because the wire codec round-trips exactly, a replayed capture
-    /// produces a report whose [`ScenarioReport::render`] is byte-identical
-    /// to the recorded run's, on any shard count the spec asks for.
+    /// A live run's struct batches take the same byte ingress (each packet
+    /// is encoded, then parsed), so a replayed capture produces a report
+    /// whose [`ScenarioReport::render`] is byte-identical to the recorded
+    /// run's, on any shard count the spec asks for — under a fault plan
+    /// too, injected wire corruption included.
     ///
     /// # Errors
     ///
@@ -973,7 +975,8 @@ impl PreparedScenario {
             }
 
             // Reuse the verdict buffer: the all-accept path of a tick is then
-            // allocation-free on the enforcement side.
+            // allocation-free on the enforcement side.  The packets are
+            // judged as the frames the recorder just wrote.
             enforcer.inspect_batch_into(&packets, &mut verdicts);
             tally.account(&origins, &verdicts);
             if let Some(observer) = observer.as_deref_mut() {

@@ -17,7 +17,7 @@ use crate::faults::{FaultInjector, HealthState, ShardHealth, ShardHealthSnapshot
 use crate::flow::{FlowTable, FlowTableConfig};
 use crate::offline::SignatureDatabase;
 use crate::policy::PolicySet;
-use crate::runtime::{PacketSource, WorkerPool};
+use crate::runtime::{Submission, WorkerPool};
 use crate::stats::{
     charge_fixed_drop, charge_wire_drop, Counter, DropLog, EnforcerCounters, EnforcerStats,
 };
@@ -132,14 +132,9 @@ impl EnforcerCore {
         SimDuration::from_micros(self.now_micros.load(Ordering::Relaxed))
     }
 
-    /// The shard a packet is routed to: flows stick to shards so per-flow
-    /// packet order is preserved within a shard.
-    pub(crate) fn shard_for(&self, packet: &Ipv4Packet) -> usize {
-        self.shard_for_source(packet.source())
-    }
-
-    /// [`EnforcerCore::shard_for`] by the source endpoint alone, which is
-    /// all of a packet the routing reads.
+    /// The shard a packet from `source` is routed to: flows stick to shards
+    /// so per-flow packet order is preserved within a shard.  The source
+    /// endpoint is all of a packet the routing reads.
     pub(crate) fn shard_for_source(&self, source: Endpoint) -> usize {
         let octets = source.ip.octets();
         let mut key = u64::from(u32::from_be_bytes(octets));
@@ -154,7 +149,7 @@ impl EnforcerCore {
     /// one inline inspect is its own batch.
     pub(crate) fn inspect(&self, packet: &Ipv4Packet) -> Verdict {
         let tables = self.tables();
-        let shard = &self.shards[self.shard_for(packet)];
+        let shard = &self.shards[self.shard_for_source(packet.source())];
         let state = &mut *shard.lock_state();
         let verdict = tables.inspect_flow_cached(
             packet,
@@ -235,10 +230,13 @@ pub struct ShardedEnforcer {
     /// until a batch fans out, so enforcers that never batch cost none.
     /// Dropped — shutdown messages, workers joined — with the enforcer.
     pub(super) pool: WorkerPool,
-    /// Overload-guard admission watermark in packets per batch; `0` means
-    /// the guard is off.  Batches longer than the watermark have their tail
-    /// shed fail-closed under [`EnforcerStats::dropped_overload`] before
-    /// inspection.
+    /// The struct entry points' encode buffers, one per packet of the
+    /// largest struct batch so far, reused from batch to batch.  Taken
+    /// before the pool's submission lock, never after it.
+    encoded: Mutex<Vec<Vec<u8>>>,
+    /// Overload-guard admission watermark in parsable frames per batch;
+    /// `0` means the guard is off.  The frames past it are shed fail-closed
+    /// under [`EnforcerStats::dropped_overload`] instead of being inspected.
     overload_watermark: AtomicUsize,
 }
 
@@ -267,6 +265,7 @@ impl ShardedEnforcer {
         ShardedEnforcer {
             pool: WorkerPool::new(&core),
             core,
+            encoded: Mutex::new(Vec::new()),
             overload_watermark: AtomicUsize::new(0),
         }
     }
@@ -339,7 +338,7 @@ impl ShardedEnforcer {
     /// The shard a packet is routed to: flows stick to shards so per-flow
     /// packet order is preserved within a shard.
     pub fn shard_for(&self, packet: &Ipv4Packet) -> usize {
-        self.core.shard_for(packet)
+        self.core.shard_for_source(packet.source())
     }
 
     /// Inspect one packet inline on its flow's shard (flow-cached).
@@ -353,7 +352,7 @@ impl ShardedEnforcer {
     /// Allocates the returned vector; hot loops that inspect batch after
     /// batch should reuse a buffer through
     /// [`ShardedEnforcer::inspect_batch_into`], which allocates nothing on
-    /// the all-accept path.
+    /// a batch of cached flows.
     pub fn inspect_batch(&self, packets: &[Ipv4Packet]) -> Vec<Verdict> {
         let mut verdicts = Vec::with_capacity(packets.len());
         self.inspect_batch_into(packets, &mut verdicts);
@@ -363,14 +362,22 @@ impl ShardedEnforcer {
     /// Inspect a batch of packets, writing verdicts (input order, one per
     /// packet) into `verdicts`, which is cleared first.
     ///
+    /// A struct batch is judged as the frames it encodes to: each packet is
+    /// written with [`wire::encode_into`] into a buffer reused from batch to
+    /// batch — one encode per packet — and the frames take the byte ingress
+    /// of [`ShardedEnforcer::inspect_wire_batch_into`], the overload guard
+    /// and injected wire corruption included.  So a shape the wire cannot
+    /// carry gets the verdict of the frame the encoder writes for it (a
+    /// mid-list End-of-List entry makes what follows post-EOL data, a
+    /// trailing-data flag without 2 free option bytes is dropped), and a
+    /// packet longer than 65 535 bytes fails the parse: an attributed
+    /// [`EnforcerStats::dropped_wire`] drop.
+    ///
     /// With a reused `verdicts` buffer this performs **zero allocations**
     /// per batch whenever every packet's flow is cached — accepted or
-    /// dropped: partitions land in the runtime's reused index buffers, jobs
-    /// travel through fixed ring slots, each verdict is written in place
-    /// into its slot and a drop reason is handed out by pointer.
+    /// dropped — and no packet outgrows the encode buffer it last used.
     pub fn inspect_batch_into(&self, packets: &[Ipv4Packet], verdicts: &mut Vec<Verdict>) {
-        let shards = packets.iter().map(|packet| self.core.shard_for(packet));
-        self.inspect_source_into(PacketSource::slice(packets), shards, verdicts);
+        self.inspect_encoded(packets.iter(), verdicts);
     }
 
     /// Inspect a batch of raw wire frames and return verdicts in frame
@@ -385,9 +392,8 @@ impl ShardedEnforcer {
     /// Inspect a batch of raw wire frames in place: validate each through
     /// the byte ingress boundary ([`WireFrame::parse`]), route the ones that
     /// parse to their shards, inspect them as borrowed views — no packet is
-    /// materialized, and like [`ShardedEnforcer::inspect_batch_into`] a
-    /// batch of cached flows allocates nothing — and write one verdict per
-    /// frame (frame order) into `verdicts`.
+    /// materialized, and a batch of cached flows allocates nothing — and
+    /// write one verdict per frame (frame order) into `verdicts`.
     ///
     /// A frame that fails validation never reaches enforcement: it yields a
     /// fail-closed [`Verdict::Drop`] whose reason is the typed
@@ -404,15 +410,57 @@ impl ShardedEnforcer {
     /// log reads in that order too — wire failures are charged before
     /// inspection, sheds after it.
     pub fn inspect_wire_batch_into(&self, frames: &[&[u8]], verdicts: &mut Vec<Verdict>) {
+        let mut batch = self.pool.begin(frames.len());
+        self.admit_and_run(&mut batch, frames.iter().copied(), verdicts);
+    }
+
+    /// The struct entry points' adapter: encode `packets` into the reused
+    /// buffers, then run them as frames.
+    fn inspect_encoded<'p>(
+        &self,
+        packets: impl ExactSizeIterator<Item = &'p Ipv4Packet>,
+        verdicts: &mut Vec<Verdict>,
+    ) {
+        let len = packets.len();
+        let mut encoded = self.encoded.lock();
+        if encoded.len() < len {
+            encoded.resize_with(len, Vec::new);
+        }
+        for (packet, frame) in packets.zip(encoded.iter_mut()) {
+            wire::encode_into(packet, frame);
+        }
+        let frames = encoded[..len].iter().map(Vec::as_slice);
+        self.admit_and_run(&mut self.pool.begin(len), frames, verdicts);
+    }
+
+    /// The byte ingress's admission loop — the one body every batch runs,
+    /// whichever entry point it came through: parse each frame (or fail it
+    /// as the armed fault plan schedules), route what parses and the
+    /// overload guard admits, then charge the wire failures, inspect the
+    /// routed frames and charge the sheds, writing one verdict per frame
+    /// into `verdicts`.
+    fn admit_and_run<'f>(
+        &self,
+        batch: &mut Submission<'_, 'f>,
+        frames: impl ExactSizeIterator<Item = &'f [u8]>,
+        verdicts: &mut Vec<Verdict>,
+    ) {
         let core = &*self.core;
         let injector = core.faults.get();
-        let admission = self.admission_limit();
+        // How many parsable frames the overload guard admits.
+        let admission = match self.overload_watermark.load(Ordering::Relaxed) {
+            0 => usize::MAX,
+            watermark => watermark,
+        };
         verdicts.clear();
-        // Fail-closed placeholders, as in `inspect_source_into`.
+        // Pre-size the slot array with **fail-closed** placeholders: every
+        // slot is overwritten exactly once on the normal path, and a
+        // partition that panics has its uninspected slots converted into
+        // attributed `dropped_runtime_fault` drops by the recovery path —
+        // never silent accepts.
         verdicts.resize(frames.len(), unattributed_drop());
-        let mut batch = self.pool.begin(frames.len());
         let mut admitted = 0;
-        for (index, bytes) in frames.iter().enumerate() {
+        for (index, bytes) in frames.enumerate() {
             // Injected wire corruption: the frame fails closed through the
             // ordinary typed wire-error path, deterministically.
             let parsed = if injector.is_some_and(|i| i.corrupt_next_frame()) {
@@ -425,73 +473,25 @@ impl ShardedEnforcer {
                     admitted += 1;
                     batch.route_frame(core.shard_for_source(frame.source()), index, &frame);
                 }
-                Ok(_) => batch.wire().shed.push(index),
-                Err(error) => batch.wire().failures.push((index, error)),
+                Ok(_) => batch.shed(index),
+                Err(error) => batch.fail(index, error),
             }
         }
-        if !batch.wire().failures.is_empty() {
+        if !batch.failures().is_empty() {
             core.charge_on(0, |stats, drop_log| {
-                for &(index, error) in &batch.wire().failures {
+                for &(index, error) in batch.failures() {
                     verdicts[index] = charge_wire_drop(stats, drop_log, error);
                 }
             });
         }
-        batch.run_frames(frames, verdicts);
-        if !batch.wire().shed.is_empty() {
+        batch.run(verdicts);
+        if !batch.sheds().is_empty() {
             core.charge_on(0, |stats, drop_log| {
-                for &index in &batch.wire().shed {
+                for &index in batch.sheds() {
                     verdicts[index] = charge_fixed_drop(stats, drop_log, Counter::Overload);
                 }
             });
         }
-    }
-
-    /// How many packets of one batch the overload guard admits.
-    fn admission_limit(&self) -> usize {
-        match self.overload_watermark.load(Ordering::Relaxed) {
-            0 => usize::MAX,
-            watermark => watermark,
-        }
-    }
-
-    /// Shared batch implementation over either struct batch shape (owned
-    /// slice or NFQUEUE reference batch); `shards` yields each packet's
-    /// shard, in batch order.
-    fn inspect_source_into(
-        &self,
-        source: PacketSource,
-        shards: impl ExactSizeIterator<Item = usize>,
-        verdicts: &mut Vec<Verdict>,
-    ) {
-        verdicts.clear();
-        let len = shards.len();
-        // Overload guard: admit at most the watermark, shed the tail
-        // fail-closed after inspection so verdicts stay in input order.
-        let admitted = len.min(self.admission_limit());
-        // Pre-size the slot array with **fail-closed** placeholders: every
-        // slot is overwritten by exactly one partition on the normal path,
-        // and a partition that panics has its uninspected slots converted
-        // into attributed `dropped_runtime_fault` drops by the recovery
-        // path — never silent accepts.
-        verdicts.resize(admitted, unattributed_drop());
-        let mut batch = self.pool.begin(admitted);
-        for (index, shard) in shards.take(admitted).enumerate() {
-            batch.route(shard, index);
-        }
-        batch.run(source, verdicts);
-        if admitted < len {
-            self.shed_overload(len - admitted, verdicts);
-        }
-    }
-
-    /// Shed `count` packets fail-closed under the overload guard, appending
-    /// their drop verdicts (they are the batch tail).  Charged to shard 0,
-    /// like wire-decode failures: a shed packet was never routed.
-    fn shed_overload(&self, count: usize, verdicts: &mut Vec<Verdict>) {
-        self.core.charge_on(0, |stats, drop_log| {
-            verdicts
-                .extend((0..count).map(|_| charge_fixed_drop(stats, drop_log, Counter::Overload)));
-        });
     }
 
     /// Merged statistics across all shards.  Each shard is read under its
@@ -556,8 +556,9 @@ impl ShardedEnforcer {
     /// Set the overload-guard admission watermark in packets per batch
     /// (`0` disables the guard).  Batches longer than the watermark have
     /// their tail shed fail-closed under
-    /// [`EnforcerStats::dropped_overload`] instead of being inspected.  On
-    /// the byte ingress the watermark counts *parsable* frames only; see
+    /// [`EnforcerStats::dropped_overload`] instead of being inspected.  The
+    /// watermark counts *parsable* frames only — a struct batch is a batch
+    /// of the frames it encodes to; see
     /// [`ShardedEnforcer::inspect_wire_batch_into`].
     pub fn set_overload_watermark(&self, watermark: usize) {
         self.overload_watermark.store(watermark, Ordering::Relaxed);
@@ -609,10 +610,11 @@ impl QueueHandler for ShardedEnforcer {
         ShardedEnforcer::inspect(self, packet)
     }
 
+    /// The filter chain's batch, judged as frames like
+    /// [`ShardedEnforcer::inspect_batch_into`]: one encode per packet, the
+    /// byte ingress, zero allocations over cached flows.  The enforcer only
+    /// reads the packets.
     fn handle_batch_into(&mut self, packets: &mut [&mut Ipv4Packet], verdicts: &mut Vec<Verdict>) {
-        // The enforcer only reads packets; view the reference batch directly
-        // instead of collecting an intermediate `Vec<&Ipv4Packet>`.
-        let shards = packets.iter().map(|packet| self.core.shard_for(packet));
-        self.inspect_source_into(PacketSource::refs(packets), shards, verdicts);
+        self.inspect_encoded(packets.iter().map(|packet| &**packet), verdicts);
     }
 }

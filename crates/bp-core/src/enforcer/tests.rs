@@ -886,3 +886,116 @@ fn drop_reason_renders_and_converts() {
     let shared: Arc<str> = "shared".into();
     assert_eq!(DropReason::from(&shared).as_str(), "shared");
 }
+
+/// One packet through both struct batch entry points, each on an enforcer
+/// of its own: the verdicts (which must agree) and the first enforcer's
+/// statistics and drop log.
+fn struct_batch_outcome(
+    db: &SignatureDatabase,
+    policies: &PolicySet,
+    packet: &Ipv4Packet,
+) -> (Verdict, EnforcerStats, Vec<String>) {
+    use bp_netsim::netfilter::QueueHandler;
+
+    let config = EnforcerConfig::default();
+    let batched = ShardedEnforcer::from_parts(db, policies, config, 2);
+    let verdicts = batched.inspect_batch(std::slice::from_ref(packet));
+    let mut handler = ShardedEnforcer::from_parts(db, policies, config, 2);
+    let mut copy = packet.clone();
+    let mut handled = Vec::new();
+    handler.handle_batch_into(&mut [&mut copy], &mut handled);
+    assert_eq!(handled, verdicts, "the filter chain's batch agrees");
+    assert_eq!(handler.stats(), batched.stats());
+    let stats = batched.stats();
+    assert_eq!(
+        stats.packets_inspected,
+        stats.packets_accepted + stats.total_dropped(),
+        "conservation"
+    );
+    assert_eq!(stats.packets_inspected, 1);
+    let [verdict] = <[Verdict; 1]>::try_from(verdicts).expect("one verdict");
+    (verdict, stats, batched.drop_log())
+}
+
+/// A struct batch is judged as the frame it encodes to: its verdict and
+/// drop log are the legacy oracle's over `decode_frame(encode(packet))`,
+/// and so are the outcome counters.
+fn assert_judged_as_its_frame(packet: &Ipv4Packet) -> Verdict {
+    let (db, _, _) = solcalendar_fixture();
+    let policies = PolicySet::from_policies(vec![Policy::deny(
+        EnforcementLevel::Class,
+        "com/facebook/appevents",
+    )]);
+    let frame = crate::wire::decode_frame(&crate::wire::encode(packet)).expect("the frame parses");
+    let mut legacy = Legacy::new(db.clone(), policies.clone(), EnforcerConfig::default());
+    let expected = legacy.inspect(&frame);
+    let (verdict, stats, drop_log) = struct_batch_outcome(&db, &policies, packet);
+    assert_eq!(verdict, expected);
+    assert_eq!(drop_log, legacy.drop_log.to_vec());
+    let oracle = legacy.counters.snapshot();
+    assert_eq!(stats.packets_accepted, oracle.packets_accepted);
+    assert_eq!(stats.total_dropped(), oracle.total_dropped());
+    assert_eq!(stats.dropped_malformed, oracle.dropped_malformed);
+    verdict
+}
+
+#[test]
+fn struct_batch_judges_a_mid_list_end_of_list_as_its_frame() {
+    let (_, _, login) = solcalendar_fixture();
+    // End-of-List ahead of the context: on the wire the context option is
+    // post-EOL data, so the frame carries no context but trailing data.
+    let mut packet = untagged_packet();
+    let options = packet.options_mut();
+    options
+        .push(IpOption::new(IpOptionKind::EndOfList, vec![]).unwrap())
+        .unwrap();
+    options
+        .push(IpOption::new(IpOptionKind::BorderPatrolContext, login).unwrap())
+        .unwrap();
+    let verdict = assert_judged_as_its_frame(&packet);
+    assert!(!verdict.is_accept(), "post-EOL bytes are a covert channel");
+}
+
+#[test]
+fn struct_batch_judges_trailing_data_on_a_full_area_as_its_frame() {
+    let (_, _, login) = solcalendar_fixture();
+    // The login context, then No-Ops up to 39 of the 40 option bytes: one
+    // byte is too few for the EOL marker and its trailer, so the encoder
+    // drops the flag and the frame is the plain login context.
+    let mut packet = tagged_packet(login.clone());
+    let options = packet.options_mut();
+    while options.encoded_len() < bp_netsim::options::MAX_OPTIONS_LEN - 1 {
+        options
+            .push(IpOption::new(IpOptionKind::NoOp, vec![]).unwrap())
+            .unwrap();
+    }
+    assert_eq!(
+        options.encoded_len(),
+        bp_netsim::options::MAX_OPTIONS_LEN - 1,
+        "login fits"
+    );
+    options.mark_trailing_data();
+    let verdict = assert_judged_as_its_frame(&packet);
+    assert!(verdict.is_accept(), "the frame is the login context");
+}
+
+#[test]
+fn struct_batch_drops_a_packet_past_the_length_field_as_a_wire_failure() {
+    let (db, _, _) = solcalendar_fixture();
+    let packet = Ipv4Packet::new(
+        Endpoint::new([10, 0, 0, 4], 40001),
+        Endpoint::new([31, 13, 71, 36], 443),
+        vec![0; 70_000],
+    );
+    assert!(packet.total_len() > usize::from(u16::MAX));
+    let error = crate::wire::WireError::LengthMismatch;
+    assert_eq!(
+        crate::wire::decode_frame(&crate::wire::encode(&packet)),
+        Err(error)
+    );
+    let (verdict, stats, drop_log) = struct_batch_outcome(&db, &PolicySet::new(), &packet);
+    assert_eq!(verdict, Verdict::drop(error.drop_reason()));
+    assert_eq!(stats.dropped_wire, 1);
+    assert_eq!(stats.dropped_wire_by.get(error), 1);
+    assert_eq!(drop_log, [error.drop_reason()]);
+}

@@ -1,16 +1,20 @@
-//! The data-plane batch runtime: the one path a batch takes from
-//! [`ShardedEnforcer::inspect_batch`] — or, as wire frames, from
-//! [`ShardedEnforcer::inspect_wire_batch_into`] — to its verdict slots.
+//! The data-plane batch runtime: the one path a batch of wire frames takes
+//! from [`ShardedEnforcer::inspect_wire_batch_into`] to its verdict slots.
+//! The struct entry points ([`ShardedEnforcer::inspect_batch`] and the
+//! filter chain's batch) encode their packets into frames first and take
+//! the same path.
 //!
 //! Every batch — one shard or many, empty or 100k packets, healthy lane or
 //! quarantined — takes one turn on the pool: `WorkerPool::begin`, one
-//! `Submission::route` per packet, `Submission::run`.
+//! `Submission::route_frame` per frame that parsed, `Submission::run`.
 //!
 //! ```text
-//!      inspect_batch(&[pkt; N])      inspect_wire_batch_into(&[&[u8]; N])
-//!                 │ route by flow          │ parse view → route by flow
-//!                 ▼                        ▼
-//!        per-shard index buffers (+ per-frame parsed descriptors)
+//!      inspect_wire_batch_into(&[&[u8]; N])    inspect_batch(&[pkt; N])
+//!                 │                              │ encode (reused buffers)
+//!                 ▼                              ▼
+//!         parse view → route by flow (the one admission loop)
+//!                 ▼
+//!        per-shard index buffers + per-frame parsed views
 //!        (reused across batches, no per-batch allocation)
 //!                 ▼
 //!   ┌─ SPSC ring ─▶ worker 0 ── owns shard 0 flow table / scratch ─┐
@@ -58,9 +62,9 @@
 //!   [`ShardedEnforcer`]) sends every worker a shutdown message and joins it —
 //!   no detached threads outlive the enforcer.
 //!
-//! Submission is serialized: concurrent `inspect_batch` callers take turns
-//! for the full batch, routing included (the partition buffers and rings
-//! are single-producer).
+//! Submission is serialized: concurrent batch callers take turns for the
+//! full batch, routing included (the partition buffers and rings are
+//! single-producer).
 //!
 //! # Safety
 //!
@@ -68,7 +72,7 @@
 //! otherwise `deny(unsafe_code)`).  Every unsafe block implements a single
 //! borrowed-batch handoff protocol, whose soundness rests on one invariant:
 //! **a submitted batch's borrows outlive the submission call.**  The
-//! submitter keeps the batch's packets, index buffers, verdict slots and
+//! submitter keeps the batch's frames, index buffers, verdict slots and
 //! completion counter alive until every dispatched worker has counted down
 //! — including on the panic path (a drop guard waits before unwinding) —
 //! so the raw pointers a batch job carries are live for exactly as long as
@@ -81,6 +85,7 @@
 #![allow(unsafe_code)]
 
 use std::cell::UnsafeCell;
+use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -91,7 +96,6 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, MutexGuard};
 
 use bp_netsim::netfilter::Verdict;
-use bp_netsim::packet::Ipv4Packet;
 
 use crate::enforcer::{unattributed_drop, EnforcerCore, PacketView};
 use crate::faults::HealthState;
@@ -268,55 +272,52 @@ impl<T> SpscReceiver<T> {
 // Borrowed batch handoff
 // ---------------------------------------------------------------------------
 
-/// A borrowed, indexable view of a packet batch.
-///
-/// The batch entry points deliver packets as `&[Ipv4Packet]`
-/// ([`ShardedEnforcer::inspect_batch`]), `&mut [&mut Ipv4Packet]`
-/// ([`QueueHandler::handle_batch_into`]) and raw wire frames
-/// ([`ShardedEnforcer::inspect_wire_batch_into`]); this view lets the
-/// inspection loop read any shape in place — no intermediate
-/// `Vec<&Ipv4Packet>`, no packet materialized from a frame.
+/// A frame the submitter parsed and routed: its bytes, borrowed raw, beside
+/// what the parse established about them.  The submission keeps one per
+/// frame of the batch, by frame index; the slots of frames that were not
+/// routed hold [`RoutedFrame::UNROUTED`] and are never indexed.
+#[derive(Clone, Copy)]
+struct RoutedFrame {
+    bytes: *const [u8],
+    descriptor: FrameDescriptor,
+}
+
+// SAFETY: `descriptor` is plain data.  `bytes` is only dereferenced
+// (through `PacketSource::view`) while the batch that routed it runs: the
+// submission borrows the frames for longer than that (`Submission<'_, 'f>`)
+// and keeps them alive and unmutated until every worker has counted down;
+// the stale pointers a reused buffer holds between batches are overwritten
+// before they are read again.
+unsafe impl Send for RoutedFrame {}
+
+impl RoutedFrame {
+    /// The slot of a frame that failed to parse or was shed.
+    const UNROUTED: RoutedFrame = RoutedFrame {
+        bytes: &[],
+        descriptor: FrameDescriptor::UNPARSED,
+    };
+}
+
+/// A borrowed, indexable view of a batch: the routed frames of one
+/// submission, inspected in place — no packet is materialized from a frame
+/// and no frame is parsed twice.
 ///
 /// # Safety contract
 ///
 /// A `PacketSource` is a raw borrow: whoever constructs one must keep the
-/// underlying slice alive and unmodified until the last
-/// [`PacketSource::view`] call.  Within this crate that is guaranteed by the
-/// batch submission protocol (the submitter outlives the batch).
-///
-/// [`ShardedEnforcer::inspect_batch`]: crate::enforcer::ShardedEnforcer::inspect_batch
-/// [`ShardedEnforcer::inspect_wire_batch_into`]: crate::enforcer::ShardedEnforcer::inspect_wire_batch_into
-/// [`QueueHandler::handle_batch_into`]: bp_netsim::netfilter::QueueHandler::handle_batch_into
+/// routed frames, and the bytes they point at, alive and unmodified until
+/// the last [`PacketSource::view`] call.  Within this crate that is
+/// guaranteed by the batch submission protocol (the submitter outlives the
+/// batch).
 #[derive(Clone, Copy)]
-pub(crate) enum PacketSource {
-    /// A contiguous slice of packets.
-    Slice {
-        /// First packet.
-        ptr: *const Ipv4Packet,
-        /// Packet count.
-        len: usize,
-    },
-    /// A slice of packet references (the NFQUEUE batch shape).
-    Refs {
-        /// First packet pointer.
-        ptr: *const *const Ipv4Packet,
-        /// Packet count.
-        len: usize,
-    },
-    /// Raw wire frames with what the submitter's one parse established
-    /// about each (the byte-ingress shape).  Only frames that parsed are
-    /// ever indexed; the descriptor slots of the others are placeholders.
-    Frames {
-        /// First frame.
-        frames: *const *const [u8],
-        /// First descriptor, one per frame.
-        descriptors: *const FrameDescriptor,
-        /// Frame count.
-        len: usize,
-    },
+pub(crate) struct PacketSource {
+    /// First routed frame, one per frame of the batch.
+    frames: *const RoutedFrame,
+    /// Frame count.
+    len: usize,
 }
 
-// SAFETY: a PacketSource only reads the packets it points at, and the
+// SAFETY: a PacketSource only reads the frames it points at, and the
 // submission protocol keeps them alive and unmutated for the lifetime of the
 // batch; sharing the raw pointers across worker threads is therefore sound.
 unsafe impl Send for PacketSource {}
@@ -325,68 +326,18 @@ unsafe impl Send for PacketSource {}
 unsafe impl Sync for PacketSource {}
 
 impl PacketSource {
-    /// View a contiguous packet slice.
-    pub(crate) fn slice(packets: &[Ipv4Packet]) -> Self {
-        PacketSource::Slice {
-            ptr: packets.as_ptr(),
-            len: packets.len(),
-        }
-    }
-
-    /// View an NFQUEUE-style batch of exclusive packet references without
-    /// collecting them.  The enforcer only ever reads through the view, so
-    /// downgrading `&mut` to shared reads is sound (`&mut T` and `*const T`
-    /// share one pointer layout).
-    pub(crate) fn refs(packets: &[&mut Ipv4Packet]) -> Self {
-        PacketSource::Refs {
-            ptr: packets.as_ptr().cast::<*const Ipv4Packet>(),
-            len: packets.len(),
-        }
-    }
-
-    /// View a batch of wire frames beside their parsed descriptors (`&[u8]`
-    /// and `*const [u8]` share one fat-pointer layout).
-    fn frames(frames: &[&[u8]], descriptors: &[FrameDescriptor]) -> Self {
-        assert_eq!(frames.len(), descriptors.len(), "one descriptor per frame");
-        PacketSource::Frames {
-            frames: frames.as_ptr().cast::<*const [u8]>(),
-            descriptors: descriptors.as_ptr(),
-            len: frames.len(),
-        }
-    }
-
-    /// Number of packets in the batch.
-    pub(crate) fn len(&self) -> usize {
-        match *self {
-            PacketSource::Slice { len, .. }
-            | PacketSource::Refs { len, .. }
-            | PacketSource::Frames { len, .. } => len,
-        }
-    }
-
-    /// What the pipeline reads of the packet at `index`.
+    /// What the pipeline reads of the frame at `index`.
     ///
     /// # Safety
     ///
-    /// `index < self.len()` and the borrowed batch must still be alive (see
-    /// the type-level contract).  The returned lifetime is unbounded; the
-    /// caller must not let it outlive the batch.  (Of a frame the submitter
-    /// did not parse the view is meaningless, or a panic — but still safe:
-    /// see [`FrameDescriptor::over`].)
+    /// `index < self.len`, the frame at `index` was routed, and the borrowed
+    /// batch must still be alive (see the type-level contract).  The
+    /// returned lifetime is unbounded; the caller must not let it outlive
+    /// the batch.
     pub(crate) unsafe fn view<'a>(&self, index: usize) -> PacketView<'a> {
-        debug_assert!(index < self.len());
-        match *self {
-            PacketSource::Slice { ptr, .. } => PacketView::of_packet(&*ptr.add(index)),
-            PacketSource::Refs { ptr, .. } => PacketView::of_packet(&**ptr.add(index)),
-            PacketSource::Frames {
-                frames,
-                descriptors,
-                ..
-            } => {
-                let frame: WireFrame<'a> = (*descriptors.add(index)).over(&**frames.add(index));
-                PacketView::of_frame(&frame)
-            }
-        }
+        debug_assert!(index < self.len);
+        let routed = *self.frames.add(index);
+        PacketView::of_frame(&routed.descriptor.over(&*routed.bytes))
     }
 }
 
@@ -445,9 +396,10 @@ impl EnforcerCore {
     ///
     /// # Safety
     ///
-    /// Every index must be `< source.len()`, the batch behind `source` must
-    /// outlive the call, `slots` must point at `source.len()` initialized
-    /// verdicts, and no other thread may write the slots of these indexes.
+    /// Every index must name a frame routed into `source`, the batch behind
+    /// `source` must outlive the call, `slots` must point at one initialized
+    /// verdict per frame of the batch, and no other thread may write the
+    /// slots of these indexes.
     pub(crate) unsafe fn run_partition(
         &self,
         shard: usize,
@@ -673,25 +625,19 @@ struct Worker {
 }
 
 /// Producer-side state, serialized by the submission lock: the per-shard
-/// lanes and the buffers reused from batch to batch.
+/// lanes and the buffers reused from batch to batch.  Each buffer is empty
+/// until a batch first needs it.
+#[derive(Default)]
 struct SubmitState {
     lanes: Vec<Lane>,
     /// Per shard, the batch indexes routed to it.
     partitions: Vec<Vec<u32>>,
-    wire: WireScratch,
-}
-
-/// What the byte ingress keeps per batch beside the partitions.  Like them,
-/// each buffer is empty until a batch first needs it and reused afterwards.
-#[derive(Default)]
-pub(crate) struct WireScratch {
-    /// What the submitter's parse established about each frame, by frame
-    /// index, for the worker that inspects it.
-    descriptors: Vec<FrameDescriptor>,
+    /// Each routed frame, by frame index, for the worker that inspects it.
+    frames: Vec<RoutedFrame>,
     /// Frames that failed wire validation, in frame order.
-    pub(crate) failures: Vec<(usize, WireError)>,
+    failures: Vec<(usize, WireError)>,
     /// Frames that parsed but arrived past the overload watermark.
-    pub(crate) shed: Vec<usize>,
+    shed: Vec<usize>,
 }
 
 /// The per-shard worker lanes and the batch routine that feeds them (see
@@ -760,7 +706,7 @@ impl WorkerPool {
             submit: Mutex::new(SubmitState {
                 lanes: (0..shard_count).map(|_| Lane::default()).collect(),
                 partitions: vec![Vec::new(); shard_count],
-                wire: WireScratch::default(),
+                ..SubmitState::default()
             }),
             core: Arc::clone(core),
             live_workers: Arc::new(AtomicUsize::new(0)),
@@ -825,77 +771,87 @@ impl WorkerPool {
         Arc::clone(&self.live_workers)
     }
 
-    /// Take the pool's turn for one batch of `len` packets: the caller
-    /// routes each packet to its shard ([`Submission::route`]) and then runs
-    /// the batch ([`Submission::run`]).  Concurrent submitters wait here.
-    pub(crate) fn begin(&self, len: usize) -> Submission<'_> {
+    /// Take the pool's turn for one batch of `len` frames: the caller
+    /// routes each frame that parsed to its shard
+    /// ([`Submission::route_frame`]), notes the others
+    /// ([`Submission::fail`], [`Submission::shed`]) and then runs the batch
+    /// ([`Submission::run`]).  Concurrent submitters wait here.
+    pub(crate) fn begin<'f>(&self, len: usize) -> Submission<'_, 'f> {
         let mut state = self.submit.lock();
         for partition in state.partitions.iter_mut() {
             partition.clear();
         }
-        let wire = &mut state.wire;
-        wire.descriptors.clear();
-        wire.failures.clear();
-        wire.shed.clear();
+        state.frames.clear();
+        state.failures.clear();
+        state.shed.clear();
         Submission {
             pool: self,
             state,
             len,
             next: 0,
+            frames: PhantomData,
         }
     }
 }
 
 /// One batch's turn on the pool (see [`WorkerPool::begin`]), holding the
-/// submission lock until it drops.
-pub(crate) struct Submission<'p> {
+/// submission lock until it drops.  The frames it routes are borrowed for
+/// `'f`, which every use of the submission — [`Submission::run`] included —
+/// lies within.
+pub(crate) struct Submission<'p, 'f> {
     pool: &'p WorkerPool,
     state: MutexGuard<'p, SubmitState>,
     /// Verdict slots the batch has; every routed index is below it.
     len: usize,
     /// One past the highest index routed so far.
     next: usize,
+    /// The routed frames' bytes, held in `state` as raw pointers.
+    frames: PhantomData<&'f [u8]>,
 }
 
-impl Submission<'_> {
-    /// Route packet `index` of the batch to `shard`.
+impl<'f> Submission<'_, 'f> {
+    /// Route frame `index` of the batch, parsed as `frame`, to `shard`,
+    /// keeping what the parse established so the shard worker does not
+    /// parse the frame again.
     ///
     /// Indexes must arrive in increasing order and below the batch length —
     /// checked here, because it is what makes the partitions disjoint and
     /// in bounds, which the unchecked slot writes of [`Submission::run`]
-    /// rely on.  Indexes may be skipped: a skipped packet is not inspected.
-    pub(crate) fn route(&mut self, shard: usize, index: usize) {
+    /// rely on.  Indexes may be skipped: a skipped frame is not inspected.
+    pub(crate) fn route_frame(&mut self, shard: usize, index: usize, frame: &WireFrame<'f>) {
         assert!(
             self.next <= index && index < self.len,
-            "packets are routed once each, in batch order"
+            "frames are routed once each, in batch order"
         );
         self.next = index + 1;
-        self.state.partitions[shard].push(index as u32);
-    }
-
-    /// [`Submission::route`] for frame `index` of a wire batch, keeping what
-    /// the caller's parse established so the shard worker does not parse
-    /// the frame again.
-    pub(crate) fn route_frame(&mut self, shard: usize, index: usize, frame: &WireFrame<'_>) {
-        self.route(shard, index);
-        let descriptors = &mut self.state.wire.descriptors;
+        let state = &mut *self.state;
+        state.partitions[shard].push(index as u32);
         // Frames skipped since the last routed one keep placeholder slots.
-        descriptors.resize(index, FrameDescriptor::UNPARSED);
-        descriptors.push(frame.descriptor());
+        state.frames.resize(index, RoutedFrame::UNROUTED);
+        state.frames.push(RoutedFrame {
+            bytes: frame.bytes(),
+            descriptor: frame.descriptor(),
+        });
     }
 
-    /// The wire-ingress bookkeeping of this batch.
-    pub(crate) fn wire(&mut self) -> &mut WireScratch {
-        &mut self.state.wire
+    /// Note that frame `index` failed wire validation with `error`.
+    pub(crate) fn fail(&mut self, index: usize, error: WireError) {
+        self.state.failures.push((index, error));
     }
 
-    /// [`Submission::run`] over the wire `frames` the batch was routed from
-    /// with [`Submission::route_frame`].
-    pub(crate) fn run_frames(&mut self, frames: &[&[u8]], out: &mut [Verdict]) {
-        let descriptors = &mut self.state.wire.descriptors;
-        descriptors.resize(frames.len(), FrameDescriptor::UNPARSED);
-        let source = PacketSource::frames(frames, descriptors);
-        self.run(source, out);
+    /// Note that frame `index` parsed but is shed by the overload guard.
+    pub(crate) fn shed(&mut self, index: usize) {
+        self.state.shed.push(index);
+    }
+
+    /// The frames noted with [`Submission::fail`], in frame order.
+    pub(crate) fn failures(&self) -> &[(usize, WireError)] {
+        &self.state.failures
+    }
+
+    /// The frames noted with [`Submission::shed`], in frame order.
+    pub(crate) fn sheds(&self) -> &[usize] {
+        &self.state.shed
     }
 
     /// Inspect the routed batch: hand every busy partition but the last to
@@ -912,18 +868,23 @@ impl Submission<'_> {
     /// them.
     ///
     /// `out` must hold exactly the batch's `len` initialized verdict slots.
-    /// This performs no allocation: the partition buffers are reused, the
-    /// jobs are fixed-size ring slots and the verdicts land in `out`.
-    pub(crate) fn run(&mut self, source: PacketSource, out: &mut [Verdict]) {
+    /// This performs no allocation: the partition and frame buffers are
+    /// reused, the jobs are fixed-size ring slots and the verdicts land in
+    /// `out`.
+    pub(crate) fn run(&mut self, out: &mut [Verdict]) {
         let pool = self.pool;
         let core = &pool.core;
-        assert!(
-            out.len() == self.len && self.len <= source.len(),
-            "one verdict slot and one packet per routable index"
-        );
+        assert_eq!(out.len(), self.len, "one verdict slot per frame");
         let SubmitState {
-            lanes, partitions, ..
+            lanes,
+            partitions,
+            frames,
+            ..
         } = &mut *self.state;
+        let source = PacketSource {
+            frames: frames.as_ptr(),
+            len: frames.len(),
+        };
         let Some(last_busy) = partitions.iter().rposition(|p| !p.is_empty()) else {
             return;
         };
@@ -967,10 +928,10 @@ impl Submission<'_> {
                     health.set_batch_done(true);
                 }
             }
-            // SAFETY: `route` admitted only increasing indexes below
-            // `self.len`, which is `out.len()` and at most `source.len()`,
-            // so indexes are in bounds and no slot is written twice; the
-            // batch is alive for the whole call.
+            // SAFETY: `route_frame` admitted only increasing indexes below
+            // `self.len`, which is `out.len()`, and recorded each one's frame
+            // in `frames`, so indexes are in bounds and routed and no slot
+            // is written twice; the batch is alive for the whole call.
             unsafe { core.run_partition_caught(shard, source, partition, slots) };
         }
     }

@@ -228,7 +228,7 @@ mod tests {
             ];
             // One packet with covert trailing data in the options area.
             let mut covert = packet_with_options();
-            let mut wire = covert.options().to_bytes();
+            let mut wire = covert.options().wire_bytes();
             wire.push(0); // End-of-List
             wire.push(0x5A);
             *covert.options_mut() = bp_netsim::options::IpOptions::parse(&wire).unwrap();
@@ -260,7 +260,7 @@ mod tests {
     fn trailing_covert_data_is_scrubbed() {
         // A packet whose options area smuggles bytes after End-of-List.
         let mut packet = packet_with_options();
-        let mut wire = packet.options().to_bytes();
+        let mut wire = packet.options().wire_bytes();
         wire.push(0); // End-of-List
         wire.extend_from_slice(&[0xDE, 0xAD]);
         *packet.options_mut() = bp_netsim::options::IpOptions::parse(&wire).unwrap();
@@ -281,7 +281,7 @@ mod tests {
         let mut sanitizer = PacketSanitizer::new();
         let mut packet = packet_with_options();
         sanitizer.sanitize(&mut packet);
-        let parsed = Ipv4Packet::parse(&packet.to_bytes()).unwrap();
+        let parsed = crate::wire::decode_frame(&crate::wire::encode(&packet)).unwrap();
         assert!(!parsed.has_context_option());
         assert_eq!(parsed.payload(), b"payload");
     }

@@ -60,7 +60,7 @@ use std::io::{self, Read, Write};
 use bp_netsim::addr::Endpoint;
 use bp_netsim::options::{IpOption, IpOptionKind, IpOptions};
 use bp_netsim::packet::{Ipv4Packet, Protocol};
-pub use bp_types::wire::{WireError, MAX_OPTIONS_AREA};
+pub use bp_types::wire::{rfc1071_checksum, WireError, MAX_OPTIONS_AREA};
 use bp_types::wire::{OPT_END_OF_LIST, OPT_NOOP};
 
 /// Minimum decodable frame: 20-byte base header plus the abbreviated 4-byte
@@ -69,38 +69,20 @@ pub const MIN_FRAME_LEN: usize = Ipv4Packet::BASE_HEADER_LEN + 4;
 
 /// Serialize `packet` to its wire form.
 ///
-/// Unlike the normalizing `Ipv4Packet::to_bytes`, this preserves a set
-/// trailing-data flag as post-EOL non-zero padding, so
+/// A set trailing-data flag is preserved as post-EOL non-zero padding, so
 /// `decode_frame(encode(p)) == p` holds for every expressible packet,
 /// including the covert-channel and duplicate-option adversarial shapes.
+/// A shape the wire cannot carry is written as the nearest frame it can
+/// (see [`Ipv4Packet::write_wire_bytes`]).
 pub fn encode(packet: &Ipv4Packet) -> Vec<u8> {
     packet.wire_bytes()
 }
 
 /// Serialize `packet` into `out` (cleared first) — the reusable-buffer
-/// variant of [`encode`] for recording loops.
+/// variant of [`encode`] for recording loops and the struct batch entry
+/// points.  Once `out` has held a frame as long, it allocates nothing.
 pub fn encode_into(packet: &Ipv4Packet, out: &mut Vec<u8>) {
     packet.write_wire_bytes(out);
-}
-
-/// RFC 1071 ones-complement checksum over `bytes` as they appear on the
-/// wire.  A header with a correct embedded checksum field sums to zero.
-///
-/// Public so tampering tests and fixture generators can forge or repair
-/// checksums without reaching into the packet structs.
-pub fn rfc1071_checksum(bytes: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
-    let mut chunks = bytes.chunks_exact(2);
-    for pair in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([pair[0], pair[1]]));
-    }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
-    }
-    while sum > 0xffff {
-        sum = (sum & 0xffff) + (sum >> 16);
-    }
-    !(sum as u16)
 }
 
 /// A zero-copy validated view over one wire frame.
@@ -168,7 +150,7 @@ impl<'a> WireFrame<'a> {
         let total_len = u16::from_be_bytes([frame[2], frame[3]]) as usize;
         if total_len != frame.len() - 4 {
             // The abbreviated transport header (4 port bytes) is not part of
-            // the IP total-length accounting; see Ipv4Packet::to_bytes.
+            // the IP total-length accounting; see Ipv4Packet::write_wire_bytes.
             return Err(WireError::LengthMismatch);
         }
         Ok(WireFrame {
@@ -255,6 +237,11 @@ impl<'a> WireFrame<'a> {
         }
     }
 
+    /// The frame's bytes, as [`WireFrame::parse`] was given them.
+    pub(crate) fn bytes(&self) -> &'a [u8] {
+        self.frame
+    }
+
     /// What [`WireFrame::parse`] established about the frame, without the
     /// borrow: kept per frame across the hand-off to a shard worker, which
     /// re-attaches it with [`FrameDescriptor::over`] instead of parsing the
@@ -306,9 +293,9 @@ pub(crate) struct FrameDescriptor {
 }
 
 impl FrameDescriptor {
-    /// Fills the slot of a frame that did not parse (or was not admitted)
-    /// in a per-frame descriptor array; such a frame is never inspected, so
-    /// the value is never attached to bytes.
+    /// Fills the batch slot of a frame that did not parse (or was not
+    /// admitted); such a frame is never inspected, so the value is never
+    /// attached to its bytes.
     pub(crate) const UNPARSED: FrameDescriptor = FrameDescriptor {
         header_len: 0,
         protocol: Protocol::Tcp,

@@ -6,8 +6,8 @@
 //! consumers for policy enforcement and packet sanitisation.  This crate
 //! reproduces those mechanisms as a deterministic simulation:
 //!
-//! * [`packet`] — IPv4 packets with an options field, header checksums and a
-//!   wire format.
+//! * [`packet`] — IPv4 packets with an options field and their one wire
+//!   encoder (header checksum included).
 //! * [`options`] — the RFC 791 options area (40-byte budget) and option kinds.
 //! * [`socket`] — sockets with Dalvik-style *lazy* OS-socket creation
 //!   (§II-B1 of the paper): the `socket` syscall is only issued on
@@ -37,10 +37,11 @@
 //!     Endpoint::new([93, 184, 216, 34], 443),
 //!     b"hello".to_vec(),
 //! );
-//! let bytes = pkt.to_bytes();
-//! let parsed = Ipv4Packet::parse(&bytes)?;
-//! assert_eq!(parsed.payload(), b"hello");
-//! # Ok::<(), bp_types::Error>(())
+//! // Header, the two ports, the payload: the wire form the enforcement
+//! // plane parses (`bp-core::wire`).
+//! let bytes = pkt.wire_bytes();
+//! assert_eq!(bytes.len(), pkt.total_len() + 4);
+//! assert!(bytes.ends_with(b"hello"));
 //! ```
 
 #![forbid(unsafe_code)]

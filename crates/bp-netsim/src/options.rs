@@ -125,8 +125,8 @@ pub struct IpOptions {
     /// the hardened kernel never emits anything else — non-zero trailing bytes
     /// are a covert channel riding the options area past the sanitizer
     /// (paper §IV-A4), so parsing surfaces them instead of silently dropping
-    /// them.  Serialization ([`IpOptions::to_bytes`]) never emits such bytes,
-    /// so a serialize → parse round trip normalizes the flag to `false`.
+    /// them.  The wire writer ([`IpOptions::write_wire`]) re-emits the flag
+    /// as such bytes whenever the area has room for them.
     #[serde(default)]
     trailing_data: bool,
 }
@@ -204,7 +204,7 @@ impl IpOptions {
     /// bytes after the End-of-List option would.  Used by the wire decoder
     /// (which parses the options area itself to attribute typed errors) and
     /// by tests constructing the covert-channel shape directly; the flag is
-    /// re-emitted by [`IpOptions::wire_bytes`] so the shape survives an
+    /// re-emitted by [`IpOptions::write_wire`] so the shape survives an
     /// encode → decode round trip.
     pub fn mark_trailing_data(&mut self) {
         self.trailing_data = true;
@@ -223,56 +223,63 @@ impl IpOptions {
         self.trailing_data = false;
     }
 
-    /// Serialize the options area, padded with NOPs to a 4-byte boundary.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.padded_len());
+    /// Append the options area's wire form to `out`: every option in
+    /// order, padded to a 4-byte boundary with No-Ops.  A set
+    /// trailing-data flag is written as an End-of-List marker followed by
+    /// one non-zero byte ([`TRAILING_DATA_MARKER`]) and zero padding — the
+    /// §IV-A4 covert-channel shape, byte-exact — which
+    /// [`IpOptions::parse`] turns back into the flag.
+    ///
+    /// The marker needs an EOL byte plus one trailer inside the 40-byte
+    /// area; when fewer than 2 bytes remain the flag is not written
+    /// (normalized).  An [`IpOptionKind::EndOfList`] entry mid-list is
+    /// written where it stands, so whatever follows it on the wire is
+    /// post-EOL data.
+    ///
+    /// Writes into `out`'s spare capacity: once `out` has held an area as
+    /// long, this allocates nothing.
+    pub fn write_wire(&self, out: &mut Vec<u8>) {
+        let start = out.len();
         for opt in &self.options {
-            match opt.kind {
-                IpOptionKind::EndOfList | IpOptionKind::NoOp => out.push(opt.kind.type_byte()),
-                _ => {
-                    out.push(opt.kind.type_byte());
-                    out.push((opt.data.len() + 2) as u8);
-                    out.extend_from_slice(&opt.data);
-                }
+            out.push(opt.kind.type_byte());
+            if !matches!(opt.kind, IpOptionKind::EndOfList | IpOptionKind::NoOp) {
+                out.push((opt.data.len() + 2) as u8);
+                out.extend_from_slice(&opt.data);
             }
         }
-        while out.len() % 4 != 0 {
-            out.push(IpOptionKind::NoOp.type_byte());
+        let mut padding = OPT_NOOP;
+        if self.writes_marker(out.len() - start) {
+            out.extend_from_slice(&[OPT_END_OF_LIST, TRAILING_DATA_MARKER]);
+            padding = 0;
         }
-        out
+        while (out.len() - start) % 4 != 0 {
+            out.push(padding);
+        }
     }
 
-    /// Serialize the options area in its **wire** form: like
-    /// [`IpOptions::to_bytes`], but a set trailing-data flag is re-emitted
-    /// as an End-of-List marker followed by one non-zero byte
-    /// ([`TRAILING_DATA_MARKER`]) inside the zero padding — the §IV-A4
-    /// covert-channel shape, byte-exact.  [`IpOptions::parse`] of the
-    /// result restores the flag, so the wire codec round-trips shapes
-    /// `to_bytes` normalizes away.
-    ///
-    /// Emitting the marker needs an EOL byte plus one trailer inside the
-    /// 40-byte area; when fewer than 2 bytes remain the flag is dropped
-    /// (normalized), exactly as `to_bytes` always does.
+    /// Whether [`IpOptions::write_wire`] writes the trailing-data marker
+    /// after `used` bytes of options: the flag is set and the area has the
+    /// 2 bytes the marker takes.
+    fn writes_marker(&self, used: usize) -> bool {
+        self.trailing_data && used + 2 <= MAX_OPTIONS_LEN
+    }
+
+    /// Length of the area [`IpOptions::write_wire`] writes, padding
+    /// included.
+    pub(crate) fn wire_len(&self) -> usize {
+        let used = self.encoded_len();
+        let used = if self.writes_marker(used) {
+            used + 2
+        } else {
+            used
+        };
+        (used + 3) & !3
+    }
+
+    /// The options area's wire form (see [`IpOptions::write_wire`]).
     pub fn wire_bytes(&self) -> Vec<u8> {
-        if !self.trailing_data || self.encoded_len() + 2 > MAX_OPTIONS_LEN {
-            return self.to_bytes();
-        }
-        let mut out = Vec::with_capacity((self.encoded_len() + 2 + 3) & !3);
-        for opt in &self.options {
-            match opt.kind {
-                IpOptionKind::EndOfList | IpOptionKind::NoOp => out.push(opt.kind.type_byte()),
-                _ => {
-                    out.push(opt.kind.type_byte());
-                    out.push((opt.data.len() + 2) as u8);
-                    out.extend_from_slice(&opt.data);
-                }
-            }
-        }
-        out.push(IpOptionKind::EndOfList.type_byte());
-        out.push(TRAILING_DATA_MARKER);
-        while out.len() % 4 != 0 {
-            out.push(0);
-        }
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write_wire(&mut out);
         out
     }
 
@@ -367,7 +374,7 @@ mod tests {
         let mut opts = IpOptions::new();
         opts.push(IpOption::new(IpOptionKind::BorderPatrolContext, vec![1, 2, 3, 4, 5]).unwrap())
             .unwrap();
-        let bytes = opts.to_bytes();
+        let bytes = opts.wire_bytes();
         assert_eq!(bytes.len() % 4, 0);
         let parsed = IpOptions::parse(&bytes).unwrap();
         assert_eq!(parsed.len(), 1);
@@ -476,11 +483,47 @@ mod tests {
     }
 
     #[test]
-    fn wire_bytes_without_flag_matches_to_bytes() {
+    fn wire_bytes_without_flag_pads_with_noops() {
         let mut opts = IpOptions::new();
         opts.push(IpOption::new(IpOptionKind::Security, vec![9, 9]).unwrap())
             .unwrap();
-        assert_eq!(opts.wire_bytes(), opts.to_bytes());
+        assert_eq!(opts.wire_bytes(), [OPT_SECURITY, 4, 9, 9]);
+        opts.push(IpOption::new(IpOptionKind::NoOp, vec![]).unwrap())
+            .unwrap();
+        assert_eq!(
+            opts.wire_bytes(),
+            [OPT_SECURITY, 4, 9, 9, OPT_NOOP, 1, 1, 1]
+        );
+    }
+
+    #[test]
+    fn write_wire_appends_and_reuses_the_buffer() {
+        let mut opts = IpOptions::new();
+        opts.push(IpOption::new(IpOptionKind::BorderPatrolContext, vec![1, 2, 3]).unwrap())
+            .unwrap();
+        opts.mark_trailing_data();
+        let mut out = vec![0xAA];
+        opts.write_wire(&mut out);
+        assert_eq!(out[0], 0xAA);
+        assert_eq!(out[1..], opts.wire_bytes());
+        assert_eq!(out.len() - 1, opts.wire_len());
+        let capacity = out.capacity();
+        out.clear();
+        opts.write_wire(&mut out);
+        assert_eq!(out, opts.wire_bytes());
+        assert_eq!(out.capacity(), capacity, "a warm buffer does not grow");
+    }
+
+    #[test]
+    fn mid_list_end_of_list_turns_what_follows_into_trailing_data() {
+        let mut opts = IpOptions::new();
+        opts.push(IpOption::new(IpOptionKind::EndOfList, vec![]).unwrap())
+            .unwrap();
+        opts.push(IpOption::new(IpOptionKind::BorderPatrolContext, vec![7]).unwrap())
+            .unwrap();
+        let parsed = IpOptions::parse(&opts.wire_bytes()).unwrap();
+        assert!(parsed.is_empty());
+        assert!(parsed.has_trailing_data());
     }
 
     #[test]
@@ -512,7 +555,7 @@ mod tests {
     #[test]
     fn empty_options_serialize_to_nothing() {
         let opts = IpOptions::new();
-        assert!(opts.to_bytes().is_empty());
+        assert!(opts.wire_bytes().is_empty());
         assert_eq!(opts.padded_len(), 0);
         assert_eq!(IpOptions::parse(&[]).unwrap(), opts);
     }

@@ -11,7 +11,8 @@ use std::net::Ipv4Addr;
 
 use serde::{Deserialize, Serialize};
 
-use bp_types::{Error, PacketId};
+use bp_types::wire::rfc1071_checksum;
+use bp_types::PacketId;
 
 use crate::addr::Endpoint;
 use crate::options::{IpOptionKind, IpOptions};
@@ -113,7 +114,11 @@ impl serde::SerdeKey for FlowKey {
 ///     vec![0u8; 297],
 /// );
 /// assert_eq!(pkt.payload().len(), 297);
-/// assert!(pkt.verify_checksum());
+///
+/// // Its wire form: header, the two ports, payload — checksummed.
+/// let bytes = pkt.wire_bytes();
+/// assert_eq!(bytes.len(), pkt.total_len() + 4);
+/// assert_eq!(bp_types::wire::rfc1071_checksum(&bytes[..pkt.header_len()]), 0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Ipv4Packet {
@@ -253,67 +258,20 @@ impl Ipv4Packet {
         self.header_len() + self.payload.len()
     }
 
-    fn header_bytes(&self) -> Vec<u8> {
-        let options_bytes = self.options.to_bytes();
-        let ihl_words = (Self::BASE_HEADER_LEN + options_bytes.len()) / 4;
-        let total_len = (Self::BASE_HEADER_LEN + options_bytes.len() + self.payload.len()) as u16;
-
-        let mut header = Vec::with_capacity(Self::BASE_HEADER_LEN + options_bytes.len());
-        header.push(0x40 | ihl_words as u8); // version 4 + IHL
-        header.push(0); // DSCP/ECN
-        header.extend_from_slice(&total_len.to_be_bytes());
-        header.extend_from_slice(&self.identification.to_be_bytes());
-        header.extend_from_slice(&[0, 0]); // flags + fragment offset
-        header.push(self.ttl);
-        header.push(self.protocol.number());
-        header.extend_from_slice(&[0, 0]); // checksum placeholder
-        header.extend_from_slice(&self.source.ip.octets());
-        header.extend_from_slice(&self.destination.ip.octets());
-        header.extend_from_slice(&options_bytes);
-        header
-    }
-
-    /// Compute the RFC 791 ones-complement header checksum.
-    pub fn header_checksum(&self) -> u16 {
-        checksum(&self.header_bytes())
-    }
-
-    /// Verify that the header checksum computed over the current header is
-    /// internally consistent (always true for in-memory packets; exposed so
-    /// wire-level tampering tests have something to assert against).
-    pub fn verify_checksum(&self) -> bool {
-        let mut bytes = self.header_bytes();
-        let ck = checksum(&bytes);
-        bytes[10..12].copy_from_slice(&ck.to_be_bytes());
-        checksum_with_field(&bytes) == 0
-    }
-
-    /// Serialize the packet (header with checksum, ports, payload).
+    /// Serialize the packet's wire form: the RFC 791 header (options area
+    /// from [`IpOptions::write_wire`], checksum filled in), the abbreviated
+    /// transport header (source and destination ports) and the payload.
     ///
-    /// The transport layer is abbreviated: source and destination ports are
-    /// written immediately after the IP header, followed by the payload.
-    ///
-    /// This is the *normalizing* serializer: a set trailing-data flag is
-    /// dropped (the options area is NOP-padded, never EOL-trailed).  The
-    /// wire codec uses [`Ipv4Packet::wire_bytes`], which preserves it.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut header = self.header_bytes();
-        let ck = checksum(&header);
-        header[10..12].copy_from_slice(&ck.to_be_bytes());
-        let mut out = header;
-        out.extend_from_slice(&self.source.port.to_be_bytes());
-        out.extend_from_slice(&self.destination.port.to_be_bytes());
-        out.extend_from_slice(&self.payload);
-        out
-    }
-
-    /// Serialize the packet's **wire** form: like [`Ipv4Packet::to_bytes`]
-    /// but the options area is emitted via [`IpOptions::wire_bytes`], so a
-    /// set trailing-data flag reappears on the wire as post-EOL non-zero
-    /// padding (checksummed like any other header byte).  This is the
-    /// encoder the byte ingress boundary and the capture format use:
-    /// `parse(wire_bytes(p))` reproduces `p` including the covert-channel
-    /// conformance flag.
+    /// This is the one encoder: the byte ingress boundary, the capture
+    /// format and the struct batch entry points all frame packets through
+    /// it, and `bp-core`'s `WireFrame::parse` is its one parser.  A set
+    /// trailing-data flag reappears as post-EOL non-zero padding
+    /// (checksummed like any other header byte), so parsing the result
+    /// reproduces the packet including the covert-channel conformance flag.
+    /// A packet the wire cannot carry is written as the nearest frame it
+    /// can: see [`IpOptions::write_wire`] for the options area; a total
+    /// length past 65 535 is truncated to 16 bits, which the parser rejects
+    /// as a length mismatch.
     pub fn wire_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.write_wire_bytes(&mut out);
@@ -322,96 +280,31 @@ impl Ipv4Packet {
 
     /// Write the wire form into `out` (cleared first) — the reusable-buffer
     /// variant of [`Ipv4Packet::wire_bytes`] for encode loops that frame
-    /// packet after packet.
+    /// packet after packet.  Once `out` has held a frame as long, it
+    /// allocates nothing.
     pub fn write_wire_bytes(&self, out: &mut Vec<u8>) {
         out.clear();
-        let options_bytes = self.options.wire_bytes();
-        let header_len = Self::BASE_HEADER_LEN + options_bytes.len();
-        let total_len = (header_len + self.payload.len()) as u16;
-        out.reserve(header_len + 4 + self.payload.len());
-
-        out.push(0x40 | (header_len / 4) as u8); // version 4 + IHL
-        out.push(0); // DSCP/ECN
-        out.extend_from_slice(&total_len.to_be_bytes());
+        out.reserve(Self::BASE_HEADER_LEN + self.options.wire_len() + 4 + self.payload.len());
+        out.extend_from_slice(&[0x40, 0]); // version 4 + IHL (below), DSCP/ECN
+        out.extend_from_slice(&[0, 0]); // total length (below)
         out.extend_from_slice(&self.identification.to_be_bytes());
         out.extend_from_slice(&[0, 0]); // flags + fragment offset
         out.push(self.ttl);
         out.push(self.protocol.number());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
+        out.extend_from_slice(&[0, 0]); // checksum (below)
         out.extend_from_slice(&self.source.ip.octets());
         out.extend_from_slice(&self.destination.ip.octets());
-        out.extend_from_slice(&options_bytes);
-        let ck = checksum(&out[..header_len]);
-        out[10..12].copy_from_slice(&ck.to_be_bytes());
+        self.options.write_wire(out);
+        let header_len = out.len();
+        out[0] |= (header_len / 4) as u8;
+        let total_len = (header_len + self.payload.len()) as u16;
+        out[2..4].copy_from_slice(&total_len.to_be_bytes());
+        let checksum = rfc1071_checksum(&out[..header_len]);
+        out[10..12].copy_from_slice(&checksum.to_be_bytes());
 
         out.extend_from_slice(&self.source.port.to_be_bytes());
         out.extend_from_slice(&self.destination.port.to_be_bytes());
         out.extend_from_slice(&self.payload);
-    }
-
-    /// Parse a packet from its wire form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Malformed`] on truncation, an invalid IHL, an unknown
-    /// protocol number or a checksum mismatch.
-    pub fn parse(data: &[u8]) -> Result<Self, Error> {
-        if data.len() < Self::BASE_HEADER_LEN + 4 {
-            return Err(Error::malformed(
-                "ipv4 packet",
-                "shorter than minimum header",
-            ));
-        }
-        let version = data[0] >> 4;
-        if version != 4 {
-            return Err(Error::malformed(
-                "ipv4 packet",
-                format!("unsupported version {version}"),
-            ));
-        }
-        let ihl_words = (data[0] & 0x0f) as usize;
-        let header_len = ihl_words * 4;
-        if !(Self::BASE_HEADER_LEN..=Self::BASE_HEADER_LEN + 40).contains(&header_len)
-            || data.len() < header_len + 4
-        {
-            return Err(Error::malformed("ipv4 packet", "invalid header length"));
-        }
-        if checksum_with_field(&data[..header_len]) != 0 {
-            return Err(Error::malformed("ipv4 packet", "header checksum mismatch"));
-        }
-        let total_len = u16::from_be_bytes([data[2], data[3]]) as usize;
-        let identification = u16::from_be_bytes([data[4], data[5]]);
-        let ttl = data[8];
-        let protocol = Protocol::from_number(data[9]).ok_or_else(|| {
-            Error::malformed("ipv4 packet", format!("unknown protocol {}", data[9]))
-        })?;
-        let src_ip = Ipv4Addr::new(data[12], data[13], data[14], data[15]);
-        let dst_ip = Ipv4Addr::new(data[16], data[17], data[18], data[19]);
-        let options = IpOptions::parse(&data[Self::BASE_HEADER_LEN..header_len])?;
-        let src_port = u16::from_be_bytes([data[header_len], data[header_len + 1]]);
-        let dst_port = u16::from_be_bytes([data[header_len + 2], data[header_len + 3]]);
-        let payload_start = header_len + 4;
-        let expected_payload = total_len.saturating_sub(header_len);
-        let payload = data[payload_start..].to_vec();
-        if payload.len() != expected_payload {
-            return Err(Error::malformed(
-                "ipv4 packet",
-                format!(
-                    "payload length {} does not match total length field",
-                    payload.len()
-                ),
-            ));
-        }
-        Ok(Ipv4Packet {
-            id: PacketId::new(0),
-            identification,
-            ttl,
-            protocol,
-            source: Endpoint::from_ip(src_ip, src_port),
-            destination: Endpoint::from_ip(dst_ip, dst_port),
-            options,
-            payload,
-        })
     }
 }
 
@@ -427,28 +320,6 @@ impl fmt::Display for Ipv4Packet {
             self.options.encoded_len()
         )
     }
-}
-
-/// RFC 1071 internet checksum of `data` (assuming the checksum field is zero).
-fn checksum(data: &[u8]) -> u16 {
-    checksum_with_field(data)
-}
-
-/// RFC 1071 internet checksum over `data` as-is (used to verify: result is 0
-/// when the embedded checksum field is correct).
-fn checksum_with_field(data: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for chunk in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([chunk[0], chunk[1]]));
-    }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
-    }
-    while sum >> 16 != 0 {
-        sum = (sum & 0xffff) + (sum >> 16);
-    }
-    !(sum as u16)
 }
 
 #[cfg(test)]
@@ -469,19 +340,54 @@ mod tests {
         p
     }
 
+    /// The header fields of a wire form, read back by hand (the parser
+    /// proper lives in `bp-core::wire`): IHL in bytes, total length,
+    /// identification, TTL, protocol number, source and destination
+    /// endpoints, the options area and the payload.
+    #[allow(clippy::type_complexity)]
+    fn fields(bytes: &[u8]) -> (usize, u16, u16, u8, u8, Endpoint, Endpoint, &[u8], &[u8]) {
+        let header_len = usize::from(bytes[0] & 0x0f) * 4;
+        let word = |at: usize| u16::from_be_bytes([bytes[at], bytes[at + 1]]);
+        let ip = |at: usize| [bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]];
+        (
+            header_len,
+            word(2),
+            word(4),
+            bytes[8],
+            bytes[9],
+            Endpoint::new(ip(12), word(header_len)),
+            Endpoint::new(ip(16), word(header_len + 2)),
+            &bytes[Ipv4Packet::BASE_HEADER_LEN..header_len],
+            &bytes[header_len + 4..],
+        )
+    }
+
     #[test]
     fn roundtrip_with_options() {
         let p = sample_packet();
-        let bytes = p.to_bytes();
-        let parsed = Ipv4Packet::parse(&bytes).unwrap();
-        assert_eq!(parsed.source(), p.source());
-        assert_eq!(parsed.destination(), p.destination());
-        assert_eq!(parsed.identification(), 0x1234);
-        assert_eq!(parsed.payload(), p.payload());
-        assert!(parsed.has_context_option());
+        let bytes = p.wire_bytes();
+        assert_eq!(bytes[0] >> 4, 4);
+        let (
+            header_len,
+            total_len,
+            identification,
+            ttl,
+            protocol,
+            source,
+            destination,
+            area,
+            payload,
+        ) = fields(&bytes);
+        assert_eq!(header_len, p.header_len());
+        assert_eq!(usize::from(total_len), p.total_len());
+        assert_eq!(identification, 0x1234);
+        assert_eq!((ttl, protocol), (64, Protocol::Tcp.number()));
+        assert_eq!((source, destination), (p.source(), p.destination()));
+        assert_eq!(payload, p.payload());
+        let options = IpOptions::parse(area).unwrap();
+        assert_eq!(&options, p.options());
         assert_eq!(
-            parsed
-                .options()
+            options
                 .find(IpOptionKind::BorderPatrolContext)
                 .unwrap()
                 .data,
@@ -496,73 +402,82 @@ mod tests {
             Endpoint::new([8, 8, 8, 8], 53),
             vec![],
         );
-        let parsed = Ipv4Packet::parse(&p.to_bytes()).unwrap();
-        assert!(!parsed.has_context_option());
-        assert_eq!(parsed.header_len(), Ipv4Packet::BASE_HEADER_LEN);
-        assert!(parsed.payload().is_empty());
+        let bytes = p.wire_bytes();
+        let (header_len, total_len, .., area, payload) = fields(&bytes);
+        assert_eq!(header_len, Ipv4Packet::BASE_HEADER_LEN);
+        assert_eq!(usize::from(total_len), Ipv4Packet::BASE_HEADER_LEN);
+        assert!(area.is_empty());
+        assert!(payload.is_empty());
     }
 
     #[test]
     fn wire_bytes_preserves_trailing_data_through_parse() {
         let mut p = sample_packet();
         p.options_mut().mark_trailing_data();
-        // `to_bytes` normalizes the covert-channel flag away …
-        assert!(!Ipv4Packet::parse(&p.to_bytes())
-            .unwrap()
-            .options()
-            .has_trailing_data());
-        // … `wire_bytes` preserves it, with a valid checksum over the
-        // trailer bytes.
-        let parsed = Ipv4Packet::parse(&p.wire_bytes()).unwrap();
-        assert!(parsed.options().has_trailing_data());
-        assert_eq!(
-            parsed
-                .options()
-                .find(IpOptionKind::BorderPatrolContext)
-                .unwrap()
-                .data,
-            vec![1, 2, 3, 4, 5, 6]
-        );
-        assert_eq!(parsed.payload(), p.payload());
+        // The flag reappears on the wire as post-EOL bytes, with a valid
+        // checksum over the trailer bytes.
+        let bytes = p.wire_bytes();
+        let (header_len, .., area, payload) = fields(&bytes);
+        assert_eq!(rfc1071_checksum(&bytes[..header_len]), 0);
+        let options = IpOptions::parse(area).unwrap();
+        assert!(options.has_trailing_data());
+        assert_eq!(&options, p.options());
+        assert_eq!(payload, p.payload());
     }
 
     #[test]
-    fn wire_bytes_equals_to_bytes_without_trailing_data() {
+    fn wire_bytes_allocates_the_frame_exactly() {
+        let mut p = sample_packet();
+        for trailing in [false, true] {
+            if trailing {
+                p.options_mut().mark_trailing_data();
+            }
+            let bytes = p.wire_bytes();
+            assert_eq!(bytes.capacity(), bytes.len(), "trailing data: {trailing}");
+        }
+    }
+
+    #[test]
+    fn write_wire_bytes_clears_and_reuses_the_buffer() {
         let p = sample_packet();
-        assert_eq!(p.wire_bytes(), p.to_bytes());
-        let mut reused = Vec::new();
+        let mut reused = vec![0xAA; 3];
         p.write_wire_bytes(&mut reused);
-        assert_eq!(reused, p.to_bytes());
-        // The buffer is cleared on reuse, not appended to.
+        assert_eq!(reused, p.wire_bytes());
+        // The buffer is cleared on reuse, not appended to, and a warm one
+        // does not grow.
+        let capacity = reused.capacity();
         p.write_wire_bytes(&mut reused);
-        assert_eq!(reused, p.to_bytes());
+        assert_eq!(reused, p.wire_bytes());
+        assert_eq!(reused.capacity(), capacity);
     }
 
     #[test]
     fn set_ttl_round_trips_on_the_wire() {
         let mut p = sample_packet();
         p.set_ttl(7);
-        let parsed = Ipv4Packet::parse(&p.wire_bytes()).unwrap();
-        assert_eq!(parsed.ttl(), 7);
+        let (_, _, _, ttl, ..) = fields(&p.wire_bytes());
+        assert_eq!(ttl, 7);
     }
 
     #[test]
     fn checksum_detects_corruption() {
         let p = sample_packet();
-        let mut bytes = p.to_bytes();
+        let mut bytes = p.wire_bytes();
         bytes[13] ^= 0x01; // flip a bit in the source address
-        assert!(Ipv4Packet::parse(&bytes).is_err());
+        assert_ne!(rfc1071_checksum(&bytes[..p.header_len()]), 0);
     }
 
     #[test]
-    fn parse_rejects_truncation_and_garbage() {
-        let p = sample_packet();
-        let bytes = p.to_bytes();
-        assert!(Ipv4Packet::parse(&bytes[..10]).is_err());
-        assert!(Ipv4Packet::parse(&[]).is_err());
-        let mut v6 = bytes.clone();
-        v6[0] = 0x65;
-        assert!(Ipv4Packet::parse(&v6).is_err());
+    fn total_length_past_the_field_wraps() {
+        let p = Ipv4Packet::new(
+            Endpoint::new([10, 0, 0, 2], 40001),
+            Endpoint::new([8, 8, 8, 8], 53),
+            vec![0; 70_000],
+        );
+        let bytes = p.wire_bytes();
+        let (_, total_len, ..) = fields(&bytes);
+        assert_eq!(usize::from(total_len), p.total_len() % 65_536);
+        assert_eq!(bytes.len(), p.total_len() + 4);
     }
 
     #[test]
@@ -597,7 +512,8 @@ mod tests {
 
     #[test]
     fn verify_checksum_on_constructed_packets() {
-        assert!(sample_packet().verify_checksum());
+        let p = sample_packet();
+        assert_eq!(rfc1071_checksum(&p.wire_bytes()[..p.header_len()]), 0);
     }
 
     #[test]

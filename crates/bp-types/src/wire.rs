@@ -35,6 +35,30 @@ pub const OPT_BP_CONTEXT: u8 = 0x9e;
 /// Maximum total size of the IPv4 options area in bytes (RFC 791).
 pub const MAX_OPTIONS_AREA: usize = 40;
 
+/// RFC 1071 ones-complement checksum over `bytes` as they appear on the
+/// wire.  A header with a correct embedded checksum field sums to zero; a
+/// header whose checksum field is zero sums to the value that belongs there.
+///
+/// The one checksum of the workspace: the encoder in `bp-netsim` writes it,
+/// the frame parser in `bp-core::wire` verifies it, and tampering tests and
+/// fixture generators forge or repair it.  `#[inline]` so the parser, one
+/// crate over, keeps it in its per-frame loop.
+#[inline]
+pub fn rfc1071_checksum(bytes: &[u8]) -> u16 {
+    let mut sum: u32 = 0;
+    let mut chunks = bytes.chunks_exact(2);
+    for pair in &mut chunks {
+        sum += u32::from(u16::from_be_bytes([pair[0], pair[1]]));
+    }
+    if let [last] = chunks.remainder() {
+        sum += u32::from(u16::from_be_bytes([*last, 0]));
+    }
+    while sum > 0xffff {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    !(sum as u16)
+}
+
 /// Why a byte frame failed to decode into a packet.
 ///
 /// Produced by the zero-copy wire decoder in `bp-core::wire`; every variant

@@ -17,21 +17,5 @@
 use borderpatrol::analysis::experiments::case_cloud;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    for result in case_cloud::run()? {
-        println!("{}", result.to_table());
-
-        let borderpatrol = result
-            .outcome(case_cloud::Mechanism::BorderPatrol)
-            .expect("BorderPatrol outcome present");
-        assert!(
-            borderpatrol.upload_blocked_everything_else_intact(),
-            "BorderPatrol must block only the upload for {}",
-            result.app
-        );
-        println!(
-            "{}: BorderPatrol blocked the upload and preserved auth/browse/download.\n",
-            result.app
-        );
-    }
-    Ok(())
+    case_cloud::transcript(&mut std::io::stdout().lock())
 }

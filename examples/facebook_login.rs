@@ -12,23 +12,5 @@
 use borderpatrol::analysis::experiments::case_facebook;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let extracted = case_facebook::extract_analytics_policy();
-    println!(
-        "Policy Extractor derived {} policy rule(s):",
-        extracted.len()
-    );
-    for policy in extracted.iter() {
-        println!("  {policy}");
-    }
-    println!();
-
-    let result = case_facebook::run()?;
-    println!("{}", result.to_table());
-
-    assert!(result.borderpatrol_wins());
-    println!(
-        "BorderPatrol preserved \"Login with Facebook\" and calendar sync while dropping the analytics beacons;\n\
-         the endpoint-blocking baseline broke authentication."
-    );
-    Ok(())
+    case_facebook::transcript(&mut std::io::stdout().lock())
 }

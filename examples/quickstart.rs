@@ -11,101 +11,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use borderpatrol::analysis::testbed::{Deployment, Testbed};
-use borderpatrol::appsim::app::{AppCategory, AppSpec};
-use borderpatrol::appsim::functionality::{CallChainBuilder, Functionality, FunctionalityKind};
-use borderpatrol::core::enforcer::EnforcerConfig;
-use borderpatrol::core::policy::{Policy, PolicySet};
-
-fn sample_app() -> AppSpec {
-    let main_package = "com/acme/notes";
-    AppSpec::new("com.acme.notes", AppCategory::Business, 2_000_000)
-        .with_library("com/flurry")
-        .with_functionality(Functionality::new(
-            "sync-notes",
-            FunctionalityKind::Sync,
-            "api.acme.example",
-            CallChainBuilder::ui_entry(main_package, "NotesActivity", "onRefresh")
-                .then("com/acme/notes/sync", "NoteSyncClient", "pull", "", "V")
-                .build(),
-            800,
-        ))
-        .with_functionality(Functionality::new(
-            "flurry-beacon",
-            FunctionalityKind::Analytics,
-            "data.flurry.com",
-            CallChainBuilder::ui_entry(main_package, "NotesActivity", "onResume")
-                .then(
-                    "com/flurry",
-                    "FlurryAgent",
-                    "onStartSession",
-                    "Landroid/content/Context;",
-                    "V",
-                )
-                .then(
-                    "com/flurry/sdk",
-                    "Transport",
-                    "send",
-                    "Ljava/lang/String;",
-                    "V",
-                )
-                .build(),
-            256,
-        ))
-}
+use borderpatrol::analysis::experiments::quickstart;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // The policy from Snippet 1, Example 1 of the paper.
-    let policy: Policy = r#"{[deny][library]["com/flurry"]}"#.parse()?;
-    println!("Installed policy: {policy}\n");
-
-    let mut testbed = Testbed::new(Deployment::BorderPatrol {
-        policies: PolicySet::from_policies(vec![policy]),
-        config: EnforcerConfig::default(),
-    });
-
-    let app = testbed.install_app(sample_app())?;
-    println!(
-        "Offline Analyzer indexed {} application(s); signature database entries: {}",
-        testbed.database().len(),
-        testbed
-            .database()
-            .iter()
-            .map(|(_, e)| e.signatures.len())
-            .sum::<usize>()
-    );
-
-    // Exercise both functionalities.
-    let sync = testbed.run(app, "sync-notes")?;
-    let beacon = testbed.run(app, "flurry-beacon")?;
-
-    println!(
-        "\nsync-notes     → delivered: {} packet(s), dropped: {}",
-        sync.packets_delivered, sync.packets_dropped
-    );
-    println!(
-        "flurry-beacon  → delivered: {} packet(s), dropped: {} (by {})",
-        beacon.packets_delivered,
-        beacon.packets_dropped,
-        beacon.dropped_by.clone().unwrap_or_else(|| "-".to_string())
-    );
-
-    let stats = testbed.enforcer_stats().expect("BorderPatrol deployed");
-    println!(
-        "\nPolicy Enforcer: {} packet(s) inspected, {} dropped by policy",
-        stats.packets_inspected, stats.dropped_by_policy
-    );
-    for reason in testbed.enforcer_drop_log() {
-        println!("  drop reason: {reason}");
-    }
-    println!(
-        "Packet Sanitizer stripped the context option from {} packet(s); {} tagged packet(s) reached the WAN",
-        testbed.sanitizer_stats().map(|s| s.options_stripped).unwrap_or(0),
-        testbed.network.post_chain_capture().packets_with_context(),
-    );
-
-    assert!(sync.fully_delivered());
-    assert!(beacon.fully_blocked());
-    println!("\nQuickstart succeeded: analytics blocked, app functionality intact.");
-    Ok(())
+    quickstart::transcript(&mut std::io::stdout().lock())
 }

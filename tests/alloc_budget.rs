@@ -12,6 +12,10 @@
 //! first sighting of a context is the slow path and may allocate (it
 //! renders the deny reason once); it is held to the parent's count.
 //!
+//! The struct batch entry points — `ShardedEnforcer::inspect_batch_into` and
+//! the filter chain's `QueueHandler::handle_batch_into` — are held to the
+//! same zero over cached flows.
+//!
 //! The control plane's compiler is held to a budget too: a full
 //! `PolicySet::compile` allocates a fixed handful of buffers, sized up front,
 //! however many rules it compiles.
@@ -26,12 +30,15 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use borderpatrol::core::encoding::ContextEncoding;
-use borderpatrol::core::enforcer::{EnforcerConfig, EnforcerStats, DROP_LOG_CAPACITY};
+use borderpatrol::core::enforcer::{
+    EnforcementTables, EnforcerConfig, EnforcerStats, ShardedEnforcer, DROP_LOG_CAPACITY,
+};
 use borderpatrol::core::flow::FlowTableConfig;
 use borderpatrol::core::policy::{Policy, PolicySet};
 use borderpatrol::core::wire::{self, WireError};
-use borderpatrol::netsim::netfilter::Verdict;
+use borderpatrol::netsim::netfilter::{QueueHandler, Verdict};
 use borderpatrol::netsim::options::{IpOption, IpOptionKind};
+use borderpatrol::netsim::packet::Ipv4Packet;
 use borderpatrol::types::{ApkHash, EnforcementLevel};
 use borderpatrol::Engine;
 
@@ -115,21 +122,37 @@ fn mixed_rule_set(n: usize) -> PolicySet {
     )
 }
 
+fn policies() -> PolicySet {
+    PolicySet::from_policies(vec![Policy::deny(
+        EnforcementLevel::Class,
+        "com/facebook/appevents",
+    )])
+}
+
+fn flow_config() -> FlowTableConfig {
+    FlowTableConfig {
+        capacity: FLOW_CAPACITY,
+        ..FlowTableConfig::default()
+    }
+}
+
 fn engine(shards: usize) -> Engine {
     let (db, _, _) = solcalendar_fixture();
     Engine::builder()
         .shards(shards)
         .database(db.clone())
-        .policies(PolicySet::from_policies(vec![Policy::deny(
-            EnforcementLevel::Class,
-            "com/facebook/appevents",
-        )]))
+        .policies(policies())
         .config(EnforcerConfig::strict())
-        .flow_config(FlowTableConfig {
-            capacity: FLOW_CAPACITY,
-            ..FlowTableConfig::default()
-        })
+        .flow_config(flow_config())
         .build()
+}
+
+/// The engine's data plane on its own, for the entry points that take it by
+/// `&mut` (the filter chain's [`QueueHandler`]).
+fn enforcer(shards: usize) -> ShardedEnforcer {
+    let (db, _, _) = solcalendar_fixture();
+    let tables = EnforcementTables::shared(db, &policies(), EnforcerConfig::strict());
+    ShardedEnforcer::with_flow_config(tables, shards, flow_config())
 }
 
 /// `BATCH` frames over 64 flows, each built by `shape` from its flow number.
@@ -209,6 +232,26 @@ fn steady_state_allocations(engine: &Engine, frames: &[Vec<u8>]) -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
+/// [`steady_state_allocations`] for a struct batch entry point: run `batch`
+/// on `enforcer` until every shard [`is_warm`], then count the allocations
+/// of `MEASURED_BATCHES` more.
+fn struct_steady_state_allocations(
+    enforcer: &mut ShardedEnforcer,
+    mut batch: impl FnMut(&mut ShardedEnforcer),
+) -> u64 {
+    loop {
+        batch(enforcer);
+        if enforcer.shard_stats().iter().all(is_warm) {
+            break;
+        }
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..MEASURED_BATCHES {
+        batch(enforcer);
+    }
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
 #[test]
 fn byte_ingress_stays_within_its_allocation_budget() {
     // First, before any engine starts a worker: a full compilation allocates
@@ -245,6 +288,26 @@ fn byte_ingress_stays_within_its_allocation_budget() {
         let stats = engine.stats();
         assert_eq!(stats.packets_accepted, stats.packets_inspected);
         assert_eq!(stats.flow_misses, 64);
+    }
+
+    // The struct entry points over the same cached flows: a batch of
+    // `Ipv4Packet`s, and the filter chain's batch of `&mut Ipv4Packet`.
+    let packets: Vec<Ipv4Packet> = (0..BATCH as u16)
+        .map(|n| tagged_packet(n % 64, login))
+        .collect();
+    for shards in [1, 2] {
+        let mut verdicts = Vec::new();
+        let inspected = struct_steady_state_allocations(&mut enforcer(shards), |enforcer| {
+            enforcer.inspect_batch_into(&packets, &mut verdicts)
+        });
+        assert_eq!(inspected, 0, "inspect_batch_into, {shards} shard(s)");
+        let mut owned = packets.clone();
+        let mut handles: Vec<&mut Ipv4Packet> = owned.iter_mut().collect();
+        let handled = struct_steady_state_allocations(&mut enforcer(shards), |enforcer| {
+            enforcer.handle_batch_into(&mut handles, &mut verdicts)
+        });
+        assert_eq!(handled, 0, "handle_batch_into, {shards} shard(s)");
+        assert!(verdicts.iter().all(Verdict::is_accept));
     }
 
     let engine = self::engine(2);

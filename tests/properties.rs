@@ -14,6 +14,7 @@ mod common;
 use borderpatrol::core::offline::SignatureDatabase;
 use borderpatrol::core::policy::{Policy, PolicyAction, PolicySet};
 use borderpatrol::core::sanitizer::PacketSanitizer;
+use borderpatrol::core::wire;
 use borderpatrol::dex::{DexBuilder, DexFile, MethodTable};
 use borderpatrol::netsim::addr::Endpoint;
 use borderpatrol::netsim::netfilter::Verdict;
@@ -198,7 +199,7 @@ proptest! {
                 .push(IpOption::new(IpOptionKind::BorderPatrolContext, option_data.clone()).unwrap())
                 .unwrap();
         }
-        let parsed = Ipv4Packet::parse(&packet.to_bytes()).unwrap();
+        let parsed = wire::decode_frame(&wire::encode(&packet)).unwrap();
         prop_assert_eq!(parsed.payload(), &payload[..]);
         prop_assert_eq!(parsed.source(), packet.source());
         prop_assert_eq!(parsed.destination(), packet.destination());
@@ -219,7 +220,7 @@ proptest! {
             prop_assert!(options.encoded_len() <= MAX_OPTIONS_LEN);
             prop_assert!(options.padded_len() <= MAX_OPTIONS_LEN);
         }
-        let reparsed = IpOptions::parse(&options.to_bytes()).unwrap();
+        let reparsed = IpOptions::parse(&options.wire_bytes()).unwrap();
         prop_assert_eq!(reparsed.encoded_len(), options.encoded_len());
     }
 
@@ -278,7 +279,7 @@ proptest! {
     #[test]
     fn dex_parser_never_panics_on_arbitrary_bytes(data in prop::collection::vec(any::<u8>(), 0..200)) {
         let _ = DexFile::parse(&data);
-        let _ = Ipv4Packet::parse(&data);
+        let _ = wire::decode_frame(&data);
     }
 
     #[test]

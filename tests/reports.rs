@@ -144,6 +144,43 @@ fn every_seeded_report_matches_its_committed_digest() {
     );
 }
 
+/// A live run and the replay of its capture are the same run: the byte
+/// ingress is the one a batch takes either way, so every `live` digest
+/// equals the `replay` digest of its configuration.  Read from the
+/// committed digests, which the test above holds the runs to.
+#[test]
+fn every_live_report_equals_its_replay() {
+    let digests = committed("digests.txt");
+    let mut live = Vec::new();
+    let mut replay = Vec::new();
+    for line in digests.lines() {
+        let (config, digest) = line.rsplit_once(' ').expect("config and digest");
+        let (config, mode) = config.rsplit_once(' ').expect("config and mode");
+        match mode {
+            "live" => live.push((config, digest)),
+            _ => replay.push((config, digest)),
+        }
+    }
+    assert_eq!(live.len(), 96);
+    assert_eq!(
+        live.iter().map(|(config, _)| config).collect::<Vec<_>>(),
+        replay.iter().map(|(config, _)| config).collect::<Vec<_>>(),
+        "one replay per live run"
+    );
+    let diverged: Vec<&str> = live
+        .iter()
+        .zip(&replay)
+        .filter(|(live, replay)| live.1 != replay.1)
+        .map(|(live, _)| live.0)
+        .collect();
+    assert!(
+        diverged.is_empty(),
+        "{} live report(s) differ from their replay:\n{}",
+        diverged.len(),
+        diverged.join("\n")
+    );
+}
+
 #[test]
 fn one_report_per_kind_matches_its_committed_render() {
     for kind in KINDS {

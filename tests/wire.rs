@@ -590,9 +590,6 @@ fn corpus_decodes_with_exact_error_attribution_and_never_panics() {
         match expect {
             Expect::Fail(error) => {
                 assert_eq!(wire::decode_frame(&committed), Err(error), "{name}");
-                // The struct-path parser agrees the frame is bad: the byte
-                // boundary is never *more* permissive.
-                assert!(Ipv4Packet::parse(&committed).is_err(), "{name}");
             }
             Expect::TrailingData => {
                 let packet = wire::decode_frame(&committed).expect(name);
