@@ -51,10 +51,13 @@
 //! [`EnforcementTables::inspect_flow_cached`] consults after the probe has
 //! missed, so each shard evaluates a context once per generation rather than
 //! once per flow; a commit re-evaluates per context, not per flow.  It is
-//! not a flow hit — every flow counter reads as it did — and
-//! [`EnforcementTables::inspect_packet`] never consults it: that stays the
-//! full pipeline the oracles compare against and the benchmark's
-//! `enforcer.slow_path_ns_per_pkt` prices.
+//! not a flow hit — every flow counter reads as it did.
+//! `inspect_flow_cached` takes a parsed [`WireFrame`](crate::wire::WireFrame):
+//! every [`ShardedEnforcer`] entry point, inline or batched, judges a packet
+//! as the frame it encodes to.  [`EnforcementTables::inspect_packet`] is the
+//! one path that judges an owned packet, and it never consults the memo:
+//! it stays the full pipeline the oracles compare against and the
+//! benchmark's `enforcer.slow_path_ns_per_pkt` prices.
 //!
 //! The flow table doubles as a **replay detector**: the set-once hardened
 //! kernel injects the context exactly once per socket, so a payload change

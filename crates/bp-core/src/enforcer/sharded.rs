@@ -25,15 +25,19 @@ use crate::telemetry::{TelemetryCell, TelemetrySnapshot};
 use crate::wire::{self, WireFrame};
 
 /// Everything one shard mutates while inspecting: counters, drop log,
-/// decode scratch and flow table.  It only ever exists inside
-/// [`EnforcerShard`]'s one mutex, so whoever holds a `&mut ShardState` is
-/// the shard's owner for as long as the guard lives — the sole counter
-/// writer, the sole drop-log writer and the sole telemetry publisher.
+/// decode scratch, inline encode buffer and flow table.  It only ever
+/// exists inside [`EnforcerShard`]'s one mutex, so whoever holds a
+/// `&mut ShardState` is the shard's owner for as long as the guard lives —
+/// the sole counter writer, the sole drop-log writer and the sole telemetry
+/// publisher.
 #[derive(Debug)]
 pub(crate) struct ShardState {
     pub(crate) counters: EnforcerCounters,
     pub(crate) drop_log: DropLog,
     pub(crate) scratch: Vec<u32>,
+    /// The frame an inline `inspect` encodes its packet into, reused from
+    /// call to call.
+    frame: Vec<u8>,
     pub(crate) flow: FlowTable,
 }
 
@@ -65,6 +69,7 @@ impl EnforcerShard {
                 counters: EnforcerCounters::default(),
                 drop_log: DropLog::default(),
                 scratch: Vec::new(),
+                frame: Vec::new(),
                 flow: FlowTable::new(config),
             }),
             telemetry: TelemetryCell::default(),
@@ -144,21 +149,26 @@ impl EnforcerCore {
         (hashed >> 32) as usize % self.shards.len()
     }
 
-    /// Inspect one packet inline on its flow's shard (flow-cached),
-    /// publishing the shard's telemetry snapshot before the lock drops —
-    /// one inline inspect is its own batch.
+    /// Inspect one packet inline on its flow's shard as the frame it
+    /// encodes to (see [`ShardedEnforcer::inspect`]), publishing the shard's
+    /// telemetry snapshot before the lock drops — one inline inspect is its
+    /// own batch.
     pub(crate) fn inspect(&self, packet: &Ipv4Packet) -> Verdict {
         let tables = self.tables();
         let shard = &self.shards[self.shard_for_source(packet.source())];
         let state = &mut *shard.lock_state();
-        let verdict = tables.inspect_flow_cached(
-            packet,
-            &mut state.flow,
-            self.now(),
-            &mut state.scratch,
-            &state.counters,
-            &mut state.drop_log,
-        );
+        wire::encode_into(packet, &mut state.frame);
+        let verdict = match WireFrame::parse(&state.frame) {
+            Ok(frame) => tables.inspect_flow_cached(
+                &frame,
+                &mut state.flow,
+                self.now(),
+                &mut state.scratch,
+                &state.counters,
+                &mut state.drop_log,
+            ),
+            Err(error) => charge_wire_drop(&state.counters, &mut state.drop_log, error),
+        };
         shard.publish(state, tables.epoch());
         verdict
     }
@@ -342,6 +352,17 @@ impl ShardedEnforcer {
     }
 
     /// Inspect one packet inline on its flow's shard (flow-cached).
+    ///
+    /// Like a struct batch, the packet is judged as the frame it encodes
+    /// to, so every entry point gives it one verdict: under its shard's
+    /// lock, and no other, it is written with [`wire::encode_into`] into a
+    /// buffer the shard reuses from call to call and inspected through
+    /// [`WireFrame::parse`].  A packet longer than 65 535 bytes fails the
+    /// parse: an attributed [`EnforcerStats::dropped_wire`] drop charged to
+    /// the packet's own shard, where a batch charges it to shard 0 — the
+    /// merged statistics agree, the per-shard ones differ.  An armed fault
+    /// plan's wire corruption never fires inline: it stays a function of
+    /// the batch frames.  Warm, over a cached flow, this allocates nothing.
     pub fn inspect(&self, packet: &Ipv4Packet) -> Verdict {
         self.core.inspect(packet)
     }
@@ -606,6 +627,8 @@ impl QueueHandler for ShardedEnforcer {
         "policy-enforcer"
     }
 
+    /// One packet, judged inline as the frame it encodes to, like
+    /// [`ShardedEnforcer::inspect`].  The enforcer only reads the packet.
     fn handle(&mut self, packet: &mut Ipv4Packet) -> Verdict {
         ShardedEnforcer::inspect(self, packet)
     }
@@ -616,5 +639,139 @@ impl QueueHandler for ShardedEnforcer {
     /// reads the packets.
     fn handle_batch_into(&mut self, packets: &mut [&mut Ipv4Packet], verdicts: &mut Vec<Verdict>) {
         self.inspect_encoded(packets.iter().map(|packet| &**packet), verdicts);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Every entry point that takes a packet gives it one verdict: the
+    //! verdict of the frame it encodes to.
+
+    use bp_netsim::addr::Endpoint;
+    use bp_netsim::netfilter::{QueueHandler, Verdict};
+    use bp_netsim::options::{IpOption, IpOptionKind, MAX_OPTIONS_LEN};
+    use bp_netsim::packet::Ipv4Packet;
+    use bp_types::EnforcementLevel;
+
+    use super::super::tests::{solcalendar_fixture, tagged_packet, untagged_packet, Legacy};
+    use super::*;
+    use crate::policy::Policy;
+    use crate::wire::WireError;
+
+    /// One packet through every entry point that takes a struct — the two
+    /// batch ones and the two inline ones — each on an enforcer of its own:
+    /// the verdict (which all four must agree on, with the same merged
+    /// statistics) and the first enforcer's statistics and drop log.
+    fn struct_batch_outcome(
+        db: &SignatureDatabase,
+        policies: &PolicySet,
+        packet: &Ipv4Packet,
+    ) -> (Verdict, EnforcerStats, Vec<String>) {
+        let fresh = || ShardedEnforcer::from_parts(db, policies, EnforcerConfig::default(), 2);
+        let batched = fresh();
+        let verdicts = batched.inspect_batch(std::slice::from_ref(packet));
+        let [verdict] = <[Verdict; 1]>::try_from(verdicts).expect("one verdict");
+        let stats = batched.stats();
+        assert_eq!(
+            stats.packets_inspected,
+            stats.packets_accepted + stats.total_dropped(),
+            "conservation"
+        );
+        assert_eq!(stats.packets_inspected, 1);
+
+        let mut handler = fresh();
+        let mut handled = Vec::new();
+        handler.handle_batch_into(&mut [&mut packet.clone()], &mut handled);
+        assert_eq!(
+            handled,
+            std::slice::from_ref(&verdict),
+            "the filter chain's batch agrees"
+        );
+        assert_eq!(handler.stats(), stats);
+        let inline = fresh();
+        assert_eq!(inline.inspect(packet), verdict, "inline inspect agrees");
+        assert_eq!(inline.stats(), stats);
+        let mut handler = fresh();
+        let handled = handler.handle(&mut packet.clone());
+        assert_eq!(handled, verdict, "the filter chain's handle agrees");
+        assert_eq!(handler.stats(), stats);
+        (verdict, stats, batched.drop_log())
+    }
+
+    /// A packet is judged as the frame it encodes to: its verdict and drop
+    /// log are the legacy oracle's over `decode_frame(encode(packet))`, and
+    /// so are the outcome counters.
+    fn assert_judged_as_its_frame(packet: &Ipv4Packet) -> Verdict {
+        let (db, _, _) = solcalendar_fixture();
+        let policies = PolicySet::from_policies(vec![Policy::deny(
+            EnforcementLevel::Class,
+            "com/facebook/appevents",
+        )]);
+        let frame = wire::decode_frame(&wire::encode(packet)).expect("the frame parses");
+        let mut legacy = Legacy::new(db.clone(), policies.clone(), EnforcerConfig::default());
+        let expected = legacy.inspect(&frame);
+        let (verdict, stats, drop_log) = struct_batch_outcome(&db, &policies, packet);
+        assert_eq!(verdict, expected);
+        assert_eq!(drop_log, legacy.drop_log.to_vec());
+        let oracle = legacy.counters.snapshot();
+        assert_eq!(stats.packets_accepted, oracle.packets_accepted);
+        assert_eq!(stats.total_dropped(), oracle.total_dropped());
+        assert_eq!(stats.dropped_malformed, oracle.dropped_malformed);
+        verdict
+    }
+
+    #[test]
+    fn struct_batch_judges_a_mid_list_end_of_list_as_its_frame() {
+        let (_, _, login) = solcalendar_fixture();
+        // End-of-List ahead of the context: on the wire the context option
+        // is post-EOL data, so the frame carries no context but trailing
+        // data.
+        let mut packet = untagged_packet();
+        let options = packet.options_mut();
+        options
+            .push(IpOption::new(IpOptionKind::EndOfList, vec![]).unwrap())
+            .unwrap();
+        options
+            .push(IpOption::new(IpOptionKind::BorderPatrolContext, login).unwrap())
+            .unwrap();
+        let verdict = assert_judged_as_its_frame(&packet);
+        assert!(!verdict.is_accept(), "post-EOL bytes are a covert channel");
+    }
+
+    #[test]
+    fn struct_batch_judges_trailing_data_on_a_full_area_as_its_frame() {
+        let (_, _, login) = solcalendar_fixture();
+        // The login context, then No-Ops up to 39 of the 40 option bytes:
+        // one byte is too few for the EOL marker and its trailer, so the
+        // encoder drops the flag and the frame is the plain login context.
+        let mut packet = tagged_packet(login.clone());
+        let options = packet.options_mut();
+        while options.encoded_len() < MAX_OPTIONS_LEN - 1 {
+            options
+                .push(IpOption::new(IpOptionKind::NoOp, vec![]).unwrap())
+                .unwrap();
+        }
+        assert_eq!(options.encoded_len(), MAX_OPTIONS_LEN - 1, "login fits");
+        options.mark_trailing_data();
+        let verdict = assert_judged_as_its_frame(&packet);
+        assert!(verdict.is_accept(), "the frame is the login context");
+    }
+
+    #[test]
+    fn struct_batch_drops_a_packet_past_the_length_field_as_a_wire_failure() {
+        let (db, _, _) = solcalendar_fixture();
+        let packet = Ipv4Packet::new(
+            Endpoint::new([10, 0, 0, 4], 40001),
+            Endpoint::new([31, 13, 71, 36], 443),
+            vec![0; 70_000],
+        );
+        assert!(packet.total_len() > usize::from(u16::MAX));
+        let error = WireError::LengthMismatch;
+        assert_eq!(wire::decode_frame(&wire::encode(&packet)), Err(error));
+        let (verdict, stats, drop_log) = struct_batch_outcome(&db, &PolicySet::new(), &packet);
+        assert_eq!(verdict, Verdict::drop(error.drop_reason()));
+        assert_eq!(stats.dropped_wire, 1);
+        assert_eq!(stats.dropped_wire_by.get(error), 1);
+        assert_eq!(drop_log, [error.drop_reason()]);
     }
 }

@@ -31,9 +31,11 @@ static NEXT_TABLE_EPOCH: AtomicU64 = AtomicU64::new(1);
 pub(super) const TRAILING_DATA_DROP_REASON: &str = "non-zero data after end-of-options-list";
 
 /// Everything the pipeline reads of one packet, borrowed from wherever the
-/// packet lives: an owned [`Ipv4Packet`] or the bytes of a parsed
-/// [`WireFrame`].  Building one allocates nothing, which is what lets the
-/// byte ingress inspect frames in place.
+/// packet lives: the bytes of a parsed [`WireFrame`] — what every entry
+/// point judges — or, for the memo-free reference
+/// [`EnforcementTables::inspect_packet`] alone, an owned [`Ipv4Packet`].
+/// Building one allocates nothing, which is what lets the byte ingress
+/// inspect frames in place.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PacketView<'p> {
     flow_key: FlowKey,
@@ -59,7 +61,8 @@ impl<'p> PacketView<'p> {
         }
     }
 
-    /// The view of an owned packet.
+    /// The view of an owned packet, for [`EnforcementTables::inspect_packet`]
+    /// only.
     pub(crate) fn of_packet(packet: &'p Ipv4Packet) -> Self {
         let options = packet.options();
         let contexts = options
@@ -401,8 +404,10 @@ impl EnforcementTables {
         self.apply_outcome(&outcome, stats, drop_log)
     }
 
-    /// Inspect one packet with the per-flow verdict cache in front of the
-    /// pipeline.
+    /// Inspect one parsed wire frame with the per-flow verdict cache in
+    /// front of the pipeline — the body behind every entry point of
+    /// [`ShardedEnforcer`](super::ShardedEnforcer), inline and batched,
+    /// each of which judges a packet as the frame it encodes to.
     ///
     /// A packet whose flow **and** exact context payload were evaluated
     /// before (under these tables' epoch, within `flow`'s TTL measured
@@ -424,10 +429,11 @@ impl EnforcementTables {
     ///
     /// With `drop_context_switch` off, verdicts, statistics outcome counters
     /// and drop-log entries are byte-identical to
-    /// [`EnforcementTables::inspect_packet`].
+    /// [`EnforcementTables::inspect_packet`] over the packet the frame
+    /// decodes to ([`WireFrame::to_packet`]).
     pub fn inspect_flow_cached(
         &self,
-        packet: &Ipv4Packet,
+        frame: &WireFrame<'_>,
         flow: &mut FlowTable,
         now: SimDuration,
         scratch: &mut Vec<u32>,
@@ -435,7 +441,7 @@ impl EnforcementTables {
         drop_log: &mut DropLog,
     ) -> Verdict {
         self.inspect_view(
-            &PacketView::of_packet(packet),
+            &PacketView::of_frame(frame),
             flow,
             now,
             scratch,
@@ -445,8 +451,8 @@ impl EnforcementTables {
     }
 
     /// The body of [`EnforcementTables::inspect_flow_cached`], over the
-    /// borrowed view every batch partition hands it — of a packet or of a
-    /// wire frame inspected in place.
+    /// borrowed view of a wire frame inspected in place, which every batch
+    /// partition hands it.
     pub(crate) fn inspect_view(
         &self,
         packet: &PacketView<'_>,

@@ -58,10 +58,10 @@
 use std::io::{self, Read, Write};
 
 use bp_netsim::addr::Endpoint;
-use bp_netsim::options::{IpOption, IpOptionKind, IpOptions};
+use bp_netsim::options::IpOptions;
 use bp_netsim::packet::{Ipv4Packet, Protocol};
+use bp_types::wire::OptionWalk;
 pub use bp_types::wire::{rfc1071_checksum, WireError, MAX_OPTIONS_AREA};
-use bp_types::wire::{OPT_END_OF_LIST, OPT_NOOP};
 
 /// Minimum decodable frame: 20-byte base header plus the abbreviated 4-byte
 /// transport header (source and destination ports).
@@ -146,7 +146,9 @@ impl<'a> WireFrame<'a> {
             return Err(WireError::BadChecksum);
         }
         let protocol = Protocol::from_number(frame[9]).ok_or(WireError::UnknownProtocol)?;
-        let trailing_data = validate_options_area(&frame[Ipv4Packet::BASE_HEADER_LEN..header_len])?;
+        let mut walk = OptionWalk::new(&frame[Ipv4Packet::BASE_HEADER_LEN..header_len]);
+        while walk.next_option()?.is_some() {}
+        let trailing_data = walk.trailing_data();
         let total_len = u16::from_be_bytes([frame[2], frame[3]]) as usize;
         if total_len != frame.len() - 4 {
             // The abbreviated transport header (4 port bytes) is not part of
@@ -227,14 +229,12 @@ impl<'a> WireFrame<'a> {
     }
 
     /// Iterate the options as `(type_byte, data)` pairs, skipping No-Op
-    /// padding and stopping at End-of-List — the same normalization
-    /// `IpOptions::parse` applies.  Geometry was validated by
-    /// [`WireFrame::parse`], so the walk cannot run out of bounds.
+    /// padding and stopping at End-of-List: the one RFC 791 walk
+    /// ([`OptionWalk`]), over the area [`WireFrame::parse`] already walked
+    /// without error, so no step here can fail.
     pub fn options(&self) -> impl Iterator<Item = (u8, &'a [u8])> {
-        OptionsIter {
-            area: self.options_area(),
-            pos: 0,
-        }
+        let mut walk = OptionWalk::new(self.options_area());
+        std::iter::from_fn(move || walk.next_option().unwrap_or(None))
     }
 
     /// The frame's bytes, as [`WireFrame::parse`] was given them.
@@ -260,16 +260,8 @@ impl<'a> WireFrame<'a> {
     /// trade in.  Infallible: every check already ran in
     /// [`WireFrame::parse`].
     pub fn to_packet(&self) -> Ipv4Packet {
-        let mut options: IpOptions = self
-            .options()
-            .map(|(type_byte, data)| IpOption {
-                kind: IpOptionKind::from_type_byte(type_byte),
-                data: data.to_vec(),
-            })
-            .collect();
-        if self.trailing_data {
-            options.mark_trailing_data();
-        }
+        let options = IpOptions::parse(self.options_area())
+            .expect("`WireFrame::parse` validated the area with the same walk");
         let mut packet = Ipv4Packet::with_protocol(
             self.source(),
             self.destination(),
@@ -329,59 +321,6 @@ pub(crate) fn corrupted_frame_error(frame: &[u8]) -> WireError {
         WireError::TruncatedHeader
     } else {
         WireError::BadVersion
-    }
-}
-
-/// Validate the raw options area, returning whether non-zero trailing data
-/// follows an End-of-List marker.
-fn validate_options_area(area: &[u8]) -> Result<bool, WireError> {
-    let mut pos = 0;
-    while pos < area.len() {
-        match area[pos] {
-            OPT_END_OF_LIST => {
-                return Ok(area[pos + 1..].iter().any(|&b| b != 0));
-            }
-            OPT_NOOP => pos += 1,
-            _ => {
-                if pos + 1 >= area.len() {
-                    return Err(WireError::OptionTruncated);
-                }
-                let len = area[pos + 1] as usize;
-                if len < 2 {
-                    return Err(WireError::BadOptionLength);
-                }
-                if pos + len > area.len() {
-                    return Err(WireError::OptionOverrun);
-                }
-                pos += len;
-            }
-        }
-    }
-    Ok(false)
-}
-
-struct OptionsIter<'a> {
-    area: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Iterator for OptionsIter<'a> {
-    type Item = (u8, &'a [u8]);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.pos < self.area.len() {
-            match self.area[self.pos] {
-                OPT_END_OF_LIST => return None,
-                OPT_NOOP => self.pos += 1,
-                type_byte => {
-                    let len = self.area[self.pos + 1] as usize;
-                    let data = &self.area[self.pos + 2..self.pos + len];
-                    self.pos += len;
-                    return Some((type_byte, data));
-                }
-            }
-        }
-        None
     }
 }
 
@@ -721,6 +660,8 @@ impl CaptureReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bp_netsim::options::{IpOption, IpOptionKind};
+    use bp_types::wire::OPT_NOOP;
 
     fn sample_packet() -> Ipv4Packet {
         let mut packet = Ipv4Packet::with_protocol(

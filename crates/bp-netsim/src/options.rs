@@ -11,7 +11,9 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use bp_types::wire::{OPT_BP_CONTEXT, OPT_END_OF_LIST, OPT_NOOP, OPT_SECURITY, OPT_TIMESTAMP};
+use bp_types::wire::{
+    OptionWalk, WireError, OPT_BP_CONTEXT, OPT_END_OF_LIST, OPT_NOOP, OPT_SECURITY, OPT_TIMESTAMP,
+};
 use bp_types::Error;
 
 /// Maximum total size of the options area in bytes (RFC 791).
@@ -283,7 +285,9 @@ impl IpOptions {
         out
     }
 
-    /// Parse an options area.
+    /// Parse an options area with the one RFC 791 walker
+    /// ([`OptionWalk`]), the walk the frame parser validates with: No-Op
+    /// padding is dropped and End-of-List ends the list.
     ///
     /// Bytes after an End-of-List marker are padding and must be zero
     /// (RFC 791); non-zero trailers are preserved as a conformance signal via
@@ -293,8 +297,9 @@ impl IpOptions {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Malformed`] if the area exceeds 40 bytes, an option
-    /// length is inconsistent, or the data is truncated.
+    /// Returns [`Error::Malformed`] if the area exceeds 40 bytes, or naming
+    /// the walker's [`WireError`] if an option is truncated or its length is
+    /// inconsistent.
     pub fn parse(data: &[u8]) -> Result<Self, Error> {
         if data.len() > MAX_OPTIONS_LEN {
             return Err(Error::malformed(
@@ -302,42 +307,18 @@ impl IpOptions {
                 "options area exceeds 40 bytes",
             ));
         }
+        let malformed = |error: WireError| Error::malformed("ip options", error.tag());
+        let mut walk = OptionWalk::new(data);
         let mut options = Vec::new();
-        let mut trailing_data = false;
-        let mut pos = 0;
-        while pos < data.len() {
-            let type_byte = data[pos];
-            let kind = IpOptionKind::from_type_byte(type_byte);
-            match kind {
-                IpOptionKind::EndOfList => {
-                    trailing_data = data[pos + 1..].iter().any(|&b| b != 0);
-                    break;
-                }
-                IpOptionKind::NoOp => {
-                    pos += 1;
-                }
-                _ => {
-                    if pos + 1 >= data.len() {
-                        return Err(Error::malformed("ip options", "truncated option header"));
-                    }
-                    let len = data[pos + 1] as usize;
-                    if len < 2 || pos + len > data.len() {
-                        return Err(Error::malformed(
-                            "ip options",
-                            format!("invalid option length {len}"),
-                        ));
-                    }
-                    options.push(IpOption {
-                        kind,
-                        data: data[pos + 2..pos + len].to_vec(),
-                    });
-                    pos += len;
-                }
-            }
+        while let Some((type_byte, data)) = walk.next_option().map_err(malformed)? {
+            options.push(IpOption {
+                kind: IpOptionKind::from_type_byte(type_byte),
+                data: data.to_vec(),
+            });
         }
         Ok(IpOptions {
             options,
-            trailing_data,
+            trailing_data: walk.trailing_data(),
         })
     }
 }

@@ -22,7 +22,7 @@
 //! slow a shard beyond the publication stores it already performs.
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod collector;
 pub mod metrics;

@@ -1,5 +1,6 @@
-//! Wire-level vocabulary: IP option type bytes and the typed decode errors
-//! of the byte ingress boundary.
+//! Wire-level vocabulary: IP option type bytes, the one checksum, the one
+//! walk of the RFC 791 option grammar and the typed decode errors of the
+//! byte ingress boundary.
 //!
 //! A deployed Policy Enforcer sits on an NFQUEUE and sees raw IPv4 frames,
 //! not in-repo packet structs.  The shapes a frame can arrive in — which
@@ -57,6 +58,73 @@ pub fn rfc1071_checksum(bytes: &[u8]) -> u16 {
         sum = (sum & 0xffff) + (sum >> 16);
     }
     !(sum as u16)
+}
+
+/// A walk over an RFC 791 options area, in frame order: No-Op padding is
+/// skipped, End-of-List ends the list, every other option is a type byte,
+/// a length byte counting both, and its data.
+///
+/// The one options-grammar walker of the workspace: `WireFrame::parse` and
+/// `WireFrame::options` in `bp-core::wire` and `IpOptions::parse` in
+/// `bp-netsim` all drive it.  Every step is fallible
+/// ([`OptionWalk::next_option`]), so no caller can mistake a malformed area
+/// for a short list.  `#[inline]` throughout, so the frame parser, one
+/// crate over, keeps the walk in its per-frame loop.
+#[derive(Debug, Clone)]
+pub struct OptionWalk<'a> {
+    /// The bytes not walked yet: from the End-of-List marker on once the
+    /// list has ended there, empty once it ran to the end of the area.
+    rest: &'a [u8],
+}
+
+impl<'a> OptionWalk<'a> {
+    /// A walk from the start of `area`.
+    #[inline]
+    pub fn new(area: &'a [u8]) -> Self {
+        OptionWalk { rest: area }
+    }
+
+    /// The next option as `(type_byte, data)`, or `None` once End-of-List
+    /// or the end of the area is reached.
+    ///
+    /// # Errors
+    ///
+    /// An option whose type byte is the last of the area is
+    /// [`WireError::OptionTruncated`], a length byte below 2 is
+    /// [`WireError::BadOptionLength`], and a length reaching past the area
+    /// is [`WireError::OptionOverrun`].
+    #[inline]
+    pub fn next_option(&mut self) -> Result<Option<(u8, &'a [u8])>, WireError> {
+        while let Some((&type_byte, tail)) = self.rest.split_first() {
+            match type_byte {
+                OPT_END_OF_LIST => return Ok(None),
+                OPT_NOOP => self.rest = tail,
+                _ => {
+                    let len = usize::from(*tail.first().ok_or(WireError::OptionTruncated)?);
+                    if len < 2 {
+                        return Err(WireError::BadOptionLength);
+                    }
+                    let (option, rest) = self
+                        .rest
+                        .split_at_checked(len)
+                        .ok_or(WireError::OptionOverrun)?;
+                    self.rest = rest;
+                    return Ok(Some((type_byte, &option[2..])));
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// Once [`OptionWalk::next_option`] has returned `Ok(None)`: whether
+    /// non-zero bytes follow the End-of-List marker the walk ended at.
+    /// RFC 791 calls them padding; BorderPatrol calls them a covert channel
+    /// (paper §IV-A4).  `false` for a list that ran to the end of the area.
+    #[inline]
+    pub fn trailing_data(&self) -> bool {
+        let padding = self.rest.get(1..).unwrap_or_default();
+        padding.iter().any(|&b| b != 0)
+    }
 }
 
 /// Why a byte frame failed to decode into a packet.

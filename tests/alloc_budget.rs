@@ -14,7 +14,8 @@
 //!
 //! The struct batch entry points — `ShardedEnforcer::inspect_batch_into` and
 //! the filter chain's `QueueHandler::handle_batch_into` — are held to the
-//! same zero over cached flows.
+//! same zero over cached flows, and so are the inline ones,
+//! `ShardedEnforcer::inspect` and `QueueHandler::handle`.
 //!
 //! The control plane's compiler is held to a budget too: a full
 //! `PolicySet::compile` allocates a fixed handful of buffers, sized up front,
@@ -232,9 +233,10 @@ fn steady_state_allocations(engine: &Engine, frames: &[Vec<u8>]) -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
-/// [`steady_state_allocations`] for a struct batch entry point: run `batch`
-/// on `enforcer` until every shard [`is_warm`], then count the allocations
-/// of `MEASURED_BATCHES` more.
+/// [`steady_state_allocations`] for an entry point that takes packets (a
+/// struct batch, or one inline call per packet): run `batch` on `enforcer`
+/// until every shard [`is_warm`], then count the allocations of
+/// `MEASURED_BATCHES` more.
 fn struct_steady_state_allocations(
     enforcer: &mut ShardedEnforcer,
     mut batch: impl FnMut(&mut ShardedEnforcer),
@@ -308,6 +310,24 @@ fn byte_ingress_stays_within_its_allocation_budget() {
         });
         assert_eq!(handled, 0, "handle_batch_into, {shards} shard(s)");
         assert!(verdicts.iter().all(Verdict::is_accept));
+    }
+
+    // The inline entry points, one packet at a time over the same cached
+    // flows: `inspect`, and the filter chain's `handle`.
+    for shards in [1, 2] {
+        let inspected = struct_steady_state_allocations(&mut enforcer(shards), |enforcer| {
+            for packet in &packets {
+                assert!(enforcer.inspect(packet).is_accept());
+            }
+        });
+        assert_eq!(inspected, 0, "inline inspect, {shards} shard(s)");
+        let mut owned = packets.clone();
+        let handled = struct_steady_state_allocations(&mut enforcer(shards), |enforcer| {
+            for packet in &mut owned {
+                assert!(enforcer.handle(packet).is_accept());
+            }
+        });
+        assert_eq!(handled, 0, "QueueHandler::handle, {shards} shard(s)");
     }
 
     let engine = self::engine(2);

@@ -12,6 +12,7 @@ use borderpatrol::core::enforcer::{
 use borderpatrol::core::flow::{FlowTable, FlowTableConfig};
 use borderpatrol::core::offline::SignatureDatabase;
 use borderpatrol::core::policy::{Policy, PolicySet};
+use borderpatrol::core::wire::{self, WireFrame};
 use borderpatrol::netsim::addr::Endpoint;
 use borderpatrol::netsim::clock::SimDuration;
 use borderpatrol::netsim::options::{IpOption, IpOptionKind};
@@ -360,9 +361,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Few contexts, many fresh flows, every configuration, epoch bumps in
-    /// between: the flow-cached path (flow table + context memo) and the
-    /// memo-free `inspect_packet` reference agree on every verdict, outcome
-    /// counter and drop-log line, in order, on the same tables.
+    /// between: the flow-cached path (flow table + context memo) over each
+    /// packet's frame and the memo-free `inspect_packet` reference over the
+    /// packet agree on every verdict, outcome counter and drop-log line, in
+    /// order, on the same tables.
     #[test]
     fn remembered_contexts_match_the_memo_free_pipeline(
         config_bits in 0u8..16,
@@ -425,8 +427,10 @@ proptest! {
                     }
                 },
             };
+            let frame = wire::encode(&packet);
+            let frame = WireFrame::parse(&frame).expect("an encoded packet parses");
             let verdict = tables.inspect_flow_cached(
-                &packet,
+                &frame,
                 &mut flow,
                 SimDuration::ZERO,
                 &mut scratch,

@@ -415,7 +415,7 @@ proptest! {
         // Each step: (flow selector, payload selector, swap selector).
         // Swap: 0..=2 leave the tables alone, 3/4 install policy set A/B,
         // 5 swaps the signature database (full ↔ empty).
-        steps in prop::collection::vec((0u16..6, 0u8..4, 0u8..6), 1..60),
+        steps in prop::collection::vec((0u16..6, 0u8..5, 0u8..6), 1..60),
     ) {
         let (db, analytics, login) = enforcement_fixture();
         let policy_sets = [
@@ -461,12 +461,13 @@ proptest! {
                 0 => analytics.clone(),
                 1 => login.clone(),
                 2 => vec![9, 9, 9], // malformed
-                _ => ContextEncoding::encode(
+                3 => ContextEncoding::encode(
                     ApkHash::digest(b"never-analyzed").tag(),
                     &[0, 1],
                     false,
                 )
                 .unwrap(), // unknown app
+                _ => login.clone(), // with covert post-EOL data, below
             };
             let mut packet = Ipv4Packet::new(
                 Endpoint::new([10, 0, 0, 9], 43_000 + flow),
@@ -477,6 +478,9 @@ proptest! {
                 .options_mut()
                 .push(IpOption::new(IpOptionKind::BorderPatrolContext, payload).unwrap())
                 .unwrap();
+            if payload_choice == 4 {
+                packet.options_mut().mark_trailing_data();
+            }
 
             // No stale verdict: after any swap above, the very next packet
             // (and all later ones) must match both cache-free evaluations —

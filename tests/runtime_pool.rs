@@ -132,11 +132,12 @@ proptest! {
 
 /// Deadlock guard: an inline `inspect` and a batch worker contend for the
 /// same shards.  Each shard has one lock, so neither can hold part of a
-/// shard while waiting for the rest; the only other lock on the path is
-/// the pool's submission lock, which `inspect` never takes.  When a shard
-/// had three mutexes and one path took them in another order, this
-/// interleaving wedged within a few iterations — the test terminating is
-/// the assertion.
+/// shard while waiting for the rest; the only other locks on the batch path
+/// are the struct entry points' encode buffers and the pool's submission
+/// lock, and `inspect` takes neither (it encodes into its shard's buffer).
+/// When a shard had three mutexes and one path took them in another order,
+/// this interleaving wedged within a few iterations — the test terminating
+/// is the assertion.
 #[test]
 fn inline_inspect_and_pool_batches_interleave_without_deadlock() {
     let (pool, _) = runtime_pair(4);

@@ -1,8 +1,8 @@
 //! Wire-format ingress acceptance suite: codec round-trips (property-based),
-//! wire-path ≡ struct-path enforcement equivalence across shard counts, the
-//! committed malformed-bytes corpus (fail-closed, exact `WireError`
-//! attribution, no panics), and replayable-capture determinism against a
-//! committed golden capture.
+//! every entry point ≡ the legacy oracle over the packet its frame decodes
+//! to, across shard counts, the committed malformed-bytes corpus
+//! (fail-closed, exact `WireError` attribution, no panics), and
+//! replayable-capture determinism against a committed golden capture.
 //!
 //! Regenerate the committed fixtures under `tests/fixtures/wire/` with
 //! `BP_REGEN_GOLDEN=1 cargo test --test wire`.
@@ -15,14 +15,14 @@ use proptest::prelude::*;
 
 use borderpatrol::analysis::scenario::{PreparedScenario, ScenarioSpec};
 use borderpatrol::core::enforcer::{
-    EnforcementTables, EnforcerConfig, EnforcerStats, ShardedEnforcer, WireDropStats,
-    OVERLOAD_DROP_REASON,
+    inspect_legacy, DropLog, EnforcementTables, EnforcerConfig, EnforcerCounters, EnforcerStats,
+    ShardedEnforcer, WireDropStats, OVERLOAD_DROP_REASON,
 };
 use borderpatrol::core::faults::{FaultInjector, FaultPlan};
 use borderpatrol::core::policy::{Policy, PolicySet};
 use borderpatrol::core::wire::{self, CaptureReader, WireError};
 use borderpatrol::netsim::addr::Endpoint;
-use borderpatrol::netsim::netfilter::Verdict;
+use borderpatrol::netsim::netfilter::{QueueHandler, Verdict};
 use borderpatrol::netsim::options::{IpOption, IpOptionKind};
 use borderpatrol::netsim::packet::{Ipv4Packet, Protocol};
 use borderpatrol::types::EnforcementLevel;
@@ -40,9 +40,10 @@ fn arb_endpoint() -> impl Strategy<Value = Endpoint> {
 }
 
 /// Options the codec round-trips *identically*: No-Op and End-of-List are
-/// excluded on purpose — `IpOptions::parse` normalizes them away (NOPs are
-/// padding, EOL terminates the walk), so they are not representable in the
-/// decoded form.
+/// excluded on purpose — the one RFC 791 walker (`bp_types::wire::OptionWalk`,
+/// behind both `WireFrame::options` and `IpOptions::parse`) normalizes them
+/// away (NOPs are padding, EOL terminates the walk), so they are not
+/// representable in the decoded form.
 fn arb_option() -> impl Strategy<Value = IpOption> {
     (
         prop::sample::select(vec![
@@ -157,30 +158,82 @@ proptest! {
     }
 }
 
+/// The oracle's configuration: strict, except that a mid-flow context
+/// switch is re-evaluated rather than dropped — the legacy reference keeps
+/// no flow state, so it cannot see one.
+fn oracle_config() -> EnforcerConfig {
+    EnforcerConfig {
+        drop_context_switch: false,
+        ..EnforcerConfig::strict()
+    }
+}
+
 proptest! {
-    // Each case builds six sharded enforcers (worker pools included), so the
-    // case count stays modest; the batches are large enough to mix shapes.
+    // Each case builds sixteen sharded enforcers (worker pools included), so
+    // the case count stays modest; the batches are large enough to mix
+    // shapes.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// Every entry point gives a packet the verdict of the frame it encodes
+    /// to.  The reference shares nothing with the byte path but the codec:
+    /// `inspect_legacy` over `decode_frame(encode(p))`, the interpretive
+    /// pipeline over the owned packet the frame materializes into.  Checked
+    /// for both batch entry points and both inline ones, on 1/2/4/8 shards:
+    /// verdicts in order, merged outcome counters, and drop logs — exactly
+    /// on one shard, as multisets on more (they are grouped by shard).
     #[test]
     fn wire_path_matches_struct_path_on_every_shard_count(batch in arb_batch()) {
-        let tables = strict_tables();
+        let (db, _, _) = solcalendar_fixture();
+        let (policies, config) = (deny_policies(), oracle_config());
+        let tables = EnforcementTables::shared(db, &policies, config);
         let frames: Vec<Vec<u8>> = batch.iter().map(wire::encode).collect();
         let frame_refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
 
-        for shards in [1usize, 4, 8] {
-            let struct_path = ShardedEnforcer::new(Arc::clone(&tables), shards);
-            let wire_path = ShardedEnforcer::new(Arc::clone(&tables), shards);
+        let (counters, mut log) = (EnforcerCounters::new(), DropLog::default());
+        let expected: Vec<Verdict> = frames
+            .iter()
+            .map(|frame| {
+                let decoded = wire::decode_frame(frame).expect("an encoded packet decodes");
+                inspect_legacy(db, &policies, config, &decoded, &counters, &mut log)
+            })
+            .collect();
+        let expected_stats = counters.snapshot();
+        let mut expected_log = log.to_vec();
 
-            let mut struct_verdicts = Vec::new();
-            let mut wire_verdicts = Vec::new();
-            struct_path.inspect_batch_into(&batch, &mut struct_verdicts);
-            wire_path.inspect_wire_batch_into(&frame_refs, &mut wire_verdicts);
-
-            prop_assert_eq!(&wire_verdicts, &struct_verdicts, "verdicts diverged at {} shards", shards);
-            prop_assert_eq!(wire_path.stats(), struct_path.stats(), "stats diverged at {} shards", shards);
-            prop_assert_eq!(wire_path.drop_log(), struct_path.drop_log(), "drop logs diverged at {} shards", shards);
-            prop_assert_eq!(wire_path.stats().dropped_wire, 0);
+        type EntryPoint = fn(&mut ShardedEnforcer, &[Ipv4Packet], &[&[u8]]) -> Vec<Verdict>;
+        let entry_points: [(&str, EntryPoint); 4] = [
+            ("inspect_batch_into", |enforcer, batch, _| {
+                let mut verdicts = Vec::new();
+                enforcer.inspect_batch_into(batch, &mut verdicts);
+                verdicts
+            }),
+            ("inspect_wire_batch_into", |enforcer, _, frames| {
+                let mut verdicts = Vec::new();
+                enforcer.inspect_wire_batch_into(frames, &mut verdicts);
+                verdicts
+            }),
+            ("inspect", |enforcer, batch, _| inspect_each(enforcer, batch)),
+            ("handle", |enforcer, batch, _| {
+                batch.iter().map(|packet| enforcer.handle(&mut packet.clone())).collect()
+            }),
+        ];
+        for shards in [1usize, 2, 4, 8] {
+            for (name, run) in entry_points {
+                let mut enforcer = ShardedEnforcer::new(Arc::clone(&tables), shards);
+                let verdicts = run(&mut enforcer, &batch, &frame_refs);
+                prop_assert_eq!(&verdicts, &expected, "{} verdicts, {} shards", name, shards);
+                prop_assert_eq!(
+                    enforcer.stats().without_flow_counters(),
+                    expected_stats,
+                    "{} stats, {} shards", name, shards
+                );
+                let mut logged = enforcer.drop_log();
+                if shards > 1 {
+                    logged.sort();
+                    expected_log.sort();
+                }
+                prop_assert_eq!(&logged, &expected_log, "{} drop log, {} shards", name, shards);
+            }
         }
     }
 }
